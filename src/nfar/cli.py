@@ -13,37 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import convkv, io
+from . import checks, io
 from .blocks import BlockPlan
-from .model import DenoiserConfig, block_causal_mask, init_params
-from .numerics import Tensor, finite_difference_grad, grad_of
-from .rng import STREAM_DATA, make_rng
-from .schedule import GenericSchedule, SamplerConfig, monte_carlo_prop2, expected_neighbor_distance
-from .streaming import (
-    GenerationAborted,
-    bench_overhead,
-    generate_full_recompute,
-    generate_stream,
-    zero_shot_experiment,
-)
+from .model import DenoiserConfig, init_params
+from .schedule import SamplerConfig
+from .streaming import GenerationAborted, bench_overhead, generate_stream, zero_shot_experiment
 from .synthdata import LatentDynamics, check_prop1, generate_state_path, make_dataset, render_and_encode, condition_vector
-from .training import (
-    TrainConfig,
-    TrainingDiverged,
-    neighbor_forcing_loss,
-    train_stage1,
-    train_stage2_convkv,
-)
+from .training import TrainConfig, TrainingDiverged, train_stage1, train_stage2_convkv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ABORTED = 3
-
-
-def _check(name: str, ok: bool, metric) -> bool:
-    print(f"CHECK {name} {'PASS' if ok else 'FAIL'} {metric}")
-    return bool(ok)
 
 
 def _echo_config(out_dir: Path, args: argparse.Namespace, keys: list[str]) -> None:
@@ -89,8 +70,12 @@ def cmd_train(args) -> int:
         return EXIT_USAGE
     dataset, _ = io.load_dataset(args.data)
     n_frames = dataset.sequences.shape[1]
-    plan = _plan(args.blocks) if args.blocks else None
-    if plan is None or plan.total_chunks != n_frames:
+    if args.blocks:
+        plan = _plan(args.blocks)
+        if plan.total_chunks != n_frames:
+            raise ValueError(f"--blocks {args.blocks} makes {plan.total_chunks} chunks, "
+                             f"but the dataset has {n_frames} frames")
+    else:
         sizes, remaining = [6], n_frames - 6
         while remaining > 0:
             sizes.append(min(8, remaining))
@@ -102,7 +87,6 @@ def cmd_train(args) -> int:
         learning_rate=args.lr,
         batch_size=args.batch,
         seed=args.seed,
-        stage=args.stage,
         mask_mode=args.mask,
     )
     if args.init is not None:
@@ -166,166 +150,25 @@ def cmd_generate(args) -> int:
 
 # -- verify ----------------------------------------------------------------------
 
-def _verify_prop2(args) -> bool:
-    ok = True
-    worst = 0.0
-    rng = make_rng(args.seed, STREAM_DATA)
-    for alpha, sigma in ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0)):
-        schedule = GenericSchedule(steps=(0.5,), alphas=(alpha,), sigmas=(sigma,))
-        for d in (4, 16):
-            for scale in (0.1, 2.0):
-                za = rng.standard_normal(d)
-                zb = za + scale * rng.standard_normal(d)
-                exact = expected_neighbor_distance(alpha, sigma, d, float(((zb - za) ** 2).sum()))
-                est = monte_carlo_prop2((za, zb), schedule, 0.5, 100_000, args.seed)
-                rel = abs(est - exact) / exact
-                worst = max(worst, rel)
-                ok &= rel < 0.02
-    return _check("prop2", ok, f"max_rel_err={worst:.5f}")
-
-
-def _verify_prop1(args) -> bool:
-    ok = True
-    worst = 0.0
-    for i in range(20):
-        dyn = LatentDynamics.create(seed=args.seed + i)
-        u = generate_state_path(500, dyn.delta_u, seed=args.seed + i)
-        _, z0 = render_and_encode(dyn, u, dyn.residual_bound, seed=args.seed + i + 1)
-        rep = check_prop1(dyn, z0, u)
-        worst = max(worst, rep.tightness)
-        ok &= rep.holds
-    # Planted out-of-bound jump must be flagged.
-    dyn = LatentDynamics.create(seed=args.seed)
-    u = generate_state_path(500, dyn.delta_u, seed=args.seed)
-    _, z0 = render_and_encode(dyn, u, dyn.residual_bound, seed=args.seed + 1)
-    z0 = z0.copy()
-    direction = np.zeros(dyn.latent_dim)
-    direction[0] = 1.0
-    z0[250] += direction * 2.0 * dyn.neighbor_bound
-    planted = not check_prop1(dyn, z0, u).holds
-    ok &= planted
-    return _check("prop1", ok, f"worst_tightness={worst:.4f} planted_detected={planted}")
-
-
-def _verify_mask(args) -> bool:
-    ok = True
-    for m in (1, 2, 3, 8):
-        for n in range(m, 41, m):
-            plan = BlockPlan.uniform(n // m, m)
-            got = block_causal_mask(plan)
-            want = np.zeros((n, n))
-            for i in range(n):
-                for j in range(n):
-                    want[i, j] = 1.0 if j // m <= i // m else 0.0
-            ok &= np.array_equal(got, want)
-    return _check("mask", ok, "uniform plans m in {1,2,3,8}, n<=40")
-
-
-def _verify_grad(args) -> bool:
-    config = DenoiserConfig(n_layers=2, n_heads=2, d_model=8, d_latent=4, d_cond=8, d_ff=8)
-    params = init_params(config, seed=args.seed)
-    rng = make_rng(args.seed, STREAM_DATA)
-    for name in params.values:
-        params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
-    plan = BlockPlan((2, 2))
-    seqs = rng.standard_normal((1, 4, 4))
-    conds = rng.standard_normal((1, 8))
-    t = np.array([0.37])
-    eps = rng.standard_normal((1, 4, 4))
-    names = ["input.w", "layers.0.attn.q.0", "layers.1.ffn.w1", "output.w", "final.mod.w"]
-
-    def loss_fn(values):
-        pt = {k: Tensor(v) for k, v in values.items()}
-        return neighbor_forcing_loss(pt, config, seqs, conds, t, eps, plan)
-
-    worst = 0.0
-    for name in names:
-        pt = {k: Tensor(v) for k, v in params.values.items()}
-        loss = neighbor_forcing_loss(pt, config, seqs, conds, t, eps, plan)
-        (g,) = grad_of(loss, [pt[name]])
-
-        def f(x, name=name):
-            vals = dict(params.values)
-            vals[name] = x
-            return loss_fn(vals).item()
-
-        fd = finite_difference_grad(f, params.values[name])
-        denom = max(np.abs(fd).max(), 1e-8)
-        worst = max(worst, float(np.abs(g - fd).max() / denom))
-    ok = worst < 1e-4
-    return _check("grad", ok, f"max_rel_err={worst:.2e}")
-
-
-def _toy_generation_setup(seed: int):
-    config = DenoiserConfig()
-    params = init_params(config, seed=seed)
-    rng = make_rng(seed, STREAM_DATA)
-    for name in params.denoiser_names():
-        params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
-    x_ref = rng.standard_normal((2, config.d_latent))
-    cond = rng.standard_normal(config.d_cond)
-    return params, x_ref, cond
-
-
-def _verify_cache_equivalence(args) -> bool:
-    params, x_ref, cond = _toy_generation_setup(args.seed)
-    plan = _plan(3)
-    sampler = SamplerConfig.uniform(3)
-    a, _ = generate_stream(params, x_ref, cond, plan, sampler, use_convkv=False, seed=args.seed)
-    b = generate_full_recompute(params, x_ref, cond, plan, sampler, seed=args.seed)
-    diff = float(np.abs(a.values - b.values).max())
-    return _check("cache-equivalence", diff <= 1e-10, f"max_abs_diff={diff:.3e}")
-
-
-def _verify_memory_bound(args) -> bool:
-    params, x_ref, cond = _toy_generation_setup(args.seed)
-    plan = _plan(50)
-    sampler = SamplerConfig.uniform(2)
-    _, bounded = generate_stream(params, x_ref, cond, plan, sampler, use_convkv=True, seed=args.seed)
-    _, unbounded = generate_stream(params, x_ref, cond, plan, sampler, use_convkv=False, seed=args.seed)
-    ok = all(c == 6 for c in bounded.context_chunks[2:])
-    grow = unbounded.context_chunks
-    ok &= all(b > a for a, b in zip(grow, grow[1:]))
-    return _check("memory-bound", ok, f"bounded_tail={bounded.context_chunks[-1]} unbounded_tail={grow[-1]}")
-
-
-def _verify_ledger(args) -> bool:
-    config = DenoiserConfig()
-    params = init_params(config, seed=args.seed)
-    comp = convkv.compressor_arrays(params)
-    cache = convkv.new_cache(config.n_layers, config.d_model, step_tag=0.5)
-    rng = make_rng(args.seed, STREAM_DATA)
-    ok = True
-    total = 0
-    for roll in range(100):
-        n = 6 if roll == 0 else 8
-        kv = [(rng.standard_normal((n, config.d_model)),
-               rng.standard_normal((n, config.d_model))) for _ in range(config.n_layers)]
-        convkv.cache_append(cache, kv, list(range(total, total + n)), 0.5)
-        total += n
-        convkv.cache_roll(cache, comp)
-        acc = convkv.coverage_accounting(cache)
-        ids = sorted(sum(acc.values(), []))
-        ok &= ids == list(range(total))            # each chunk exactly once
-        ok &= cache.pending.n_chunks < cache.lam   # pending below a window
-    return _check("ledger", ok, f"rolls=100 chunks={total}")
-
-
 _VERIFY_CHECKS = {
-    "prop1": _verify_prop1,
-    "prop2": _verify_prop2,
-    "grad": _verify_grad,
-    "mask": _verify_mask,
-    "cache-equivalence": _verify_cache_equivalence,
-    "memory-bound": _verify_memory_bound,
-    "ledger": _verify_ledger,
+    "prop1": checks.prop1_bound,
+    "prop2": checks.prop2_closed_form,
+    "grad": checks.gradient_integrity,
+    "mask": checks.mask_correctness,
+    "cache-equivalence": checks.cache_equivalence,
+    "memory-bound": checks.constant_memory,
+    "ledger": checks.coverage_ledger,
 }
 
 
 def cmd_verify(args) -> int:
     names = list(_VERIFY_CHECKS) if args.check == "all" else [args.check]
-    ok = all(_VERIFY_CHECKS[name](args) for name in names)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    all_ok = True
+    for name in names:
+        ok, metric = _VERIFY_CHECKS[name](seed=args.seed)
+        print(f"CHECK {name} {'PASS' if ok else 'FAIL'} {metric}")
+        all_ok &= ok
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 # -- bench -----------------------------------------------------------------------
@@ -418,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run invariant checks")
     p.add_argument("check", choices=tuple(_VERIFY_CHECKS) + ("all",))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="0 = the acceptance tests' inputs")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="compression-overhead benchmark")
@@ -455,12 +298,14 @@ def main(argv=None) -> int:
         }
         defaults = {dest: str(a.default) for dest, a in actions.items()}
         resolved = io.parse_config_text(Path(args.config).read_text(encoding="utf-8"), defaults)
-        argv_list = set(sys.argv[1:] if argv is None else argv)
+        # Re-parse with every default suppressed: what remains was given explicitly.
+        for a in actions.values():
+            a.default = argparse.SUPPRESS
+        explicit = vars(parser.parse_known_args(argv)[0])
         for key, value in resolved.items():
-            action = actions[key]
-            if set(action.option_strings) & argv_list or value == str(action.default):
+            if key in explicit or value == defaults[key]:
                 continue
-            setattr(args, key, (action.type or str)(value))
+            setattr(args, key, (actions[key].type or str)(value))
     try:
         return args.func(args)
     except (io.FormatError, FileNotFoundError, ValueError) as err:

@@ -5,12 +5,13 @@ All formats are little-endian and round-trip bit-exactly.
 
 from __future__ import annotations
 
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .model import DenoiserConfig, DenoiserParams
+from .model import DenoiserConfig, DenoiserParams, param_layout
 from .synthdata import Dataset, LatentDynamics, condition_vector
 
 LATENT_MAGIC = b"NFLAT\x00\x01\x00"
@@ -57,13 +58,16 @@ def read_latents(path) -> np.ndarray:
 
 _CONFIG_FIELDS = (
     "n_layers", "n_heads", "d_model", "d_latent", "d_cond", "d_ff",
-    "rope_base", "n_ref_chunks", "compress_ratio", "rope_on_values",
+    "rope_base", "n_ref_chunks", "compress_ratio",
 )
+# Version 1 also stored the single-key cross-attention's query/key side,
+# which never affected the output, and a rope-on-values flag.
+_V1_DEAD = re.compile(r"layers\.\d+\.(ln2\.[gb]|cross\.[qk])")
 
 
 def save_checkpoint(path, params: DenoiserParams) -> None:
     """Text manifest (config, meta, tensor table) + concatenated payloads."""
-    lines = ["checkpoint v1"]
+    lines = ["checkpoint v2"]
     for f in _CONFIG_FIELDS:
         lines.append(f"config.{f} = {getattr(params.config, f)}")
     for k in sorted(params.meta):
@@ -84,20 +88,15 @@ def save_checkpoint(path, params: DenoiserParams) -> None:
             fh.write(p)
 
 
-def _parse_config_value(field: str, raw: str):
-    if field == "rope_on_values":
-        return raw == "True"
-    if field == "rope_base":
-        return float(raw)
-    return int(raw)
-
-
 def load_checkpoint(path) -> DenoiserParams:
+    """Read a v2 checkpoint, or a v1 one minus its dead tensors; validate the layout."""
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     split = blob.find(marker)
-    if not blob.startswith(b"checkpoint v1\n") or split < 0:
+    version = blob[:blob.find(b"\n") + 1]
+    if version not in (b"checkpoint v1\n", b"checkpoint v2\n") or split < 0:
         raise FormatError(f"{path}: not a checkpoint file")
+    v1 = version == b"checkpoint v1\n"
     text = blob[:split + 1].decode("utf-8").splitlines()
     payload = blob[split + len(marker):]
     cfg_kwargs, meta, tensors = {}, {}, []
@@ -105,17 +104,38 @@ def load_checkpoint(path) -> DenoiserParams:
         if line.startswith("config."):
             key, _, raw = line.partition(" = ")
             field = key[len("config."):]
-            cfg_kwargs[field] = _parse_config_value(field, raw)
+            if v1 and field == "rope_on_values":
+                if raw != "False":
+                    raise FormatError(f"{path}: rope on values is no longer supported")
+            elif field not in _CONFIG_FIELDS:
+                raise FormatError(f"{path}: unknown config field {field!r}")
+            else:
+                cfg_kwargs[field] = float(raw) if field == "rope_base" else int(raw)
         elif line.startswith("meta."):
             key, _, raw = line.partition(" = ")
             meta[key[len("meta."):]] = raw
         elif line.startswith("tensor "):
-            _, name, dtype, offset, shape = line.split(" ")
-            tensors.append((name, np.dtype(dtype), int(offset),
-                            tuple(int(s) for s in shape.split(",")) if shape else ()))
+            try:
+                _, name, dtype, offset, shape = line.split(" ")
+                entry = (name, np.dtype(dtype), int(offset),
+                         tuple(int(s) for s in shape.split(",")) if shape else ())
+            except (TypeError, ValueError) as err:
+                raise FormatError(f"{path}: bad tensor line {line!r}") from err
+            if not (v1 and _V1_DEAD.fullmatch(name)):
+                tensors.append(entry)
         else:
             raise FormatError(f"{path}: unrecognized manifest line {line!r}")
     config = DenoiserConfig(**cfg_kwargs)
+    layout = param_layout(config)
+    found = {name: shape for name, _, _, shape in tensors}
+    if len(found) != len(tensors):
+        raise FormatError(f"{path}: a tensor name appears twice")
+    missing, extra = sorted(set(layout) - set(found)), sorted(set(found) - set(layout))
+    if missing or extra:
+        raise FormatError(f"{path}: missing tensors {missing}, unexpected tensors {extra}")
+    for name, shape in found.items():
+        if shape != layout[name][0]:
+            raise FormatError(f"{path}: tensor {name} has shape {shape}, expected {layout[name][0]}")
     values = {}
     for name, dt, offset, shape in tensors:
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1

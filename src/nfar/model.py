@@ -47,7 +47,6 @@ class DenoiserConfig:
     rope_base: float = 10000.0
     n_ref_chunks: int = 2
     compress_ratio: int = 5
-    rope_on_values: bool = False
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -167,69 +166,71 @@ class DenoiserParams:
         return [k for k in self.values if k.startswith("compressor.")]
 
 
-def averaging_compressor(config: DenoiserConfig) -> dict[str, np.ndarray]:
-    """Window-averaging init: each output channel averages its own channel."""
-    lam, c = config.compress_ratio, config.d_model
-    w = np.zeros((lam, c, c))
-    for k in range(lam):
-        w[k] += np.eye(c) / lam
-    out = {}
-    for layer in range(config.n_layers):
+def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], int | str]]:
+    """Every learnable tensor as name -> (shape, init), in initialization order.
+
+    ``init`` is "zeros", "ones", "average" (window-averaging compressor:
+    each output channel averages its own channel) or an int fan-in for a
+    Gaussian draw scaled by 1/sqrt(fan_in). Checkpoints are validated
+    against the same table.
+    """
+    dm, hd, dc, dff, dl = config.d_model, config.head_dim, config.d_cond, config.d_ff, config.d_latent
+    out: dict[str, tuple[tuple[int, ...], int | str]] = {
+        "input.w": ((dl, dm), dl),
+        "input.b": ((dm,), "zeros"),
+        "final.mod.w": ((dm, 2 * dm), "zeros"),
+        "final.mod.b": ((2 * dm,), "zeros"),
+        "output.w": ((dm, dl), "zeros"),  # zero-init head: untrained model predicts zero velocity
+        "output.b": ((dl,), "zeros"),
+    }
+    for l in range(config.n_layers):
+        p = f"layers.{l}"
+        out[f"{p}.ln1.g"] = ((dm,), "ones")
+        out[f"{p}.ln1.b"] = ((dm,), "zeros")
+        out[f"{p}.mod1.w"] = ((dm, 2 * dm), "zeros")
+        out[f"{p}.mod1.b"] = ((2 * dm,), "zeros")
+        for h in range(config.n_heads):
+            for kind in ("q", "k", "v"):
+                out[f"{p}.attn.{kind}.{h}"] = ((dm, hd), dm)
+        out[f"{p}.attn.o.w"] = ((dm, dm), dm)
+        out[f"{p}.attn.o.b"] = ((dm,), "zeros")
+        out[f"{p}.gate1.w"] = ((dm, dm), "zeros")
+        out[f"{p}.gate1.b"] = ((dm,), "zeros")
+        out[f"{p}.cross.v"] = ((dc, dm), dc)
+        out[f"{p}.cross.o.w"] = ((dm, dm), dm)
+        out[f"{p}.cross.o.b"] = ((dm,), "zeros")
+        out[f"{p}.gate2.w"] = ((dm, dm), "zeros")
+        out[f"{p}.gate2.b"] = ((dm,), "zeros")
+        out[f"{p}.ln3.g"] = ((dm,), "ones")
+        out[f"{p}.ln3.b"] = ((dm,), "zeros")
+        out[f"{p}.mod3.w"] = ((dm, 2 * dm), "zeros")
+        out[f"{p}.mod3.b"] = ((2 * dm,), "zeros")
+        out[f"{p}.ffn.w1"] = ((dm, dff), dm)
+        out[f"{p}.ffn.b1"] = ((dff,), "zeros")
+        out[f"{p}.ffn.w2"] = ((dff, dm), dff)
+        out[f"{p}.ffn.b2"] = ((dm,), "zeros")
+        out[f"{p}.gate3.w"] = ((dm, dm), "zeros")
+        out[f"{p}.gate3.b"] = ((dm,), "zeros")
+    for l in range(config.n_layers):
         for kind in ("key", "val"):
-            out[f"compressor.{layer}.{kind}.w"] = w.copy()
-            out[f"compressor.{layer}.{kind}.b"] = np.zeros(c)
+            out[f"compressor.{l}.{kind}.w"] = ((config.compress_ratio, dm, dm), "average")
+            out[f"compressor.{l}.{kind}.b"] = ((dm,), "zeros")
     return out
 
 
 def init_params(config: DenoiserConfig, seed: int, meta: dict[str, str] | None = None) -> DenoiserParams:
     rng = make_rng(seed, STREAM_INIT)
-    dm, hd, dc, dff, dl = config.d_model, config.head_dim, config.d_cond, config.d_ff, config.d_latent
-
-    def gauss(shape, fan_in):
-        return rng.standard_normal(shape) / math.sqrt(fan_in)
-
-    v: dict[str, np.ndarray] = {
-        "input.w": gauss((dl, dm), dl),
-        "input.b": np.zeros(dm),
-        "final.mod.w": np.zeros((dm, 2 * dm)),
-        "final.mod.b": np.zeros(2 * dm),
-        "output.w": np.zeros((dm, dl)),  # zero-init head: untrained model predicts zero velocity
-        "output.b": np.zeros(dl),
-    }
-    for l in range(config.n_layers):
-        p = f"layers.{l}"
-        v[f"{p}.ln1.g"] = np.ones(dm)
-        v[f"{p}.ln1.b"] = np.zeros(dm)
-        v[f"{p}.mod1.w"] = np.zeros((dm, 2 * dm))
-        v[f"{p}.mod1.b"] = np.zeros(2 * dm)
-        for h in range(config.n_heads):
-            v[f"{p}.attn.q.{h}"] = gauss((dm, hd), dm)
-            v[f"{p}.attn.k.{h}"] = gauss((dm, hd), dm)
-            v[f"{p}.attn.v.{h}"] = gauss((dm, hd), dm)
-        v[f"{p}.attn.o.w"] = gauss((dm, dm), dm)
-        v[f"{p}.attn.o.b"] = np.zeros(dm)
-        v[f"{p}.gate1.w"] = np.zeros((dm, dm))
-        v[f"{p}.gate1.b"] = np.zeros(dm)
-        v[f"{p}.ln2.g"] = np.ones(dm)
-        v[f"{p}.ln2.b"] = np.zeros(dm)
-        v[f"{p}.cross.q"] = gauss((dm, dm), dm)
-        v[f"{p}.cross.k"] = gauss((dc, dm), dc)
-        v[f"{p}.cross.v"] = gauss((dc, dm), dc)
-        v[f"{p}.cross.o.w"] = gauss((dm, dm), dm)
-        v[f"{p}.cross.o.b"] = np.zeros(dm)
-        v[f"{p}.gate2.w"] = np.zeros((dm, dm))
-        v[f"{p}.gate2.b"] = np.zeros(dm)
-        v[f"{p}.ln3.g"] = np.ones(dm)
-        v[f"{p}.ln3.b"] = np.zeros(dm)
-        v[f"{p}.mod3.w"] = np.zeros((dm, 2 * dm))
-        v[f"{p}.mod3.b"] = np.zeros(2 * dm)
-        v[f"{p}.ffn.w1"] = gauss((dm, dff), dm)
-        v[f"{p}.ffn.b1"] = np.zeros(dff)
-        v[f"{p}.ffn.w2"] = gauss((dff, dm), dff)
-        v[f"{p}.ffn.b2"] = np.zeros(dm)
-        v[f"{p}.gate3.w"] = np.zeros((dm, dm))
-        v[f"{p}.gate3.b"] = np.zeros(dm)
-    v.update(averaging_compressor(config))
+    v: dict[str, np.ndarray] = {}
+    for name, (shape, init) in param_layout(config).items():
+        if init == "zeros":
+            v[name] = np.zeros(shape)
+        elif init == "ones":
+            v[name] = np.ones(shape)
+        elif init == "average":
+            lam, c, _ = shape
+            v[name] = np.tile(np.eye(c) / lam, (lam, 1, 1))
+        else:
+            v[name] = rng.standard_normal(shape) / math.sqrt(init)
     return DenoiserParams(config, v, dict(meta or {}))
 
 
@@ -375,20 +376,15 @@ def denoiser_forward(
             q = rope_apply(matmul(u, ptensors[f"{p}.attn.q.{i}"]), pos, freqs)
             k = rope_apply(slice2d(K_all, cols=colsl), key_pos, freqs)
             v = slice2d(V_all, cols=colsl)
-            if config.rope_on_values:
-                v = rope_apply(v, key_pos, freqs)
             scores = mul(matmul(q, transpose2d(k)), inv_hd)
             outs.append(matmul(softmax_rows(scores, mask), v))
         attn = add(matmul(concat(outs, axis=1), ptensors[f"{p}.attn.o.w"]), ptensors[f"{p}.attn.o.b"])
         h = add(h, mul(attn, gate(f"{p}.gate1")))
 
-        u2 = layer_norm(h, ptensors[f"{p}.ln2.g"], ptensors[f"{p}.ln2.b"])
-        cq = matmul(u2, ptensors[f"{p}.cross.q"])
-        ck = matmul(cond_t, ptensors[f"{p}.cross.k"])
-        cv = matmul(cond_t, ptensors[f"{p}.cross.v"])
-        cscores = mul(matmul(cq, transpose2d(ck)), 1.0 / math.sqrt(config.d_model))
-        cp = softmax_rows(cscores, np.ones((n, 1)))
-        cross = add(matmul(matmul(cp, cv), ptensors[f"{p}.cross.o.w"]), ptensors[f"{p}.cross.o.b"])
+        # The condition is one token, so attention over it has weight 1 for
+        # every query: it enters as a single gated row broadcast over tokens.
+        cross = add(matmul(matmul(cond_t, ptensors[f"{p}.cross.v"]), ptensors[f"{p}.cross.o.w"]),
+                    ptensors[f"{p}.cross.o.b"])
         h = add(h, mul(cross, gate(f"{p}.gate2")))
 
         u3 = modulate(layer_norm(h, ptensors[f"{p}.ln3.g"], ptensors[f"{p}.ln3.b"]), f"{p}.mod3")

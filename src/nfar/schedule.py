@@ -134,20 +134,20 @@ def monte_carlo_prop2(
     return total / n_samples
 
 
-def euler_integrate(denoiser, x_init: np.ndarray, sampler: SamplerConfig) -> np.ndarray:
-    """First-order integration of the predicted velocity field down to t = 0.
+def euler_integrate(velocity, x_init: np.ndarray, sampler: SamplerConfig) -> np.ndarray:
+    """First-order integration of a velocity field down to t = 0.
 
-    ``denoiser(x, t)`` must return the velocity (eps - x0 convention) with
-    the same shape as ``x``.
+    ``velocity(x, k)`` returns the velocity (eps - x0 convention) at the
+    state ``x`` and grid step ``sampler.grid[k]``, with the shape of ``x``.
+    The state keeps the dtype of ``x_init``.
     """
-    x = np.asarray(x_init, dtype=np.float64)
+    x = np.asarray(x_init)
     grid = sampler.grid
     for k in range(len(grid) - 1):
-        t_hi, t_lo = grid[k], grid[k + 1]
-        v = np.asarray(denoiser(x, t_hi))
+        v = np.asarray(velocity(x, k))
         if v.shape != x.shape:
             raise ShapeError(f"velocity shape {v.shape} != state shape {x.shape}")
-        x = x + (t_lo - t_hi) * v
+        x = x + (grid[k + 1] - grid[k]) * v
         if not np.isfinite(x).all():
-            raise FloatingPointError(f"non-finite state after step {k} (t={t_hi} -> {t_lo})")
+            raise FloatingPointError(f"non-finite state after step {k} (t={grid[k]} -> {grid[k + 1]})")
     return x

@@ -30,8 +30,9 @@ from .model import (
     denoiser_forward,
     wrap_params,
 )
+from .numerics import Tensor
 from .rng import STREAM_GENERATE, make_rng
-from .schedule import SamplerConfig
+from .schedule import SamplerConfig, euler_integrate
 from .synthdata import LatentSequence
 
 
@@ -43,13 +44,12 @@ class GenerationAborted(RuntimeError):
 
 @dataclass
 class GenerationReport:
-    block_times: list[float] = field(default_factory=list)
+    block_times: list[float] = field(default_factory=list)   # per block, cache roll included
     context_chunks: list[int] = field(default_factory=list)   # visible context per block
     context_floats: list[int] = field(default_factory=list)
     dropped_spans: list[tuple[int, int]] = field(default_factory=list)
     total_chunks: int = 0
     use_convkv: bool = True
-    discontinuity: float | None = None
 
     def summary(self) -> str:
         lines = [
@@ -57,9 +57,15 @@ class GenerationReport:
             f"context chunks per block: {self.context_chunks}",
             f"median block time: {np.median(self.block_times):.4f}s" if self.block_times else "no blocks",
         ]
-        if self.discontinuity is not None:
-            lines.append(f"discontinuity: {self.discontinuity:.4f}")
         return "\n".join(lines)
+
+
+def _integrate_block(b: int, velocity, x: np.ndarray, sampler: SamplerConfig) -> np.ndarray:
+    """Denoise block b from noise x; a non-finite value aborts the generation."""
+    try:
+        return euler_integrate(velocity, x, sampler)
+    except FloatingPointError as err:
+        raise GenerationAborted(b, str(err)) from err
 
 
 def _prefill_reference(ptensors, config, x_ref, cond, caches: list[SegmentedKVCache]) -> None:
@@ -91,11 +97,10 @@ def generate_stream(
     config = params.config
     ptensors = wrap_params(params)
     grid = sampler.grid
-    eval_steps = grid[:-1]
     caches = [
         new_cache(config.n_layers, config.d_model, step_tag=float(t),
                   lam=config.compress_ratio, bounded=use_convkv, dtype=dtype)
-        for t in eval_steps
+        for t in grid[:-1]
     ]
     _prefill_reference(ptensors, config, np.asarray(x_ref, dtype=dtype), cond, caches)
     compressor = compressor_arrays(params) if (use_convkv and compression_mode == "conv") else None
@@ -103,6 +108,11 @@ def generate_stream(
     rng = make_rng(seed, STREAM_GENERATE)
     report = GenerationReport(use_convkv=use_convkv)
     out = np.zeros((plan.total_chunks, config.d_latent), dtype=dtype)
+    # Keeps the last forward's tape alive until the next one is built. Freed
+    # first, its intermediates are returned to the OS and faulted back in on
+    # every step: on a long unbounded context that measured ~5x the page
+    # faults and ~10% more time per block.
+    last_tape: list[Tensor] = []
     for b in range(plan.n_blocks):
         s, e = plan.chunk_range(b)
         n = e - s
@@ -111,23 +121,20 @@ def generate_stream(
         report.context_chunks.append(caches[0].context_chunks)
         report.context_floats.append(caches[0].context_floats())
         t0 = time.monotonic()
-        for k, t in enumerate(eval_steps):
+
+        def velocity(x, k):
             ctx, _ = cache_context_view(caches[k])
             mask = np.ones((n, ctx.n_tokens + n))
-            try:
-                vel, kv = denoiser_forward(
-                    ptensors, config, x, positions, float(t), cond, mask, ctx=ctx
-                )
-            except FloatingPointError as err:
-                raise GenerationAborted(b, str(err)) from err
-            cache_append(caches[k], kv, positions, float(t))
-            x = x + (grid[k + 1] - grid[k]) * vel.data
-        if not np.isfinite(x).all():
-            raise GenerationAborted(b, "non-finite latents")
-        report.block_times.append(time.monotonic() - t0)
-        out[s:e] = x
+            t = float(grid[k])
+            vel, kv = denoiser_forward(ptensors, config, x, positions, t, cond, mask, ctx=ctx)
+            cache_append(caches[k], kv, positions, t)
+            last_tape[:] = [vel]
+            return vel.data
+
+        out[s:e] = _integrate_block(b, velocity, x, sampler)
         for cache in caches:
             cache_roll(cache, compressor, mode=compression_mode)
+        report.block_times.append(time.monotonic() - t0)
     report.total_chunks = plan.total_chunks
     report.dropped_spans = list(caches[0].dropped_spans)
     return LatentSequence(out.astype(np.float64)), report
@@ -153,14 +160,13 @@ def generate_full_recompute(
     config = params.config
     ptensors = wrap_params(params)
     grid = sampler.grid
-    eval_steps = grid[:-1]
     n_ref = x_ref.shape[0]
     x_ref = np.asarray(x_ref, dtype=dtype)
     # Reference chunks are inputs, not generated history: process them the
     # same way the streaming path does, once per step.
     ref_caches = [
         new_cache(config.n_layers, config.d_model, step_tag=float(t), dtype=dtype)
-        for t in eval_steps
+        for t in grid[:-1]
     ]
     _prefill_reference(ptensors, config, x_ref, cond, ref_caches)
     ref_ctx = [cache_context_view(c)[0] for c in ref_caches]
@@ -178,21 +184,16 @@ def generate_full_recompute(
         chunk_mask = block_causal_mask(subplan)
         mask = np.concatenate([np.ones((e, n_ref)), chunk_mask], axis=1)
         positions = np.arange(e)
-        for k, t in enumerate(eval_steps):
-            states.append(x.copy())
+
+        def velocity(x, k):
+            states.append(x)
             tokens = np.concatenate([traj[a][k] for a in range(b)] + [x])
-            try:
-                vel, _ = denoiser_forward(
-                    ptensors, config, tokens, positions, float(t), cond, mask,
-                    ctx=ref_ctx[k],
-                )
-            except FloatingPointError as err:
-                raise GenerationAborted(b, str(err)) from err
-            x = x + (grid[k + 1] - grid[k]) * vel.data[s:]
-        if not np.isfinite(x).all():
-            raise GenerationAborted(b, "non-finite latents")
+            vel, _ = denoiser_forward(ptensors, config, tokens, positions, float(grid[k]), cond, mask,
+                                      ctx=ref_ctx[k])
+            return vel.data[s:]
+
+        out[s:e] = _integrate_block(b, velocity, x, sampler)
         traj.append(states)
-        out[s:e] = x
     return LatentSequence(out.astype(np.float64))
 
 
@@ -235,7 +236,6 @@ def zero_shot_experiment(
     config = params.config
     ptensors = wrap_params(params)
     grid = sampler.grid
-    eval_steps = grid[:-1]
     n_ref = x_ref.shape[0]
     x_ref = np.asarray(x_ref, dtype=np.float64)
     scores: dict[str, float] = {}
@@ -246,42 +246,38 @@ def zero_shot_experiment(
         out = np.zeros((plan.total_chunks, config.d_latent))
         prev_states: list[np.ndarray] | None = None  # per-step intermediates
         prev_clean: np.ndarray | None = None
-        prev_range = None
+        prev_range = (0, 0)
         for b in range(plan.n_blocks):
             s, e = plan.chunk_range(b)
             n = e - s
             x = rng.standard_normal((n, config.d_latent))
-            t_indep = rng.uniform(0.02, 0.98, size=len(eval_steps))
+            t_indep = rng.uniform(0.02, 0.98, size=sampler.n_steps)
             eps_indep = rng.standard_normal((n, config.d_latent)) if b > 0 else None
             states: list[np.ndarray] = []
-            for k, t in enumerate(eval_steps):
-                states.append(x.copy())
+
+            def velocity(x, k):
+                states.append(x)
                 if b == 0:
-                    tokens = np.concatenate([x_ref, x])
-                    positions = np.concatenate([np.arange(-n_ref, 0), np.arange(s, e)])
-                    n_prev = 0
+                    prev = x[:0]
+                elif variant == "same-step":
+                    prev = prev_states[k]
+                elif variant == "clean-history":
+                    prev = prev_clean
                 else:
-                    if variant == "same-step":
-                        prev = prev_states[k]
-                    elif variant == "clean-history":
-                        prev = prev_clean
-                    else:
-                        tp = float(t_indep[k])
-                        prev = (1.0 - tp) * prev_clean + tp * eps_indep[: prev_clean.shape[0]]
-                    tokens = np.concatenate([x_ref, prev, x])
-                    positions = np.concatenate(
-                        [np.arange(-n_ref, 0), np.arange(*prev_range), np.arange(s, e)]
-                    )
-                    n_prev = prev.shape[0]
+                    tp = float(t_indep[k])
+                    prev = (1.0 - tp) * prev_clean + tp * eps_indep[: prev_clean.shape[0]]
+                n_prev = prev.shape[0]
+                tokens = np.concatenate([x_ref, prev, x])
+                positions = np.concatenate([np.arange(-n_ref, 0), np.arange(*prev_range), np.arange(s, e)])
                 total = n_ref + n_prev + n
                 mask = np.zeros((total, total))
                 mask[:n_ref, :n_ref] = 1.0
                 mask[n_ref:, :] = 1.0
                 mask[n_ref:n_ref + n_prev, n_ref + n_prev:] = 0.0  # history cannot see future
-                vel, _ = denoiser_forward(
-                    ptensors, config, tokens, positions, float(t), cond, mask
-                )
-                x = x + (grid[k + 1] - grid[k]) * vel.data[n_ref + n_prev:]
+                vel, _ = denoiser_forward(ptensors, config, tokens, positions, float(grid[k]), cond, mask)
+                return vel.data[n_ref + n_prev:]
+
+            x = euler_integrate(velocity, x, sampler)
             out[s:e] = x
             prev_states, prev_clean, prev_range = states, x, (s, e)
         scores[variant] = discontinuity_score(out, plan)
@@ -306,20 +302,21 @@ def bench_overhead(
     cost. Also reports per-block latency of the unbounded cache at the
     final block, where the bounded context must win.
     """
-    def run(mode: str, bounded: bool) -> list[list[float]]:
-        times = []
-        for rep in range(repetitions + 1):
-            _, report = generate_stream(
-                params, x_ref, cond, plan, sampler, use_convkv=bounded,
-                seed=seed, dtype=dtype, compression_mode=mode,
-            )
-            if rep > 0:  # first run is warm-up
-                times.append(report.block_times)
-        return times
+    def run(mode: str, bounded: bool) -> list[float]:
+        _, report = generate_stream(params, x_ref, cond, plan, sampler, use_convkv=bounded,
+                                    seed=seed, dtype=dtype, compression_mode=mode)
+        return report.block_times
 
-    conv = np.asarray(run("conv", True))
-    base = np.asarray(run("subsample", True))
-    unbounded = np.asarray(run("conv", False))
+    conv, base = [], []
+    for rep in range(repetitions + 1):
+        pair = [("conv", conv), ("subsample", base)]
+        # Interleaved in alternating order, so drift in machine speed hits both modes alike.
+        for mode, times in pair if rep % 2 == 0 else pair[::-1]:
+            block_times = run(mode, True)
+            if rep > 0:  # first round is warm-up
+                times.append(block_times)
+    unbounded = [run("conv", False) for _ in range(repetitions + 1)][1:]
+    conv, base, unbounded = np.asarray(conv), np.asarray(base), np.asarray(unbounded)
     steady = slice(3, None)
     with_conv = float(np.median(conv[:, steady]))
     without = float(np.median(base[:, steady]))

@@ -32,7 +32,6 @@ class LatentDynamics:
     encoder: np.ndarray            # (d, D)
     delta_u: float
     residual_bound: float
-    rho: float = 1.0               # recorded neighborhood radius; not enforced
     lipschitz_render: float = field(init=False, default=0.0)
     lipschitz_encoder: float = field(init=False, default=0.0)
 

@@ -2,9 +2,9 @@
 
 Stage 1 trains the denoiser with every chunk of a sequence noised at one
 shared diffusion step (the step-aligned regime). Stage 2 freezes the
-denoiser (by default) and trains the KV compressor under an attention
-mask where late blocks see compressed-memory tokens instead of the raw
-chunks those tokens summarize.
+denoiser and trains the KV compressor under an attention mask where late
+blocks see compressed-memory tokens instead of the raw chunks those
+tokens summarize.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockPlan
+from .convkv import SHORT_TERM_CAPACITY
 from .model import (
     DenoiserParams,
     InlineMemorySpec,
@@ -66,7 +67,7 @@ class CompressSpec:
         return out
 
 
-def default_compress_spec(plan: BlockPlan, ratio: int = 5, short_term: int = 2) -> CompressSpec | None:
+def default_compress_spec(plan: BlockPlan, ratio: int = 5) -> CompressSpec | None:
     """Summarize everything older than the last block's short-term window.
 
     The span is floored to whole windows; the (< ratio) remainder stays a
@@ -74,7 +75,7 @@ def default_compress_spec(plan: BlockPlan, ratio: int = 5, short_term: int = 2) 
     """
     last = plan.n_blocks - 1
     start_last = plan.starts[last]
-    span_end = ((start_last - short_term) // ratio) * ratio
+    span_end = ((start_last - SHORT_TERM_CAPACITY) // ratio) * ratio
     if span_end < ratio:
         return None
     return CompressSpec(spans=((0, span_end),), query_blocks=(last,), ratio=ratio)
@@ -178,11 +179,7 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 0
     t_range: tuple[float, float] = (0.02, 0.98)
-    stage: int = 1
-    log_every: int = 10
-    freeze_denoiser: bool = True      # stage 2 only
     mask_mode: str = "causal"         # "causal" or "none" (non-AR backbone)
-    compress_ratio: int = 5
     lr_schedule: str = "constant"     # "constant" or "cosine" (decay to 0)
 
     def __post_init__(self):
@@ -290,14 +287,11 @@ def train_stage1(
 def train_stage2_convkv(
     config: TrainConfig, dataset: Dataset, stage1: DenoiserParams
 ) -> tuple[DenoiserParams, list[tuple[int, float, float]]]:
-    """Stage-2 compressor training under the memory-extended mask."""
-    spec = default_compress_spec(config.plan, ratio=config.compress_ratio)
+    """Stage-2 compressor training under the memory-extended mask; the denoiser is frozen."""
+    spec = default_compress_spec(config.plan, ratio=stage1.config.compress_ratio)
     if spec is None:
         raise ValueError("block plan too short for any compression span")
-    trainable = stage1.compressor_names()
-    if not config.freeze_denoiser:
-        trainable = trainable + stage1.denoiser_names()
-    params, history = _run_training(config, dataset, stage1, trainable, spec)
+    params, history = _run_training(config, dataset, stage1, stage1.compressor_names(), spec)
     params.meta["stage"] = "2"
     params.meta.setdefault("mask_mode", "causal")
     return params, history

@@ -2,52 +2,39 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline;
 under plain ``pytest`` the per-test PASSED/FAILED verdicts carry the same
-information.
+information. Seven checks live in ``nfar.checks`` (``nfar verify`` runs the
+same functions); seed 0 is their acceptance input.
 """
 
 import time
 
 import numpy as np
-import pytest
 
+from nfar import checks
 from nfar.blocks import BlockPlan
-from nfar.convkv import (
-    cache_append,
-    cache_roll,
-    compress_segment,
-    compressor_arrays,
-    coverage_accounting,
-    new_cache,
-    set_reference,
-)
+from nfar.checks import randomized_params
+from nfar.convkv import compress_segment, compressor_arrays
 from nfar.model import (
     DenoiserConfig,
     RopeFrequencies,
     block_causal_mask,
+    denoiser_forward,
     init_params,
     rope_apply,
     wrap_params,
 )
-from nfar.numerics import Tensor, finite_difference_grad, grad_of, sum_all
-from nfar.rng import STREAM_DATA, make_rng
-from nfar.schedule import GenericSchedule, SamplerConfig, expected_neighbor_distance, monte_carlo_prop2
-from nfar.streaming import (
-    bench_overhead,
-    generate_full_recompute,
-    generate_stream,
-    zero_shot_experiment,
-)
+from nfar.numerics import Tensor, grad_of, sum_all
+from nfar.schedule import SamplerConfig
+from nfar.streaming import bench_overhead, zero_shot_experiment
 from nfar.synthdata import (
     Dataset,
     LatentDynamics,
-    check_prop1,
     condition_vector,
     generate_state_path,
     make_dataset,
     render_and_encode,
 )
-from nfar.training import TrainConfig, neighbor_forcing_loss, smoothed, train_stage1
-from nfar.model import denoiser_forward
+from nfar.training import TrainConfig, smoothed, train_stage1
 
 
 def report(name: str, ok: bool, metric: str, budget: float, elapsed: float):
@@ -56,76 +43,28 @@ def report(name: str, ok: bool, metric: str, budget: float, elapsed: float):
     assert elapsed < budget, f"{name}: took {elapsed:.1f}s, budget {budget:.0f}s"
 
 
-def randomized(config, seed, scale=0.05):
-    params = init_params(config, seed=seed)
-    rng = np.random.default_rng(seed)
-    for name in params.denoiser_names():
-        params.values[name] = params.values[name] + scale * rng.standard_normal(params.values[name].shape)
-    return params
+def run_shared(name: str, check, budget: float):
+    t0 = time.monotonic()
+    ok, metric = check(seed=0)
+    report(name, ok, metric, budget, time.monotonic() - t0)
 
 
 def test_01_prop2_closed_form():
-    t0 = time.monotonic()
-    rng = make_rng(0, STREAM_DATA)
-    worst = 0.0
-    for alpha, sigma in ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0)):
-        schedule = GenericSchedule(steps=(0.5,), alphas=(alpha,), sigmas=(sigma,))
-        for d in (4, 16):
-            for scale in (0.1, 2.0):
-                za = rng.standard_normal(d)
-                zb = za + scale * rng.standard_normal(d)
-                exact = expected_neighbor_distance(alpha, sigma, d, float(((zb - za) ** 2).sum()))
-                est = monte_carlo_prop2((za, zb), schedule, 0.5, 100_000, seed=1)
-                worst = max(worst, abs(est - exact) / exact)
-    report("prop2-closed-form", worst < 0.02, f"max_rel_err={worst:.5f} (tol 0.02, 1e5 samples)",
-           30, time.monotonic() - t0)
+    run_shared("prop2-closed-form", checks.prop2_closed_form, 30)
 
 
 def test_02_prop1_bound():
-    t0 = time.monotonic()
-    worst, violations = 0.0, 0
-    for i in range(20):
-        dyn = LatentDynamics.create(seed=100 + i)
-        u = generate_state_path(500, dyn.delta_u, seed=100 + i)
-        _, z0 = render_and_encode(dyn, u, dyn.residual_bound, seed=600 + i)
-        rep = check_prop1(dyn, z0, u)
-        worst = max(worst, rep.tightness)
-        violations += 0 if rep.holds else 1
-    dyn = LatentDynamics.create(seed=100)
-    u = generate_state_path(500, dyn.delta_u, seed=100)
-    _, z0 = render_and_encode(dyn, u, dyn.residual_bound, seed=600)
-    z0 = z0.copy()
-    z0[250, 0] += 2.0 * dyn.neighbor_bound
-    planted = not check_prop1(dyn, z0, u).holds
-    ok = violations == 0 and planted
-    report("prop1-bound", ok,
-           f"violations={violations}/20 worst_tightness={worst:.4f} planted_detected={planted}",
-           10, time.monotonic() - t0)
+    run_shared("prop1-bound", checks.prop1_bound, 10)
 
 
 def test_03_mask_correctness():
-    t0 = time.monotonic()
-    ok = True
-    for m in (1, 2, 3, 8):
-        for n_blocks in range(1, 40 // m + 1):
-            n = m * n_blocks
-            got = block_causal_mask(BlockPlan.uniform(n_blocks, m))
-            want = np.fromfunction(lambda i, j: (j // m <= i // m).astype(float), (n, n))
-            # Double-loop oracle, written out:
-            for i in range(n):
-                for j in range(n):
-                    ok &= got[i, j] == (1.0 if j // m <= i // m else 0.0)
-            ok &= np.array_equal(got, want)
-    boundary = block_causal_mask(BlockPlan.default(3))
-    ok &= boundary[5, 0] == 1.0 and boundary[5, 6] == 0.0
-    report("mask-correctness", ok, "floor-oracle m in {1,2,3,8}, n<=40; (6,8) boundary pair",
-           1, time.monotonic() - t0)
+    run_shared("mask-correctness", checks.mask_correctness, 1)
 
 
 def test_04_causality_bitwise():
     t0 = time.monotonic()
     config = DenoiserConfig(n_layers=2, n_heads=2, d_model=16, d_latent=4, d_cond=8, d_ff=16)
-    params = randomized(config, seed=7)
+    params = randomized_params(config, seed=7)
     pt = wrap_params(params)
     plan = BlockPlan((2, 2, 2))
     mask = block_causal_mask(plan)
@@ -158,66 +97,15 @@ def test_04_causality_bitwise():
 
 
 def test_05_step_aligned_kv_reuse():
-    t0 = time.monotonic()
-    config = DenoiserConfig(n_layers=2, n_heads=2, d_model=32, d_latent=8, d_cond=16, d_ff=32)
-    plan = BlockPlan.default(4)
-    sampler = SamplerConfig.uniform(3)
-    worst = 0.0
-    for seed in range(10):
-        params = randomized(config, seed=seed)
-        rng = np.random.default_rng(seed + 50)
-        x_ref = rng.standard_normal((2, config.d_latent))
-        cond = rng.standard_normal(config.d_cond)
-        a, _ = generate_stream(params, x_ref, cond, plan, sampler, use_convkv=False, seed=seed)
-        b = generate_full_recompute(params, x_ref, cond, plan, sampler, seed=seed)
-        worst = max(worst, float(np.abs(a.values - b.values).max()))
-    report("step-aligned-kv-reuse", worst <= 1e-10,
-           f"max_abs_diff={worst:.3e} (tol 1e-10, 10 seeds, N=4, T=3)",
-           60, time.monotonic() - t0)
+    run_shared("step-aligned-kv-reuse", checks.cache_equivalence, 60)
 
 
 def test_06_constant_memory():
-    t0 = time.monotonic()
-    config = DenoiserConfig(n_layers=2, n_heads=2, d_model=32, d_latent=8, d_cond=16, d_ff=32)
-    params = randomized(config, seed=4)
-    rng = np.random.default_rng(4)
-    x_ref = rng.standard_normal((2, config.d_latent))
-    cond = rng.standard_normal(config.d_cond)
-    sampler = SamplerConfig.uniform(2)
-    plan = BlockPlan.default(200)
-    _, bounded = generate_stream(params, x_ref, cond, plan, sampler, use_convkv=True, seed=1)
-    ok = all(c == 6 for c in bounded.context_chunks[2:])
-    _, unbounded = generate_stream(params, x_ref, cond, plan, sampler, use_convkv=False, seed=1)
-    grow = unbounded.context_chunks
-    # Context before generating block N (1-based): 2 refs + all prior chunks.
-    expected = [2] + [2 + 6 + 8 * (b - 1) for b in range(1, 200)]
-    ok &= grow == expected
-    ok &= all(b > a for a, b in zip(grow, grow[1:]))
-    report("constant-memory", ok,
-           f"bounded context==6 for blocks 3..200; unbounded strictly grows to {grow[-1]}",
-           300, time.monotonic() - t0)
+    run_shared("constant-memory", checks.constant_memory, 300)
 
 
 def test_07_coverage_ledger():
-    t0 = time.monotonic()
-    config = DenoiserConfig()
-    comp = compressor_arrays(init_params(config, seed=0))
-    cache = new_cache(config.n_layers, config.d_model, step_tag=0.5)
-    rng = np.random.default_rng(0)
-    kv = lambda n: [(rng.standard_normal((n, config.d_model)),
-                     rng.standard_normal((n, config.d_model))) for _ in range(config.n_layers)]
-    set_reference(cache, kv(2), [-2, -1])
-    ok, total = True, 0
-    for roll in range(100):
-        n = 6 if roll == 0 else 8
-        cache_append(cache, kv(n), list(range(total, total + n)), 0.5)
-        total += n
-        cache_roll(cache, comp)
-        acc = coverage_accounting(cache)
-        ok &= sorted(sum(acc.values(), [])) == list(range(total))
-        ok &= cache.pending.n_chunks < cache.lam
-    report("coverage-ledger", ok, f"100 rolls, {total} chunks each accounted exactly once",
-           10, time.monotonic() - t0)
+    run_shared("coverage-ledger", checks.coverage_ledger, 10)
 
 
 def test_08_averaging_fixed_point():
@@ -227,7 +115,7 @@ def test_08_averaging_fixed_point():
     rng = np.random.default_rng(5)
     K = rng.standard_normal((5, config.d_model))
     V = rng.standard_normal((5, config.d_model))
-    kw, kb, vw, vb = comp[0]
+    kw, kb, vw, vb = (a[0] for a in comp)
     m_k, m_v, s = compress_segment(kw, kb, vw, vb, K, V, 11.0, 5)
     err = max(np.abs(m_k - K.mean(axis=0)).max(), np.abs(m_v - V.mean(axis=0)).max())
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
@@ -246,53 +134,7 @@ def test_08_averaging_fixed_point():
 
 
 def test_09_gradient_integrity():
-    t0 = time.monotonic()
-    config = DenoiserConfig(n_layers=2, n_heads=2, d_model=8, d_latent=4, d_cond=8, d_ff=8)
-    params = init_params(config, seed=9)
-    rng = np.random.default_rng(9)
-    for name in params.values:
-        params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
-    plan_s1 = BlockPlan((2, 2))
-    plan_s2 = BlockPlan.default(3)  # (6, 8, 8): long enough for a compression span
-    from nfar.training import default_compress_spec
-    spec = default_compress_spec(plan_s2)
-    assert spec is not None and spec.n_mem > 0
-    worst = 0.0
-    for batch in range(3):
-        brng = np.random.default_rng(1000 + batch)
-        seqs1 = brng.standard_normal((1, 4, 4))
-        conds = brng.standard_normal((1, 8))
-        t = brng.uniform(0.1, 0.9, size=1)
-        eps1 = brng.standard_normal((1, 4, 4))
-        seqs2 = brng.standard_normal((1, plan_s2.total_chunks, 4))
-        eps2 = brng.standard_normal((1, plan_s2.total_chunks, 4))
-
-        def loss_of(values, name, x, which):
-            vals = dict(values)
-            vals[name] = x
-            pt = {k: Tensor(v) for k, v in vals.items()}
-            if which == 1:
-                return neighbor_forcing_loss(pt, config, seqs1, conds, t, eps1, plan_s1)
-            return neighbor_forcing_loss(pt, config, seqs2, conds, t, eps2, plan_s2,
-                                         compress_spec=spec)
-
-        for name in params.values:
-            which = 2 if name.startswith("compressor.") else 1
-            pt = {k: Tensor(v) for k, v in params.values.items()}
-            if which == 1:
-                loss = neighbor_forcing_loss(pt, config, seqs1, conds, t, eps1, plan_s1)
-            else:
-                loss = neighbor_forcing_loss(pt, config, seqs2, conds, t, eps2, plan_s2,
-                                             compress_spec=spec)
-            (g,) = grad_of(loss, [pt[name]])
-            fd = finite_difference_grad(
-                lambda x, n=name, w=which: loss_of(params.values, n, x, w).item(),
-                params.values[name])
-            rel = float(np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-8))
-            worst = max(worst, rel)
-    report("gradient-integrity", worst < 1e-4,
-           f"max_rel_err={worst:.2e} over every parameter, 3 batches (tol 1e-4)",
-           300, time.monotonic() - t0)
+    run_shared("gradient-integrity", checks.gradient_integrity, 300)
 
 
 def test_10_training_efficacy():
@@ -348,7 +190,7 @@ def test_11_zero_shot_direction():
 def test_12_overhead_sanity():
     t0 = time.monotonic()
     config = DenoiserConfig()
-    params = randomized(config, seed=12)
+    params = randomized_params(config, seed=12)
     rng = np.random.default_rng(12)
     x_ref = rng.standard_normal((2, config.d_latent))
     cond = rng.standard_normal(config.d_cond)

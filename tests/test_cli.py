@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nfar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from nfar.io import load_checkpoint, read_latents
-from nfar.model import init_params
+from nfar.io import load_checkpoint, read_latents, save_checkpoint
+from nfar.model import DenoiserConfig, init_params
 
 
 def run(argv):
@@ -52,6 +52,25 @@ def test_generate_writes_latents_and_report(tmp_path, capsys):
     assert len(report) == 5
     captured = capsys.readouterr().out
     assert "context chunks per block: [2, 4, 6, 6]" in captured
+
+
+def test_train_blocks_not_matching_the_frames_is_usage_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
+    assert run(["train", "--data", str(ds), "--out", str(tmp_path / "x"), "--steps", "0",
+                "--blocks", "2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("damage", ["missing", "misshaped"])
+def test_generate_rejects_a_damaged_checkpoint(tmp_path, capsys, damage):
+    params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0)
+    if damage == "missing":
+        del params.values["output.w"]
+    else:
+        params.values["output.b"] = np.zeros(params.config.d_latent + 1)
+    save_checkpoint(tmp_path / "bad.ckpt", params)
+    assert run(["generate", "--ckpt", str(tmp_path / "bad.ckpt"), "--out", str(tmp_path / "gen"),
+                "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
 
 
 def test_verify_emits_check_lines(capsys):
@@ -106,3 +125,13 @@ def test_config_file_sets_defaults_and_flags_override(tmp_path):
     assert (a / "seq_00001.bin").read_bytes() == (b / "seq_00001.bin").read_bytes()
     echoed = (a / "config.txt").read_text()
     assert "seed = 9" in echoed
+
+
+@pytest.mark.parametrize("spelling", [["--seed=5"], ["--seed", "5"]])
+def test_explicit_flag_beats_config_file(tmp_path, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 9\nsequences = 2\n")
+    out = tmp_path / "a"
+    assert run(["--config", str(cfg), "data", "--out", str(out), "--frames", "22", *spelling]) == EXIT_OK
+    echoed = (out / "config.txt").read_text()
+    assert "seed = 5" in echoed and "sequences = 2" in echoed

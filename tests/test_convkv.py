@@ -40,7 +40,7 @@ def averaging_comp():
 
 
 def run_blocks(cache, comp, sizes, mode="conv"):
-    pos = 0
+    pos = cache.next_position
     for n in sizes:
         cache_append(cache, fake_kv(n), list(range(pos, pos + n)), 0.5)
         pos += n
@@ -52,6 +52,15 @@ def test_step_tag_enforced_on_append():
     cache = make_ready_cache()
     with pytest.raises(CacheStepError):
         cache_append(cache, fake_kv(3), [0, 1, 2], 0.7)
+
+
+def test_append_rejects_positions_that_do_not_continue():
+    cache = make_ready_cache()
+    cache_append(cache, fake_kv(3), [0, 1, 2], 0.5)
+    for bad in ([4, 5, 6], [2, 3, 4], [3, 5, 4]):
+        with pytest.raises(ValueError):
+            cache_append(cache, fake_kv(3), bad, 0.5)
+    cache_append(cache, fake_kv(3), [3, 4, 5], 0.5)
 
 
 def test_reference_capacity_enforced():
@@ -105,9 +114,19 @@ def test_compressed_position_is_window_start():
     assert cache.long_term.spans == [(0, 5), (5, 10)]
 
 
+def test_layer_stacked_compression_equals_each_layer_bitwise():
+    weights = [RNG.standard_normal((N_LAYERS, 5, D_KV, D_KV)), RNG.standard_normal((N_LAYERS, D_KV)),
+               RNG.standard_normal((N_LAYERS, 5, D_KV, D_KV)), RNG.standard_normal((N_LAYERS, D_KV))]
+    K, V = RNG.standard_normal((N_LAYERS, 5, D_KV)), RNG.standard_normal((N_LAYERS, 5, D_KV))
+    m_k, m_v, _ = compress_segment(*weights, K, V, 0.0, 5)
+    for l in range(N_LAYERS):
+        mk, mv, _ = compress_segment(*(w[l] for w in weights), K[l], V[l], 0.0, 5)
+        assert np.array_equal(m_k[l], mk) and np.array_equal(m_v[l], mv)
+
+
 def test_averaging_init_reproduces_window_mean():
     comp = averaging_comp()
-    kw, kb, vw, vb = comp[0]
+    kw, kb, vw, vb = (a[0] for a in comp)
     K = RNG.standard_normal((5, D_KV))
     V = RNG.standard_normal((5, D_KV))
     m_k, m_v, s = compress_segment(kw, kb, vw, vb, K, V, 7.0, 5)
@@ -170,7 +189,7 @@ def test_float32_cache_stays_float32():
     cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, dtype=np.float32)
     kv32 = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(2)]
     set_reference(cache, kv32, [-2, -1])
-    comp = [tuple(a.astype(np.float32) for a in layer) for layer in averaging_comp()]
+    comp = tuple(a.astype(np.float32) for a in averaging_comp())
     pos = 0
     for n in (6, 8, 8):
         kv = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(n)]

@@ -12,7 +12,7 @@ from nfar.io import (
     save_dataset,
     write_latents,
 )
-from nfar.model import DenoiserConfig, init_params
+from nfar.model import DenoiserConfig, DenoiserParams, init_params
 from nfar.synthdata import LatentDynamics, make_dataset
 
 RNG = np.random.default_rng(21)
@@ -68,9 +68,42 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def write_v1(path, params, rope_on_values="False"):
+    """A version-1 file of `params`: four more tensors per layer and a rope flag."""
+    dm, dc = params.config.d_model, params.config.d_cond
+    values = dict(params.values)
+    for l in range(params.config.n_layers):
+        values.update({f"layers.{l}.ln2.g": np.ones(dm), f"layers.{l}.ln2.b": np.zeros(dm),
+                       f"layers.{l}.cross.q": RNG.standard_normal((dm, dm)),
+                       f"layers.{l}.cross.k": RNG.standard_normal((dc, dm))})
+    save_checkpoint(path, DenoiserParams(params.config, values, params.meta))
+    header = b"checkpoint v1\nconfig.rope_on_values = " + rope_on_values.encode() + b"\n"
+    path.write_bytes(path.read_bytes().replace(b"checkpoint v2\n", header, 1))
+
+
+def test_v1_checkpoint_reads_as_its_v2_counterpart(tmp_path):
+    params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6, meta={"stage": "1"})
+    write_v1(tmp_path / "v1.ckpt", params)
+    save_checkpoint(tmp_path / "v2.ckpt", params)
+    v1, v2 = load_checkpoint(tmp_path / "v1.ckpt"), load_checkpoint(tmp_path / "v2.ckpt")
+    assert v1.config == v2.config == params.config
+    assert v1.meta == v2.meta
+    assert v1.equal(v2) and v2.equal(params)
+
+
+def test_v1_checkpoint_with_rope_on_values_rejected(tmp_path):
+    write_v1(tmp_path / "v1.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6), "True")
+    with pytest.raises(FormatError):
+        load_checkpoint(tmp_path / "v1.ckpt")
+
+
 def test_checkpoint_garbage_rejected(tmp_path):
     path = tmp_path / "x.ckpt"
     path.write_bytes(b"not a checkpoint")
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    save_checkpoint(path, init_params(DenoiserConfig(d_model=16, d_ff=16), seed=1))
+    path.write_bytes(path.read_bytes().replace(b"input.b float64", b"input.b bogus64", 1))
     with pytest.raises(FormatError):
         load_checkpoint(path)
 

@@ -100,13 +100,26 @@ def test_euler_exact_field_step_count_invariant():
     v = eps - x0
 
     ends = [
-        euler_integrate(lambda x, t: v, eps, SamplerConfig.uniform(T))
+        euler_integrate(lambda x, k: v, eps, SamplerConfig.uniform(T))
         for T in (1, 8)
     ]
     assert np.abs(ends[0] - ends[1]).max() < 1e-10
     assert np.abs(ends[0] - x0).max() < 1e-10
 
 
+def test_euler_keeps_the_state_dtype_and_passes_the_step_index():
+    seen = []
+
+    def velocity(x, k):
+        seen.append((k, x.dtype))
+        return np.ones_like(x)
+
+    out = euler_integrate(velocity, np.zeros((2, 3), dtype=np.float32), SamplerConfig.uniform(3))
+    assert out.dtype == np.float32
+    assert seen == [(0, np.float32), (1, np.float32), (2, np.float32)]
+    assert np.allclose(out, -1.0)
+
+
 def test_euler_aborts_on_non_finite():
     with pytest.raises(FloatingPointError):
-        euler_integrate(lambda x, t: x * np.inf, np.ones((2, 2)), SamplerConfig.uniform(2))
+        euler_integrate(lambda x, k: x * np.inf, np.ones((2, 2)), SamplerConfig.uniform(2))

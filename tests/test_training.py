@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nfar.blocks import BlockPlan
+from nfar.checks import randomized_params
 from nfar.model import DenoiserConfig, block_causal_mask, init_params, wrap_params
 from nfar.numerics import Tensor, finite_difference_grad, grad_of
 from nfar.synthdata import Dataset, LatentDynamics, condition_vector, make_dataset
@@ -143,11 +144,21 @@ def test_stage2_freezes_denoiser_and_trains_compressor():
     init = init_params(tiny_config(), seed=3)
     tc1 = TrainConfig(total_steps=3, plan=PLAN3, seed=4, batch_size=2)
     s1, _ = train_stage1(tc1, ds, init)
-    tc2 = TrainConfig(total_steps=3, plan=PLAN3, seed=5, batch_size=2, stage=2)
+    tc2 = TrainConfig(total_steps=3, plan=PLAN3, seed=5, batch_size=2)
     s2, hist = train_stage2_convkv(tc2, ds, s1)
     assert all(np.array_equal(s1.values[k], s2.values[k]) for k in s1.denoiser_names())
     assert any(not np.array_equal(s1.values[k], s2.values[k]) for k in s1.compressor_names())
     assert s2.meta["stage"] == "2"
+    assert all(np.isfinite(l) for _, l, _ in hist)
+
+
+def test_stage2_takes_the_compression_ratio_from_the_model():
+    ds = tiny_dataset()
+    init = randomized_params(DenoiserConfig(n_layers=1, n_heads=2, d_model=8, d_latent=16, d_cond=32,
+                                            d_ff=8, compress_ratio=3), seed=3)
+    s2, hist = train_stage2_convkv(TrainConfig(total_steps=2, plan=PLAN3, seed=5, batch_size=1), ds, init)
+    assert s2.values["compressor.0.key.w"].shape == (3, 8, 8)
+    assert any(not np.array_equal(init.values[k], s2.values[k]) for k in init.compressor_names())
     assert all(np.isfinite(l) for _, l, _ in hist)
 
 
