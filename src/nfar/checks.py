@@ -157,6 +157,8 @@ def gradient_integrity(seed: int = 0) -> tuple[bool, str]:
     plan_s1 = BlockPlan((2, 2))
     plan_s2 = BlockPlan.default(3)  # (6, 8, 8): long enough for a compression span
     spec = default_compress_spec(plan_s2, ratio=config.compress_ratio)
+    if spec is None or spec.n_mem == 0:
+        return False, "no compression span: the compressor gradients would be vacuous"
     worst = 0.0
     for batch in range(3):
         brng = np.random.default_rng(1000 + seed + batch)

@@ -160,25 +160,30 @@ def compress_segment(weights_k, bias_k, weights_v, bias_v, K_span: np.ndarray, V
                      s: float, lam: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Convolve one lam-chunk span of un-rotated K/V down to a single chunk.
 
-    Spans are (lam, d), or (n_layers, lam, d) with every weight and bias
-    stacked over layers in front. Returns (M_k, M_v, position) where
-    position is the window start s — the consumer rotates the compressed
-    key to that position.
+    Returns (M_k, M_v, position) where position is the window start s —
+    the consumer rotates the compressed key to that position.
     """
-    if K_span.shape[-2] != lam or V_span.shape[-2] != lam:
-        raise ValueError(f"span must hold exactly {lam} chunks, got {K_span.shape[-2]}")
-    lead, d = K_span.shape[:-2], K_span.shape[-1]
-    # One 1-row product per layer, as the differentiable conv op evaluates a
-    # one-window span; the layer axis only batches them, the bits are the same.
-    m_k = K_span.reshape(*lead, 1, lam * d) @ weights_k.reshape(*lead, lam * d, d) + bias_k[..., None, :]
-    m_v = V_span.reshape(*lead, 1, lam * d) @ weights_v.reshape(*lead, lam * d, d) + bias_v[..., None, :]
+    if K_span.shape[0] != lam or V_span.shape[0] != lam:
+        raise ValueError(f"span must hold exactly {lam} chunks, got {K_span.shape[0]}")
+    d = K_span.shape[1]
+    # Same reshape+matmul evaluation as the differentiable conv op, so the
+    # inference path matches training bit for bit.
+    m_k = K_span.reshape(1, lam * d) @ weights_k.reshape(lam * d, d) + bias_k
+    m_v = V_span.reshape(1, lam * d) @ weights_v.reshape(lam * d, d) + bias_v
     return m_k, m_v, s
 
 
-def compressor_arrays(params: DenoiserParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(key_w, key_b, val_w, val_b), each stacked over layers."""
-    return tuple(np.stack([params.values[f"compressor.{l}.{name}"] for l in range(params.config.n_layers)])
-                 for name in ("key.w", "key.b", "val.w", "val.b"))
+def compressor_arrays(params: DenoiserParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(key_w, key_b, val_w, val_b) per layer."""
+    return [
+        (
+            params.values[f"compressor.{l}.key.w"],
+            params.values[f"compressor.{l}.key.b"],
+            params.values[f"compressor.{l}.val.w"],
+            params.values[f"compressor.{l}.val.b"],
+        )
+        for l in range(params.config.n_layers)
+    ]
 
 
 def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> None:
@@ -214,7 +219,12 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
         if mode == "conv":
             if compressor is None:
                 raise ValueError("conv mode requires compressor weights")
-            m_k, m_v, _ = compress_segment(*compressor, window.keys, window.vals, s_pos, lam)
+            m_k = np.zeros((cache.n_layers, 1, cache.d_kv), dtype=cache.dtype)
+            m_v = np.zeros((cache.n_layers, 1, cache.d_kv), dtype=cache.dtype)
+            for l in range(cache.n_layers):
+                kw, kb, vw, vb = compressor[l]
+                mk, mv, _ = compress_segment(kw, kb, vw, vb, window.keys[l], window.vals[l], s_pos, lam)
+                m_k[l], m_v[l] = mk, mv
         elif mode == "subsample":
             # Free summarizer used by the overhead benchmark: first chunk of
             # the window stands in for the whole window.

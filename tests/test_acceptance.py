@@ -115,7 +115,7 @@ def test_08_averaging_fixed_point():
     rng = np.random.default_rng(5)
     K = rng.standard_normal((5, config.d_model))
     V = rng.standard_normal((5, config.d_model))
-    kw, kb, vw, vb = (a[0] for a in comp)
+    kw, kb, vw, vb = comp[0]
     m_k, m_v, s = compress_segment(kw, kb, vw, vb, K, V, 11.0, 5)
     err = max(np.abs(m_k - K.mean(axis=0)).max(), np.abs(m_v - V.mean(axis=0)).max())
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)

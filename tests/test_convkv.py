@@ -114,19 +114,9 @@ def test_compressed_position_is_window_start():
     assert cache.long_term.spans == [(0, 5), (5, 10)]
 
 
-def test_layer_stacked_compression_equals_each_layer_bitwise():
-    weights = [RNG.standard_normal((N_LAYERS, 5, D_KV, D_KV)), RNG.standard_normal((N_LAYERS, D_KV)),
-               RNG.standard_normal((N_LAYERS, 5, D_KV, D_KV)), RNG.standard_normal((N_LAYERS, D_KV))]
-    K, V = RNG.standard_normal((N_LAYERS, 5, D_KV)), RNG.standard_normal((N_LAYERS, 5, D_KV))
-    m_k, m_v, _ = compress_segment(*weights, K, V, 0.0, 5)
-    for l in range(N_LAYERS):
-        mk, mv, _ = compress_segment(*(w[l] for w in weights), K[l], V[l], 0.0, 5)
-        assert np.array_equal(m_k[l], mk) and np.array_equal(m_v[l], mv)
-
-
 def test_averaging_init_reproduces_window_mean():
     comp = averaging_comp()
-    kw, kb, vw, vb = (a[0] for a in comp)
+    kw, kb, vw, vb = comp[0]
     K = RNG.standard_normal((5, D_KV))
     V = RNG.standard_normal((5, D_KV))
     m_k, m_v, s = compress_segment(kw, kb, vw, vb, K, V, 7.0, 5)
@@ -186,15 +176,16 @@ def test_snapshot_mentions_every_segment():
 
 
 def test_float32_cache_stays_float32():
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, dtype=np.float32)
-    kv32 = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(2)]
-    set_reference(cache, kv32, [-2, -1])
-    comp = tuple(a.astype(np.float32) for a in averaging_comp())
-    pos = 0
-    for n in (6, 8, 8):
-        kv = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(n)]
-        cache_append(cache, kv, list(range(pos, pos + n)), 0.5)
-        pos += n
-        cache_roll(cache, comp)
-    ctx, _ = cache_context_view(cache)
-    assert all(k.dtype == np.float32 and v.dtype == np.float32 for k, v in ctx.layers)
+    for weight_dtype in (np.float32, np.float64):  # the cache's dtype wins over the weights'
+        cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, dtype=np.float32)
+        kv32 = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(2)]
+        set_reference(cache, kv32, [-2, -1])
+        comp = [tuple(a.astype(weight_dtype) for a in layer) for layer in averaging_comp()]
+        pos = 0
+        for n in (6, 8, 8):
+            kv = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(n)]
+            cache_append(cache, kv, list(range(pos, pos + n)), 0.5)
+            pos += n
+            cache_roll(cache, comp)
+        ctx, _ = cache_context_view(cache)
+        assert all(k.dtype == np.float32 and v.dtype == np.float32 for k, v in ctx.layers)

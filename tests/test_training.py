@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nfar import checks
 from nfar.blocks import BlockPlan
 from nfar.checks import randomized_params
 from nfar.model import DenoiserConfig, block_causal_mask, init_params, wrap_params
@@ -105,6 +106,12 @@ def test_default_compress_spec_on_default_plan():
     assert spec.query_blocks == (2,)
     assert spec.n_mem == 2
     assert default_compress_spec(BlockPlan.default(1)) is None
+
+
+def test_gradient_check_fails_without_a_compression_span(monkeypatch):
+    monkeypatch.setattr(checks, "default_compress_spec", lambda plan, ratio: None)
+    ok, metric = checks.gradient_integrity()
+    assert not ok and "no compression span" in metric
 
 
 def test_stage2_mask_layout():
