@@ -9,6 +9,11 @@ approximating it with inverse rotations.
 Segments (bounded mode): reference (2 chunks) | long_term (2 compressed
 chunks) | short_term (2 raw chunks) | current block, plus a pending
 buffer of evicted raw chunks waiting to fill a compression window.
+
+A roll compresses every full window of pending, all layers and K/V at
+once, with numerics.window_products, the kernel stage-2 training's
+conv1d_strided runs: a compressed chunk equals its training-time memory
+token bit for bit at any span length.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ContextKV, DenoiserParams
+from .numerics import window_products
 
 REF_CAPACITY = 2
 LONG_TERM_CAPACITY = 2
@@ -156,34 +162,11 @@ def cache_append(cache: SegmentedKVCache, new_kv, positions, step: float) -> Non
     cache.next_position += n
 
 
-def compress_segment(weights_k, bias_k, weights_v, bias_v, K_span: np.ndarray, V_span: np.ndarray,
-                     s: float, lam: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Convolve one lam-chunk span of un-rotated K/V down to a single chunk.
-
-    Returns (M_k, M_v, position) where position is the window start s —
-    the consumer rotates the compressed key to that position.
-    """
-    if K_span.shape[0] != lam or V_span.shape[0] != lam:
-        raise ValueError(f"span must hold exactly {lam} chunks, got {K_span.shape[0]}")
-    d = K_span.shape[1]
-    # Same reshape+matmul evaluation as the differentiable conv op, so the
-    # inference path matches training bit for bit.
-    m_k = K_span.reshape(1, lam * d) @ weights_k.reshape(lam * d, d) + bias_k
-    m_v = V_span.reshape(1, lam * d) @ weights_v.reshape(lam * d, d) + bias_v
-    return m_k, m_v, s
-
-
-def compressor_arrays(params: DenoiserParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """(key_w, key_b, val_w, val_b) per layer."""
-    return [
-        (
-            params.values[f"compressor.{l}.key.w"],
-            params.values[f"compressor.{l}.key.b"],
-            params.values[f"compressor.{l}.val.w"],
-            params.values[f"compressor.{l}.val.b"],
-        )
-        for l in range(params.config.n_layers)
-    ]
+def compressor_arrays(params: DenoiserParams) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (W (2*n_layers, lam, d, d), b (2*n_layers, d)): key layers, then value layers."""
+    names = [f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(params.config.n_layers)]
+    return (np.stack([params.values[f"{name}.w"] for name in names]),
+            np.stack([params.values[f"{name}.b"] for name in names]))
 
 
 def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> None:
@@ -199,45 +182,31 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
     if not cache.bounded:
         cache.history = cache.history.appended(cur.keys, cur.vals, cur.positions, cur.spans)
         return
+    if mode not in ("conv", "subsample"):
+        raise ValueError(f"unknown compression mode {mode!r}")
+    if mode == "conv" and (compressor is None or compressor[0].shape[-3] != cache.lam):
+        raise ValueError(f"conv mode requires compressor weights of kernel length {cache.lam}")
     keep = min(SHORT_TERM_CAPACITY, cur.n_chunks)
-    new_st = cur.tail(keep)
-    evicted = cur.head(cur.n_chunks - keep)
-    old_st = cache.short_term
+    evicted, old_st = cur.head(cur.n_chunks - keep), cache.short_term
+    cache.short_term = cur.tail(keep)
     # Chronological order: pending < displaced short-term < evicted current.
-    pending = cache.pending
-    pending = pending.appended(old_st.keys, old_st.vals, old_st.positions, old_st.spans)
+    pending = cache.pending.appended(old_st.keys, old_st.vals, old_st.positions, old_st.spans)
     pending = pending.appended(evicted.keys, evicted.vals, evicted.positions, evicted.spans)
-    cache.short_term = new_st
 
     lam = cache.lam
-    long_term = cache.long_term
-    while pending.n_chunks >= lam:
-        window = pending.head(lam)
-        pending = pending.tail(pending.n_chunks - lam)
-        s_pos = float(window.positions[0])
-        span = (window.spans[0][0], window.spans[-1][1])
-        if mode == "conv":
-            if compressor is None:
-                raise ValueError("conv mode requires compressor weights")
-            m_k = np.zeros((cache.n_layers, 1, cache.d_kv), dtype=cache.dtype)
-            m_v = np.zeros((cache.n_layers, 1, cache.d_kv), dtype=cache.dtype)
-            for l in range(cache.n_layers):
-                kw, kb, vw, vb = compressor[l]
-                mk, mv, _ = compress_segment(kw, kb, vw, vb, window.keys[l], window.vals[l], s_pos, lam)
-                m_k[l], m_v[l] = mk, mv
-        elif mode == "subsample":
-            # Free summarizer used by the overhead benchmark: first chunk of
-            # the window stands in for the whole window.
-            m_k = window.keys[:, :1].copy()
-            m_v = window.vals[:, :1].copy()
-        else:
-            raise ValueError(f"unknown compression mode {mode!r}")
-        long_term = long_term.appended(m_k, m_v, [s_pos], [span])
-        while long_term.n_chunks > LONG_TERM_CAPACITY:
-            cache.dropped_spans.append(long_term.spans[0])
-            long_term = long_term.tail(long_term.n_chunks - 1)
-    cache.pending = pending
-    cache.long_term = long_term
+    used = pending.n_chunks // lam * lam
+    if mode == "conv":
+        m = window_products(np.concatenate([pending.keys, pending.vals]), *compressor).astype(cache.dtype, copy=False)
+        m_k, m_v = m[:cache.n_layers], m[cache.n_layers:]
+    else:
+        # Free summarizer used by the overhead benchmark: the first chunk of
+        # each window stands in for the whole window.
+        m_k, m_v = pending.keys[:, :used:lam], pending.vals[:, :used:lam]
+    spans = [(pending.spans[i][0], pending.spans[i + lam - 1][1]) for i in range(0, used, lam)]
+    long_term = cache.long_term.appended(m_k, m_v, pending.positions[:used:lam], spans)
+    cache.dropped_spans += long_term.spans[:-LONG_TERM_CAPACITY]
+    cache.long_term = long_term.tail(LONG_TERM_CAPACITY)
+    cache.pending = pending.tail(pending.n_chunks - used)
 
 
 def cache_context_view(cache: SegmentedKVCache) -> tuple[ContextKV, list[str]]:

@@ -44,7 +44,10 @@ def read_latents(path) -> np.ndarray:
         magic = fh.read(8)
         if magic != LATENT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        F, d, code = struct.unpack("<IIB3x", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise FormatError(f"{path}: truncated header")
+        F, d, code = struct.unpack("<IIB3x", header)
         if code not in _DTYPE_CODES:
             raise FormatError(f"{path}: unknown dtype code {code}")
         dt = _DTYPE_CODES[code]
@@ -125,7 +128,10 @@ def load_checkpoint(path) -> DenoiserParams:
                 tensors.append(entry)
         else:
             raise FormatError(f"{path}: unrecognized manifest line {line!r}")
-    config = DenoiserConfig(**cfg_kwargs)
+    try:
+        config = DenoiserConfig(**cfg_kwargs)
+    except ValueError as err:
+        raise FormatError(f"{path}: bad config: {err}") from err
     layout = param_layout(config)
     found = {name: shape for name, _, _, shape in tensors}
     if len(found) != len(tensors):
@@ -213,9 +219,15 @@ def load_dataset(directory) -> tuple[Dataset, dict[str, str]]:
                         ("lipschitz_encoder", dyn.lipschitz_encoder)):
         if abs(float(manifest[key]) - stored) > 1e-9:
             raise FormatError(f"{directory}: manifest {key} disagrees with stored maps")
-    n = int(manifest["n_sequences"])
-    seqs = np.stack([read_latents(d / f"seq_{i:05d}.bin") for i in range(n)]) if n else \
-        np.zeros((0, int(manifest["n_frames"]), int(manifest["latent_dim"])))
-    conds = np.stack([condition_vector(z) for z in seqs]) if n else \
-        np.zeros((0, 2 * int(manifest["latent_dim"])))
+    try:
+        n, frames, dim = (int(manifest[k]) for k in ("n_sequences", "n_frames", "latent_dim"))
+    except ValueError as err:
+        raise FormatError(f"{directory}: manifest sizes are not integers") from err
+    seqs = [read_latents(d / f"seq_{i:05d}.bin") for i in range(n)]
+    for i, z in enumerate(seqs):
+        if z.shape != (frames, dim):
+            raise FormatError(f"{directory}: seq_{i:05d}.bin holds {z.shape[0]}x{z.shape[1]} latents, "
+                              f"the manifest says {frames}x{dim}")
+    seqs = np.stack(seqs) if n else np.zeros((0, frames, dim))
+    conds = np.stack([condition_vector(z) for z in seqs]) if n else np.zeros((0, 2 * dim))
     return Dataset(sequences=seqs, conditions=conds, dynamics=dyn), manifest

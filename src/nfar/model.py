@@ -49,6 +49,8 @@ class DenoiserConfig:
     compress_ratio: int = 5
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if (self.d_model // self.n_heads) % 2 != 0:
@@ -357,14 +359,13 @@ def denoiser_forward(
             V_all = concat([as_tensor(ctx.layers[l][1].astype(dtype, copy=False)), v_cat])
         elif memory is not None:
             mem_ks, mem_vs = [], []
-            lam = memory.ratio
             for s, e in memory.spans:
                 span_k = slice2d(k_cat, rows=slice(s, e))
                 span_v = slice2d(v_cat, rows=slice(s, e))
                 mem_ks.append(conv1d_strided(
-                    span_k, ptensors[f"compressor.{l}.key.w"], ptensors[f"compressor.{l}.key.b"], lam, lam))
+                    span_k, ptensors[f"compressor.{l}.key.w"], ptensors[f"compressor.{l}.key.b"]))
                 mem_vs.append(conv1d_strided(
-                    span_v, ptensors[f"compressor.{l}.val.w"], ptensors[f"compressor.{l}.val.b"], lam, lam))
+                    span_v, ptensors[f"compressor.{l}.val.w"], ptensors[f"compressor.{l}.val.b"]))
             K_all = concat([k_cat] + mem_ks)
             V_all = concat([v_cat] + mem_vs)
         else:

@@ -308,28 +308,45 @@ def softmax_rows(x, mask) -> Tensor:
     return Tensor(p, (x,), vjp)
 
 
-def conv1d_strided(x, weights, bias, kernel: int, stride: int) -> Tensor:
-    """Non-overlapping 1-D convolution: kernel must equal stride.
+def window_products(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """(..., n*k + r, c) -> (..., n, c): each k-row window times its (k, c, c) kernel, plus bias.
 
-    x: (L, c), weights: (kernel, c, c) mapping in-channel to out-channel,
-    bias: (c,). Output row p mixes exactly input rows [p*stride, p*stride+kernel).
+    Leading axes broadcast against weights (..., k, c, c) and bias (..., c).
+    Each window is its own 1-row product, so its bits do not depend on how
+    many windows or kernels share the call. The r < k remainder is dropped.
+    """
+    k, c = weights.shape[-3], weights.shape[-1]
+    n = x.shape[-2] // k
+    rows = x[..., :n * k, :].reshape(*x.shape[:-2], n, 1, k * c)
+    out = rows @ weights.reshape(*weights.shape[:-3], 1, k * c, c)
+    return out[..., 0, :] + bias[..., None, :]
+
+
+def conv1d_strided(x, weights, bias) -> Tensor:
+    """Non-overlapping 1-D convolution whose stride is its kernel length.
+
+    x: (L, c), weights: (k, c, c) mapping in-channel to out-channel,
+    bias: (c,). Output row p mixes exactly input rows [p*k, p*k+k).
     A trailing remainder shorter than one window is dropped.
     """
     x, weights, bias = as_tensor(x), as_tensor(weights), as_tensor(bias)
-    if kernel != stride:
-        raise ShapeError(f"kernel ({kernel}) must equal stride ({stride})")
     if x.ndim != 2 or weights.ndim != 3:
         raise ShapeError(f"bad operand ranks: x {x.shape}, weights {weights.shape}")
     L, c = x.shape
-    if weights.shape != (kernel, c, c):
-        raise ShapeError(f"weights shape {weights.shape} != ({kernel}, {c}, {c})")
-    if L < kernel:
-        raise ShapeError(f"input length {L} is shorter than the kernel {kernel}")
-    n_out = L // stride
-    windows = slice2d(x, rows=slice(0, n_out * stride))
-    flat = reshape(windows, (n_out, kernel * c))
-    w2d = reshape(weights, (kernel * c, c))
-    return add(matmul(flat, w2d), bias)
+    k = weights.shape[0]
+    if weights.shape != (k, c, c):
+        raise ShapeError(f"weights shape {weights.shape} != ({k}, {c}, {c})")
+    if L < k:
+        raise ShapeError(f"input length {L} is shorter than the kernel {k}")
+    n = L // k
+    out = window_products(x.data, weights.data, bias.data)
+
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[:n * k] = (g @ weights.data.reshape(k * c, c).T).reshape(n * k, c)
+        return gx, (x.data[:n * k].reshape(n, k * c).T @ g).reshape(k, c, c), g.sum(axis=0)
+
+    return Tensor(out, (x, weights, bias), vjp)
 
 
 # -- gradients ------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 from nfar import checks
 from nfar.blocks import BlockPlan
 from nfar.checks import randomized_params
-from nfar.convkv import compress_segment, compressor_arrays
+from nfar.convkv import cache_append, cache_roll, compressor_arrays, new_cache
 from nfar.model import (
     DenoiserConfig,
     RopeFrequencies,
@@ -113,11 +113,17 @@ def test_08_averaging_fixed_point():
     config = DenoiserConfig()
     comp = compressor_arrays(init_params(config, seed=0))
     rng = np.random.default_rng(5)
-    K = rng.standard_normal((5, config.d_model))
-    V = rng.standard_normal((5, config.d_model))
-    kw, kb, vw, vb = comp[0]
-    m_k, m_v, s = compress_segment(kw, kb, vw, vb, K, V, 11.0, 5)
-    err = max(np.abs(m_k - K.mean(axis=0)).max(), np.abs(m_v - V.mean(axis=0)).max())
+    K = rng.standard_normal((config.n_layers, 14, config.d_model))
+    V = rng.standard_normal((config.n_layers, 14, config.d_model))
+    cache = new_cache(config.n_layers, config.d_model, step_tag=0.5)
+    for a, e in ((0, 6), (6, 14)):  # the second roll compresses windows [0, 5) and [5, 10)
+        cache_append(cache, list(zip(K[:, a:e], V[:, a:e])), list(range(a, e)), 0.5)
+        cache_roll(cache, comp)
+    lt = cache.long_term
+    s = float(lt.positions[1])
+    err = max(np.abs(lt.keys[:, 1] - K[:, 5:10].mean(axis=1)).max(),
+              np.abs(lt.vals[:, 1] - V[:, 5:10].mean(axis=1)).max())
+    m_k = lt.keys[0, 1:2]
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
     hd = config.head_dim
     consumed = rope_apply(Tensor(m_k[:, :hd]), np.array([s]), freqs).data[0]
@@ -127,7 +133,7 @@ def test_08_averaging_fixed_point():
         m_k[0, :hd // 2] * np.sin(ang) + m_k[0, hd // 2:hd] * np.cos(ang),
     ])
     rope_err = np.abs(consumed - manual).max()
-    ok = err < 1e-12 and rope_err < 1e-12 and s == 11.0
+    ok = err < 1e-12 and rope_err < 1e-12 and s == 5.0 and lt.spans[1] == (5, 10)
     report("averaging-fixed-point", ok,
            f"mean_err={err:.2e} rope_reset_err={rope_err:.2e} (tol 1e-12)",
            1, time.monotonic() - t0)

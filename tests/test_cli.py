@@ -61,14 +61,31 @@ def test_train_blocks_not_matching_the_frames_is_usage_error(tmp_path, capsys):
                 "--blocks", "2"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("damage", ["missing", "misshaped"])
+@pytest.mark.parametrize("damage", ["truncated_file", "manifest_sizes"])
+def test_train_rejects_a_damaged_dataset(tmp_path, capsys, damage):
+    ds = tmp_path / "ds"
+    run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
+    if damage == "truncated_file":
+        (ds / "seq_00001.bin").write_bytes((ds / "seq_00001.bin").read_bytes()[:10])
+    else:
+        text = (ds / "manifest.txt").read_text()
+        (ds / "manifest.txt").write_text(text.replace("n_frames = 22", "n_frames = 30")
+                                         .replace("latent_dim = 16", "latent_dim = 9"))
+    assert run(["train", "--data", str(ds), "--out", str(tmp_path / "x"), "--steps", "1"]) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing", "misshaped", "zero_heads"])
 def test_generate_rejects_a_damaged_checkpoint(tmp_path, capsys, damage):
     params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0)
     if damage == "missing":
         del params.values["output.w"]
-    else:
+    elif damage == "misshaped":
         params.values["output.b"] = np.zeros(params.config.d_latent + 1)
     save_checkpoint(tmp_path / "bad.ckpt", params)
+    if damage == "zero_heads":
+        blob = (tmp_path / "bad.ckpt").read_bytes()
+        (tmp_path / "bad.ckpt").write_bytes(blob.replace(b"config.n_heads = 2", b"config.n_heads = 0", 1))
     assert run(["generate", "--ckpt", str(tmp_path / "bad.ckpt"), "--out", str(tmp_path / "gen"),
                 "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
 

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nfar import model
+from nfar.checks import randomized_params
 from nfar.convkv import (
     CacheStepError,
     LONG_TERM_CAPACITY,
@@ -8,15 +12,22 @@ from nfar.convkv import (
     cache_append,
     cache_context_view,
     cache_roll,
-    compress_segment,
     compressor_arrays,
     coverage_accounting,
     new_cache,
     set_reference,
     snapshot,
 )
-from nfar.model import DenoiserConfig, RopeFrequencies, init_params, rope_apply
-from nfar.numerics import Tensor
+from nfar.model import (
+    DenoiserConfig,
+    InlineMemorySpec,
+    RopeFrequencies,
+    denoiser_forward,
+    init_params,
+    rope_apply,
+    wrap_params,
+)
+from nfar.numerics import Tensor, window_products
 
 RNG = np.random.default_rng(99)
 N_LAYERS, D_KV = 2, 16
@@ -115,14 +126,12 @@ def test_compressed_position_is_window_start():
 
 
 def test_averaging_init_reproduces_window_mean():
-    comp = averaging_comp()
-    kw, kb, vw, vb = comp[0]
-    K = RNG.standard_normal((5, D_KV))
-    V = RNG.standard_normal((5, D_KV))
-    m_k, m_v, s = compress_segment(kw, kb, vw, vb, K, V, 7.0, 5)
-    assert np.abs(m_k - K.mean(axis=0)).max() < 1e-12
-    assert np.abs(m_v - V.mean(axis=0)).max() < 1e-12
-    assert s == 7.0
+    W, b = averaging_comp()
+    assert W.shape == (2 * N_LAYERS, 5, D_KV, D_KV) and b.shape == (2 * N_LAYERS, D_KV)
+    KV = RNG.standard_normal((2 * N_LAYERS, 10, D_KV))  # key layers, then value layers
+    m = window_products(KV, W, b)
+    assert m.shape == (2 * N_LAYERS, 2, D_KV)
+    assert np.abs(m - KV.reshape(2 * N_LAYERS, 2, 5, D_KV).mean(axis=2)).max() < 1e-12
 
 
 def test_rope_reset_angle_matches_position_s():
@@ -169,6 +178,15 @@ def test_subsample_mode_needs_no_weights():
         run_blocks(make_ready_cache(), None, [6, 8], mode="conv")
 
 
+def test_roll_rejects_a_bad_compressor_or_mode():
+    W, b = averaging_comp()
+    for comp, mode in (((W[:, :3], b), "conv"), (None, "conv"), ((W, b), "average")):
+        cache = make_ready_cache()
+        cache_append(cache, fake_kv(8), list(range(8)), 0.5)
+        with pytest.raises(ValueError):
+            cache_roll(cache, comp, mode=mode)
+
+
 def test_snapshot_mentions_every_segment():
     text = snapshot(make_ready_cache())
     for name in ("reference", "long_term", "short_term", "pending", "current"):
@@ -180,7 +198,7 @@ def test_float32_cache_stays_float32():
         cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, dtype=np.float32)
         kv32 = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(2)]
         set_reference(cache, kv32, [-2, -1])
-        comp = [tuple(a.astype(weight_dtype) for a in layer) for layer in averaging_comp()]
+        comp = tuple(a.astype(weight_dtype) for a in averaging_comp())
         pos = 0
         for n in (6, 8, 8):
             kv = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(n)]
@@ -189,3 +207,109 @@ def test_float32_cache_stays_float32():
             cache_roll(cache, comp)
         ctx, _ = cache_context_view(cache)
         assert all(k.dtype == np.float32 and v.dtype == np.float32 for k, v in ctx.layers)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
+    # Stage-2 training convolves a span inline in denoiser_forward; the cache
+    # compresses the same K/V window by window as rolls fill them. Both must
+    # give the same bits for 1-, 2- (the default stage-2 span) and 3-window spans.
+    config = DenoiserConfig()
+    params = randomized_params(config, seed=4)
+    rng = np.random.default_rng(4)
+    for name in params.values:
+        if name.startswith("compressor."):
+            params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
+    params = params.astype(dtype)
+    ptensors = wrap_params(params)
+    lam, n = config.compress_ratio, 22
+    x = rng.standard_normal((n, config.d_latent))
+    cond = rng.standard_normal(config.d_cond)
+
+    conv, trained = model.conv1d_strided, []
+
+    def recording_conv(*args):
+        trained.append(conv(*args))
+        return trained[-1]
+
+    monkeypatch.setattr(model, "conv1d_strided", recording_conv)
+    for n_win in (1, 2, 3):
+        trained.clear()
+        memory = InlineMemorySpec(spans=((0, n_win * lam),), mem_positions=tuple(range(0, n_win * lam, lam)),
+                                  ratio=lam)
+        _, kv = denoiser_forward(ptensors, config, x, np.arange(n), 0.5, cond, np.ones((n, n + n_win)),
+                                 memory=memory)
+        assert len(trained) == 2 * config.n_layers  # per layer: keys, then values
+
+        cache = new_cache(config.n_layers, config.d_model, step_tag=0.5, lam=lam, dtype=dtype)
+        rolled = {}
+        for a, e in ((0, 6), (6, 14), (14, 22)):
+            cache_append(cache, [(k[a:e], v[a:e]) for k, v in kv], list(range(a, e)), 0.5)
+            cache_roll(cache, compressor_arrays(params))
+            for i, span in enumerate(cache.long_term.spans):
+                rolled[span] = (cache.long_term.keys[:, i], cache.long_term.vals[:, i])
+        for w in range(n_win):
+            keys, vals = rolled[(w * lam, (w + 1) * lam)]
+            for l in range(config.n_layers):
+                assert np.array_equal(trained[2 * l].data[w], keys[l])
+                assert np.array_equal(trained[2 * l + 1].data[w], vals[l])
+
+
+def roll_and_check(sizes, mode, dtype):
+    """Roll blocks of the given sizes, checking the ledger after every roll.
+
+    Returns the most windows one roll compressed and the most long-term
+    chunks one roll evicted.
+    """
+    W, b = averaging_comp()
+    W = (W + 0.05 * RNG.standard_normal(W.shape)).astype(dtype)
+    b = b.astype(dtype)
+    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, dtype=dtype)
+    raw_k = np.zeros((N_LAYERS, 0, D_KV), dtype=dtype)
+    raw_v = np.zeros((N_LAYERS, 0, D_KV), dtype=dtype)
+    most_windows = most_evicted = 0
+    for n in sizes:
+        kv = [(k.astype(dtype), v.astype(dtype)) for k, v in fake_kv(n)]
+        raw_k = np.concatenate([raw_k, np.stack([k for k, _ in kv])], axis=1)
+        raw_v = np.concatenate([raw_v, np.stack([v for _, v in kv])], axis=1)
+        before = cache.dropped_spans + cache.long_term.spans
+        dropped_before = len(cache.dropped_spans)
+        cache_append(cache, kv, list(range(cache.next_position, cache.next_position + n)), 0.5)
+        cache_roll(cache, (W, b), mode=mode)
+
+        acc = coverage_accounting(cache)
+        assert sorted(sum(acc.values(), [])) == list(range(raw_k.shape[1]))
+        assert cache.pending.n_chunks < cache.lam
+        assert cache.long_term.n_chunks <= LONG_TERM_CAPACITY
+        assert cache.long_term.positions.tolist() == [s for s, _ in cache.long_term.spans]
+        # FIFO: windows join at the back in chunk order and leave from the front.
+        after = cache.dropped_spans + cache.long_term.spans
+        assert after[:len(before)] == before
+        assert all(e == s2 for (_, e), (s2, _) in zip(after, after[1:]))
+        most_windows = max(most_windows, len(after) - len(before))
+        most_evicted = max(most_evicted, len(cache.dropped_spans) - dropped_before)
+        for i, (s, e) in enumerate(cache.long_term.spans):
+            if mode == "conv":
+                want_k = window_products(raw_k[:, s:e], W[:N_LAYERS], b[:N_LAYERS])[:, 0]
+                want_v = window_products(raw_v[:, s:e], W[N_LAYERS:], b[N_LAYERS:])[:, 0]
+            else:
+                want_k, want_v = raw_k[:, s], raw_v[:, s]
+            assert np.array_equal(cache.long_term.keys[:, i], want_k)
+            assert np.array_equal(cache.long_term.vals[:, i], want_v)
+    return most_windows, most_evicted
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 20), min_size=1, max_size=12),
+       mode=st.sampled_from(["conv", "subsample"]),
+       dtype=st.sampled_from([np.float64, np.float32]))
+@example(sizes=[20, 20, 3, 17], mode="conv", dtype=np.float64)
+def test_roll_ledger_over_random_block_sizes(sizes, mode, dtype):
+    roll_and_check(sizes, mode, dtype)
+
+
+def test_roll_ledger_covers_multi_window_rolls():
+    # The explicit example above: a roll compressing >= 3 windows and one
+    # evicting more than one long-term chunk.
+    most_windows, most_evicted = roll_and_check([20, 20, 3, 17], "conv", np.float64)
+    assert most_windows >= 3 and most_evicted > 1

@@ -44,6 +44,16 @@ def test_latent_truncated_payload_rejected(tmp_path):
         read_latents(path)
 
 
+def test_latent_every_truncation_rejected(tmp_path):
+    path = tmp_path / "x.bin"
+    write_latents(path, np.ones((3, 2), dtype=np.float32))
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            read_latents(path)
+
+
 def test_latent_non_2d_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_latents(tmp_path / "x.bin", np.ones(5))
@@ -130,3 +140,31 @@ def test_dataset_round_trip(tmp_path):
     assert back.dynamics.neighbor_bound == dyn.neighbor_bound
     assert manifest["seed"] == "4"
     assert float(manifest["lipschitz_encoder"]) == dyn.lipschitz_encoder
+
+
+@pytest.mark.parametrize("damage", ["n_frames", "latent_dim", "unequal_files", "not_an_integer"])
+def test_dataset_sizes_must_match_the_manifest(tmp_path, damage):
+    ds = make_dataset(LatentDynamics.create(seed=2), 3, 22, seed=4)
+    d = tmp_path / "ds"
+    save_dataset(d, ds, seed=4)
+    manifest = d / "manifest.txt"
+    if damage == "n_frames":
+        manifest.write_text(manifest.read_text().replace("n_frames = 22", "n_frames = 30"))
+    elif damage == "latent_dim":
+        manifest.write_text(manifest.read_text().replace("latent_dim = 16", "latent_dim = 9"))
+    elif damage == "unequal_files":
+        write_latents(d / "seq_00001.bin", ds.sequences[1][:20])
+    else:
+        manifest.write_text(manifest.read_text().replace("n_frames = 22", "n_frames = 2x"))
+    with pytest.raises(FormatError):
+        load_dataset(d)
+
+
+def test_checkpoint_with_zero_heads_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        DenoiserConfig(n_heads=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_params(DenoiserConfig(d_model=16, d_ff=16), seed=1))
+    path.write_bytes(path.read_bytes().replace(b"config.n_heads = 2", b"config.n_heads = 0", 1))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)

@@ -23,6 +23,7 @@ from nfar.numerics import (
     sum_all,
     tanh,
     transpose2d,
+    window_products,
 )
 
 RNG = np.random.default_rng(1234)
@@ -116,11 +117,11 @@ def test_conv1d_strided_partitions_input():
     w = Tensor(RNG.standard_normal((lam, c, c)))
     b = Tensor(RNG.standard_normal(c))
     x = RNG.standard_normal((10, c))
-    base = conv1d_strided(Tensor(x), w, b, lam, lam).data
+    base = conv1d_strided(Tensor(x), w, b).data
     for q in range(10):
         xp = x.copy()
         xp[q] += 1.0
-        out = conv1d_strided(Tensor(xp), w, b, lam, lam).data
+        out = conv1d_strided(Tensor(xp), w, b).data
         changed = np.where(np.any(out != base, axis=1))[0]
         assert list(changed) == [q // lam]
 
@@ -130,18 +131,42 @@ def test_conv1d_strided_gradient_and_remainder():
     w = Tensor(RNG.standard_normal((lam, c, c)))
     b = Tensor(RNG.standard_normal(c))
     x0 = RNG.standard_normal((5, c))  # trailing odd chunk dropped
-    out = conv1d_strided(Tensor(x0), w, b, lam, lam)
+    out = conv1d_strided(Tensor(x0), w, b)
     assert out.shape == (2, c)
-    fd_check(lambda t: sum_all(conv1d_strided(t, w, b, lam, lam)), x0)
+    assert len(out.parents) == 3  # one tape node
+    fd_check(lambda t: sum_all(conv1d_strided(t, w, b)), x0)
+    x = Tensor(x0)
+    proj = Tensor(RNG.standard_normal((2, c)))
+    fd_check(lambda t: sum_all(mul(conv1d_strided(x, t, b), proj)), w.data)
+    fd_check(lambda t: sum_all(mul(conv1d_strided(x, w, t), proj)), b.data)
 
 
-def test_conv1d_requires_kernel_equal_stride_and_enough_rows():
+def test_window_products_rows_do_not_depend_on_batching():
+    # Each window must equal its own 1-row product, however many windows and
+    # kernels share the call: the inference cache relies on it.
+    k, c = 5, 8
+    for dtype in (np.float64, np.float32):
+        W = RNG.standard_normal((4, k, c, c)).astype(dtype)
+        b = RNG.standard_normal((4, c)).astype(dtype)
+        for n in (1, 2, 3, 7):
+            x = RNG.standard_normal((4, n * k + 2, c)).astype(dtype)
+            out = window_products(x, W, b)
+            assert out.shape == (4, n, c) and out.dtype == dtype
+            for j in range(4):
+                for p in range(n):
+                    row = x[j, p * k:(p + 1) * k].reshape(1, k * c) @ W[j].reshape(k * c, c) + b[j]
+                    assert np.array_equal(out[j, p], row[0])
+
+
+def test_conv1d_rejects_bad_weights_and_short_input():
     w = Tensor(np.zeros((2, 3, 3)))
     b = Tensor(np.zeros(3))
-    with pytest.raises(ValueError):
-        conv1d_strided(Tensor(np.zeros((4, 3))), w, b, 2, 3)
     with pytest.raises(ShapeError):
-        conv1d_strided(Tensor(np.zeros((1, 3))), w, b, 2, 2)
+        conv1d_strided(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3, 4))), b)
+    with pytest.raises(ShapeError):
+        conv1d_strided(Tensor(np.zeros((4, 3))), Tensor(np.zeros((6, 3))), b)
+    with pytest.raises(ShapeError):
+        conv1d_strided(Tensor(np.zeros((1, 3))), w, b)
 
 
 def test_tape_leaf_off_graph_rejected():
