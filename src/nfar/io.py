@@ -66,11 +66,20 @@ _CONFIG_FIELDS = (
 # Version 1 also stored the single-key cross-attention's query/key side,
 # which never affected the output, and a rope-on-values flag.
 _V1_DEAD = re.compile(r"layers\.\d+\.(ln2\.[gb]|cross\.[qk])")
+_VERSIONS = (b"checkpoint v1\n", b"checkpoint v2\n", b"checkpoint v3\n")
+
+
+def _head_tensors(config: DenoiserConfig) -> dict[str, list[str]]:
+    """Versions 1 and 2 stored one (d_model, head_dim) matrix per layer, q/k/v and head:
+    each layer's attn.qkv.w -> the names of its column blocks, in column order."""
+    h = config.n_heads
+    return {f"layers.{l}.attn.qkv.w": [f"layers.{l}.attn.{'qkv'[i // h]}.{i % h}" for i in range(3 * h)]
+            for l in range(config.n_layers)}
 
 
 def save_checkpoint(path, params: DenoiserParams) -> None:
     """Text manifest (config, meta, tensor table) + concatenated payloads."""
-    lines = ["checkpoint v2"]
+    lines = ["checkpoint v3"]
     for f in _CONFIG_FIELDS:
         lines.append(f"config.{f} = {getattr(params.config, f)}")
     for k in sorted(params.meta):
@@ -92,14 +101,15 @@ def save_checkpoint(path, params: DenoiserParams) -> None:
 
 
 def load_checkpoint(path) -> DenoiserParams:
-    """Read a v2 checkpoint, or a v1 one minus its dead tensors; validate the layout."""
+    """Read a v3 checkpoint, or a v1/v2 one with its per-head q/k/v matrices joined
+    into attn.qkv.w (and v1's dead tensors dropped); validate the layout."""
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     split = blob.find(marker)
     version = blob[:blob.find(b"\n") + 1]
-    if version not in (b"checkpoint v1\n", b"checkpoint v2\n") or split < 0:
+    if version not in _VERSIONS or split < 0:
         raise FormatError(f"{path}: not a checkpoint file")
-    v1 = version == b"checkpoint v1\n"
+    v1 = version == _VERSIONS[0]
     text = blob[:split + 1].decode("utf-8").splitlines()
     payload = blob[split + len(marker):]
     cfg_kwargs, meta, tensors = {}, {}, []
@@ -132,7 +142,11 @@ def load_checkpoint(path) -> DenoiserParams:
         config = DenoiserConfig(**cfg_kwargs)
     except ValueError as err:
         raise FormatError(f"{path}: bad config: {err}") from err
-    layout = param_layout(config)
+    layout = {name: shape for name, (shape, _) in param_layout(config).items()}
+    heads = _head_tensors(config) if version != _VERSIONS[2] else {}
+    for fused, parts in heads.items():
+        del layout[fused]
+        layout.update({part: (config.d_model, config.head_dim) for part in parts})
     found = {name: shape for name, _, _, shape in tensors}
     if len(found) != len(tensors):
         raise FormatError(f"{path}: a tensor name appears twice")
@@ -140,8 +154,8 @@ def load_checkpoint(path) -> DenoiserParams:
     if missing or extra:
         raise FormatError(f"{path}: missing tensors {missing}, unexpected tensors {extra}")
     for name, shape in found.items():
-        if shape != layout[name][0]:
-            raise FormatError(f"{path}: tensor {name} has shape {shape}, expected {layout[name][0]}")
+        if shape != layout[name]:
+            raise FormatError(f"{path}: tensor {name} has shape {shape}, expected {layout[name]}")
     values = {}
     for name, dt, offset, shape in tensors:
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -149,6 +163,8 @@ def load_checkpoint(path) -> DenoiserParams:
         if len(raw) != n * dt.itemsize:
             raise FormatError(f"{path}: tensor {name} payload truncated")
         values[name] = np.frombuffer(raw, dtype=dt.newbyteorder("<")).astype(dt).reshape(shape)
+    for fused, parts in heads.items():
+        values[fused] = np.concatenate([values.pop(part) for part in parts], axis=1)
     return DenoiserParams(config=config, values=values, meta=meta)
 
 

@@ -21,15 +21,14 @@ from .numerics import (
     Tensor,
     add,
     as_tensor,
+    attention,
     concat,
     conv1d_strided,
     layer_norm,
     matmul,
     mul,
     slice2d,
-    softmax_rows,
     tanh,
-    transpose2d,
 )
 from .rng import STREAM_INIT, make_rng
 
@@ -80,25 +79,27 @@ class RopeFrequencies:
 
 
 def rope_apply(x, positions, freqs: RopeFrequencies) -> Tensor:
-    """Rotate dimension pairs of (n, head_dim) rows by position * frequency."""
+    """Rotate the dimension pairs of each head_dim column group of (n, H*head_dim) rows.
+
+    Row i turns by positions[i] * frequency in every head's group.
+    """
     x = as_tensor(x)
-    if x.ndim != 2 or x.shape[1] != 2 * freqs.freqs.size:
-        raise ShapeError(f"rope input shape {x.shape} incompatible with {freqs.freqs.size} pairs")
+    half = freqs.freqs.size
+    if x.ndim != 2 or x.shape[1] % (2 * half) != 0:
+        raise ShapeError(f"rope input shape {x.shape} does not split into groups of {half} pairs")
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (x.shape[0],):
         raise ShapeError(f"positions shape {pos.shape} != ({x.shape[0]},)")
-    angles = pos[:, None] * freqs.freqs[None, :]
+    angles = pos[:, None, None] * freqs.freqs
     c = np.cos(angles).astype(x.dtype)
     s = np.sin(angles).astype(x.dtype)
-    half = freqs.freqs.size
-    x1, x2 = x.data[:, :half], x.data[:, half:]
-    out = np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=1)
 
-    def vjp(g):
-        g1, g2 = g[:, :half], g[:, half:]
-        return (np.concatenate([g1 * c + g2 * s, -g1 * s + g2 * c], axis=1),)
+    def rotate(a, sin):  # a: (n, H*head_dim); each group is [first halves | second halves]
+        a = a.reshape(a.shape[0], -1, 2, half)
+        a1, a2 = a[:, :, 0], a[:, :, 1]
+        return np.stack([a1 * c - a2 * sin, a1 * sin + a2 * c], axis=2).reshape(x.shape)
 
-    return Tensor(out, (x,), vjp)
+    return Tensor(rotate(x.data, s), (x,), lambda g: (rotate(g, -s),))
 
 
 def time_embed(t: float, d: int) -> np.ndarray:
@@ -176,7 +177,7 @@ def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], int
     Gaussian draw scaled by 1/sqrt(fan_in). Checkpoints are validated
     against the same table.
     """
-    dm, hd, dc, dff, dl = config.d_model, config.head_dim, config.d_cond, config.d_ff, config.d_latent
+    dm, dc, dff, dl = config.d_model, config.d_cond, config.d_ff, config.d_latent
     out: dict[str, tuple[tuple[int, ...], int | str]] = {
         "input.w": ((dl, dm), dl),
         "input.b": ((dm,), "zeros"),
@@ -191,9 +192,7 @@ def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], int
         out[f"{p}.ln1.b"] = ((dm,), "zeros")
         out[f"{p}.mod1.w"] = ((dm, 2 * dm), "zeros")
         out[f"{p}.mod1.b"] = ((2 * dm,), "zeros")
-        for h in range(config.n_heads):
-            for kind in ("q", "k", "v"):
-                out[f"{p}.attn.{kind}.{h}"] = ((dm, hd), dm)
+        out[f"{p}.attn.qkv.w"] = ((dm, 3 * dm), dm)  # columns: [q heads | k heads | v heads]
         out[f"{p}.attn.o.w"] = ((dm, dm), dm)
         out[f"{p}.attn.o.b"] = ((dm,), "zeros")
         out[f"{p}.gate1.w"] = ((dm, dm), "zeros")
@@ -329,7 +328,6 @@ def denoiser_forward(
     cond_t = as_tensor(np.asarray(cond).astype(dtype, copy=False).reshape(1, -1))
     if cond_t.shape[1] != config.d_cond:
         raise ShapeError(f"cond dim {cond_t.shape[1]} != {config.d_cond}")
-    inv_hd = 1.0 / math.sqrt(config.head_dim)
     one = Tensor(np.ones((1, config.d_model), dtype=dtype))
     dm = config.d_model
 
@@ -348,38 +346,30 @@ def denoiser_forward(
     for l in range(config.n_layers):
         p = f"layers.{l}"
         u = modulate(layer_norm(h, ptensors[f"{p}.ln1.g"], ptensors[f"{p}.ln1.b"]), f"{p}.mod1")
-        k_heads = [matmul(u, ptensors[f"{p}.attn.k.{i}"]) for i in range(config.n_heads)]
-        v_heads = [matmul(u, ptensors[f"{p}.attn.v.{i}"]) for i in range(config.n_heads)]
-        k_cat = concat(k_heads, axis=1)
-        v_cat = concat(v_heads, axis=1)
-        new_kv.append((k_cat.data.copy(), v_cat.data.copy()))
+        qkv = matmul(u, ptensors[f"{p}.attn.qkv.w"])
+        q, k, v = (slice2d(qkv, cols=slice(i * dm, (i + 1) * dm)) for i in range(3))
+        new_kv.append((k.data, v.data))
 
         if ctx is not None:
-            K_all = concat([as_tensor(ctx.layers[l][0].astype(dtype, copy=False)), k_cat])
-            V_all = concat([as_tensor(ctx.layers[l][1].astype(dtype, copy=False)), v_cat])
+            K_all = concat([as_tensor(ctx.layers[l][0].astype(dtype, copy=False)), k])
+            V_all = concat([as_tensor(ctx.layers[l][1].astype(dtype, copy=False)), v])
         elif memory is not None:
             mem_ks, mem_vs = [], []
             for s, e in memory.spans:
-                span_k = slice2d(k_cat, rows=slice(s, e))
-                span_v = slice2d(v_cat, rows=slice(s, e))
+                span_k = slice2d(k, rows=slice(s, e))
+                span_v = slice2d(v, rows=slice(s, e))
                 mem_ks.append(conv1d_strided(
                     span_k, ptensors[f"compressor.{l}.key.w"], ptensors[f"compressor.{l}.key.b"]))
                 mem_vs.append(conv1d_strided(
                     span_v, ptensors[f"compressor.{l}.val.w"], ptensors[f"compressor.{l}.val.b"]))
-            K_all = concat([k_cat] + mem_ks)
-            V_all = concat([v_cat] + mem_vs)
+            K_all = concat([k] + mem_ks)
+            V_all = concat([v] + mem_vs)
         else:
-            K_all, V_all = k_cat, v_cat
+            K_all, V_all = k, v
 
-        outs = []
-        for i in range(config.n_heads):
-            colsl = slice(i * config.head_dim, (i + 1) * config.head_dim)
-            q = rope_apply(matmul(u, ptensors[f"{p}.attn.q.{i}"]), pos, freqs)
-            k = rope_apply(slice2d(K_all, cols=colsl), key_pos, freqs)
-            v = slice2d(V_all, cols=colsl)
-            scores = mul(matmul(q, transpose2d(k)), inv_hd)
-            outs.append(matmul(softmax_rows(scores, mask), v))
-        attn = add(matmul(concat(outs, axis=1), ptensors[f"{p}.attn.o.w"]), ptensors[f"{p}.attn.o.b"])
+        heads = attention(rope_apply(q, pos, freqs), rope_apply(K_all, key_pos, freqs), V_all, mask,
+                          config.n_heads)
+        attn = add(matmul(heads, ptensors[f"{p}.attn.o.w"]), ptensors[f"{p}.attn.o.b"])
         h = add(h, mul(attn, gate(f"{p}.gate1")))
 
         # The condition is one token, so attention over it has weight 1 for

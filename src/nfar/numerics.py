@@ -14,6 +14,7 @@ streaming benchmarks.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,36 +78,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other, dtype=self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x, dtype=None) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x, dtype=dtype)
-
-
-def constant(x, dtype=None) -> Tensor:
-    return as_tensor(x, dtype=dtype)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -171,28 +150,6 @@ def tanh(a) -> Tensor:
 
 
 # -- structural ops -------------------------------------------------------
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.shape),)
-
-    return Tensor(out, (a,), vjp)
-
-
-def transpose2d(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose2d expects a matrix, got shape {a.shape}")
-    out = a.data.T.copy()
-
-    def vjp(g):
-        return (g.T,)
-
-    return Tensor(out, (a,), vjp)
-
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
@@ -286,26 +243,47 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return Tensor(out, (x, gain, bias), vjp)
 
 
-def softmax_rows(x, mask) -> Tensor:
-    """Masked, row-stabilized softmax. Masked entries come out exactly 0."""
-    x = as_tensor(x)
-    mask_arr = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    if mask_arr.shape != x.shape:
-        raise ShapeError(f"mask shape {mask_arr.shape} != logits shape {x.shape}")
-    on = mask_arr != 0
+def attention(q, k, v, mask, n_heads: int) -> Tensor:
+    """Masked multi-head attention of (n, H*hd) queries over (m, H*hd) keys and values.
+
+    Head h owns columns [h*hd, (h+1)*hd) of q, k, v and the (n, H*hd) output.
+    Scores are scaled by 1/sqrt(hd) and soft-maxed over the keys that the
+    (n, m) mask, shared by every head, leaves on: masked weights are exactly
+    0, so masked keys and values cannot reach the output. One tape node.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1] \
+            or q.shape[1] % n_heads:
+        raise ShapeError(f"attention operands q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"do not split into {n_heads} heads")
+    n, m = q.shape[0], k.shape[0]
+    on = np.asarray(mask) != 0
+    if on.shape != (n, m):
+        raise ShapeError(f"mask shape {on.shape} != scores shape ({n}, {m})")
     if not on.any(axis=1).all():
         bad = int(np.flatnonzero(~on.any(axis=1))[0])
         raise MaskError(f"row {bad} of the attention mask has no unmasked entry")
-    neg = np.where(on, x.data, -np.inf)
-    rowmax = neg.max(axis=1, keepdims=True)
-    e = np.exp(neg - rowmax)  # exp(-inf) = 0 exactly on masked entries
-    p = e / e.sum(axis=1, keepdims=True)
+    hd = q.shape[1] // n_heads
+    scale = 1.0 / math.sqrt(hd)  # a Python float: a NumPy scalar would promote float32 to float64
+
+    def heads(a):  # (rows, H*hd) -> (H, rows, hd)
+        return a.reshape(a.shape[0], n_heads, hd).transpose(1, 0, 2)
+
+    def rows(a):  # (H, rows, hd) -> (rows, H*hd)
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scores = np.where(on, (qh @ kh.transpose(0, 2, 1)) * scale, -np.inf)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))  # exp(-inf) = 0 exactly on masked entries
+    p = e / e.sum(axis=2, keepdims=True)
 
     def vjp(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        return ((g - dot) * p,)
+        gh = heads(g)
+        dp = gh @ vh.transpose(0, 2, 1)
+        ds = (dp - (dp * p).sum(axis=2, keepdims=True)) * p * scale
+        return rows(ds @ kh), rows(ds.transpose(0, 2, 1) @ qh), rows(p.transpose(0, 2, 1) @ gh)
 
-    return Tensor(p, (x,), vjp)
+    return Tensor(rows(p @ vh), (q, k, v), vjp)
 
 
 def window_products(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

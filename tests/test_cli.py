@@ -90,6 +90,13 @@ def test_generate_rejects_a_damaged_checkpoint(tmp_path, capsys, damage):
                 "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags", [["--reps", "0"], ["--reps", "-2"], ["--blocks", "3"]])
+def test_bench_rejects_runs_it_cannot_measure(tmp_path, capsys, flags):
+    save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+    assert run(["bench", "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "b"), *flags]) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_verify_emits_check_lines(capsys):
     assert run(["verify", "mask"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nfar.cli import EXIT_USAGE, main
 from nfar.io import (
     FormatError,
     dump_config_text,
@@ -78,27 +79,68 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def per_head(params):
+    """`params` as versions 1 and 2 stored them: one (d_model, head_dim) matrix per layer, head and q/k/v."""
+    config, hd = params.config, params.config.head_dim
+    values = {k: v for k, v in params.values.items() if not k.endswith(".attn.qkv.w")}
+    for l in range(config.n_layers):
+        qkv = params.values[f"layers.{l}.attn.qkv.w"]
+        for i, kind in enumerate(("q", "k", "v")):
+            for h in range(config.n_heads):
+                c = (i * config.n_heads + h) * hd
+                values[f"layers.{l}.attn.{kind}.{h}"] = qkv[:, c:c + hd]
+    return DenoiserParams(config, values, params.meta)
+
+
+def write_v2(path, legacy):
+    """A version-2 file of per-head `legacy` params."""
+    save_checkpoint(path, legacy)
+    path.write_bytes(path.read_bytes().replace(b"checkpoint v3\n", b"checkpoint v2\n", 1))
+
+
 def write_v1(path, params, rope_on_values="False"):
-    """A version-1 file of `params`: four more tensors per layer and a rope flag."""
+    """A version-1 file of `params`: per-head q/k/v, four more tensors per layer and a rope flag."""
     dm, dc = params.config.d_model, params.config.d_cond
-    values = dict(params.values)
+    legacy = per_head(params)
     for l in range(params.config.n_layers):
-        values.update({f"layers.{l}.ln2.g": np.ones(dm), f"layers.{l}.ln2.b": np.zeros(dm),
-                       f"layers.{l}.cross.q": RNG.standard_normal((dm, dm)),
-                       f"layers.{l}.cross.k": RNG.standard_normal((dc, dm))})
-    save_checkpoint(path, DenoiserParams(params.config, values, params.meta))
+        legacy.values.update({f"layers.{l}.ln2.g": np.ones(dm), f"layers.{l}.ln2.b": np.zeros(dm),
+                              f"layers.{l}.cross.q": RNG.standard_normal((dm, dm)),
+                              f"layers.{l}.cross.k": RNG.standard_normal((dc, dm))})
+    save_checkpoint(path, legacy)
     header = b"checkpoint v1\nconfig.rope_on_values = " + rope_on_values.encode() + b"\n"
-    path.write_bytes(path.read_bytes().replace(b"checkpoint v2\n", header, 1))
+    path.write_bytes(path.read_bytes().replace(b"checkpoint v3\n", header, 1))
 
 
 def test_v1_checkpoint_reads_as_its_v2_counterpart(tmp_path):
     params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6, meta={"stage": "1"})
     write_v1(tmp_path / "v1.ckpt", params)
-    save_checkpoint(tmp_path / "v2.ckpt", params)
-    v1, v2 = load_checkpoint(tmp_path / "v1.ckpt"), load_checkpoint(tmp_path / "v2.ckpt")
-    assert v1.config == v2.config == params.config
-    assert v1.meta == v2.meta
-    assert v1.equal(v2) and v2.equal(params)
+    write_v2(tmp_path / "v2.ckpt", per_head(params))
+    save_checkpoint(tmp_path / "v3.ckpt", params)
+    assert (tmp_path / "v3.ckpt").read_bytes().startswith(b"checkpoint v3\n")
+    v1, v2, v3 = (load_checkpoint(tmp_path / f"v{i}.ckpt") for i in (1, 2, 3))
+    assert v1.config == v2.config == v3.config == params.config
+    assert v1.meta == v2.meta == v3.meta
+    assert v1.equal(v3) and v2.equal(v3) and v3.equal(params)
+    legacy = per_head(params)
+    for l in range(params.config.n_layers):
+        heads = [legacy.values[f"layers.{l}.attn.{kind}.{h}"] for kind in ("q", "k", "v")
+                 for h in range(params.config.n_heads)]
+        assert np.array_equal(v2.values[f"layers.{l}.attn.qkv.w"], np.concatenate(heads, axis=1))
+
+
+@pytest.mark.parametrize("damage", ["missing", "misshaped"])
+def test_v2_checkpoint_with_a_damaged_head_rejected(tmp_path, capsys, damage):
+    legacy = per_head(init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6))
+    if damage == "missing":
+        del legacy.values["layers.1.attn.k.0"]
+    else:
+        legacy.values["layers.1.attn.k.0"] = np.zeros((16, 7))
+    write_v2(tmp_path / "v2.ckpt", legacy)
+    with pytest.raises(FormatError, match="layers.1.attn.k.0"):
+        load_checkpoint(tmp_path / "v2.ckpt")
+    assert main(["generate", "--ckpt", str(tmp_path / "v2.ckpt"), "--out", str(tmp_path / "gen"),
+                 "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_v1_checkpoint_with_rope_on_values_rejected(tmp_path):

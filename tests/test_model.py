@@ -89,6 +89,16 @@ def test_rope_preserves_norm_and_inverts():
     assert np.abs(back.data - x).max() < 1e-12
 
 
+def test_rope_rotates_every_head_group_alike():
+    freqs = RopeFrequencies.create(4, 100.0)
+    x = RNG.standard_normal((3, 12))
+    pos = np.array([0.0, 2.0, 9.0])
+    out = rope_apply(Tensor(x), pos, freqs).data
+    for h in range(3):
+        group = slice(4 * h, 4 * h + 4)
+        assert np.array_equal(out[:, group], rope_apply(Tensor(x[:, group]), pos, freqs).data)
+
+
 def test_rope_gradient_is_inverse_rotation():
     freqs = RopeFrequencies.create(4, 100.0)
     x = Tensor(RNG.standard_normal((2, 4)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from nfar.numerics import (
     TapeError,
     Tensor,
     add,
+    attention,
     concat,
     conv1d_strided,
     finite_difference_grad,
@@ -16,13 +19,10 @@ from nfar.numerics import (
     matmul,
     mean_all,
     mul,
-    reshape,
     slice2d,
-    softmax_rows,
     sub,
     sum_all,
     tanh,
-    transpose2d,
     window_products,
 )
 
@@ -65,13 +65,11 @@ def test_matmul_shape_error_names_shapes():
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
-def test_reshape_transpose_slice_concat_gradients():
+def test_slice_concat_gradients():
     x0 = RNG.standard_normal((4, 6))
 
     def build(t):
-        r = reshape(t, (6, 4))
-        tr = transpose2d(r)
-        s = slice2d(tr, rows=slice(1, 3), cols=slice(0, 4))
+        s = slice2d(t, rows=slice(1, 3), cols=slice(0, 4))
         c = concat([s, s], axis=1)
         return mean_all(mul(c, c))
 
@@ -87,28 +85,65 @@ def test_layer_norm_gradient_and_normalization():
     fd_check(lambda t: sum_all(mul(layer_norm(t, g, b), layer_norm(t, g, b))), x0, rtol=1e-5)
 
 
-def test_softmax_masked_entries_exactly_zero():
-    x = Tensor(RNG.standard_normal((3, 5)) * 10)
-    mask = np.ones((3, 5))
+def attention_mask(n, m):
+    mask = np.ones((n, m))
     mask[0, 2] = 0.0
     mask[2, :2] = 0.0
-    p = softmax_rows(x, mask).data
-    assert p[0, 2] == 0.0
-    assert (p[2, :2] == 0.0).all()
-    assert np.allclose(p.sum(axis=1), 1.0)
-
-
-def test_softmax_all_masked_row_rejected():
-    with pytest.raises(MaskError):
-        softmax_rows(Tensor(np.zeros((2, 3))), np.array([[1.0, 1, 1], [0, 0, 0]]))
-
-
-def test_softmax_gradient():
-    x0 = RNG.standard_normal((3, 5))
-    mask = np.ones((3, 5))
     mask[1, 3:] = 0.0
-    w = Tensor(RNG.standard_normal((3, 5)))
-    fd_check(lambda t: sum_all(mul(softmax_rows(t, mask), w)), x0, rtol=1e-5)
+    return mask
+
+
+def per_head_attention(q, k, v, mask, n_heads):
+    """Reference: each head's masked softmax(q k^T / sqrt(hd)) v, heads side by side."""
+    hd = q.shape[1] // n_heads
+    outs = []
+    for h in range(n_heads):
+        cols = slice(h * hd, (h + 1) * hd)
+        scores = q[:, cols] @ k[:, cols].T / math.sqrt(hd)
+        e = np.where(mask != 0, np.exp(scores - scores.max(axis=1, keepdims=True)), 0.0)
+        outs.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+    return np.concatenate(outs, axis=1)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_gradients(n_heads):
+    q0, k0, v0 = (RNG.standard_normal((r, 8)) for r in (3, 5, 5))
+    mask = attention_mask(3, 5)
+    w = Tensor(RNG.standard_normal((3, 8)))
+    out = attention(Tensor(q0), Tensor(k0), Tensor(v0), mask, n_heads)
+    assert len(out.parents) == 3  # one tape node
+    q, k, v = Tensor(q0), Tensor(k0), Tensor(v0)
+    fd_check(lambda t: sum_all(mul(attention(t, k, v, mask, n_heads), w)), q0, rtol=1e-5)
+    fd_check(lambda t: sum_all(mul(attention(q, t, v, mask, n_heads), w)), k0, rtol=1e-5)
+    fd_check(lambda t: sum_all(mul(attention(q, k, t, mask, n_heads), w)), v0, rtol=1e-5)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_matches_a_per_head_loop(n_heads):
+    q, k, v = (RNG.standard_normal((r, 8)) * 3 for r in (4, 6, 6))
+    mask = attention_mask(4, 6)
+    out = attention(Tensor(q), Tensor(k), Tensor(v), mask, n_heads).data
+    assert np.abs(out - per_head_attention(q, k, v, mask, n_heads)).max() < 1e-12
+
+
+def test_attention_masked_keys_do_not_reach_the_output():
+    q, k, v = (RNG.standard_normal((r, 8)) for r in (3, 5, 5))
+    mask = attention_mask(3, 5)
+    base = attention(Tensor(q), Tensor(k), Tensor(v), mask, 2).data
+    for j in range(5):
+        kp, vp = k.copy(), v.copy()
+        kp[j] += 0.5
+        vp[j] += 0.5
+        out = attention(Tensor(q), Tensor(kp), Tensor(vp), mask, 2).data
+        for i in range(3):
+            assert np.array_equal(out[i], base[i]) == (mask[i, j] == 0)
+
+
+def test_attention_all_masked_row_rejected():
+    x = Tensor(np.zeros((2, 4)))
+    with pytest.raises(MaskError):
+        attention(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))),
+                  np.array([[1.0, 1, 1], [0, 0, 0]]), 2)
 
 
 def test_conv1d_strided_partitions_input():
@@ -201,3 +236,7 @@ def test_float32_storage_propagates():
     x = Tensor(np.ones((2, 2), dtype=np.float32))
     y = mul(add(x, x), 0.5)
     assert y.dtype == np.float32
+    qkv = Tensor(RNG.standard_normal((3, 4)).astype(np.float32))
+    att = attention(qkv, qkv, qkv, np.tril(np.ones((3, 3))), 2)
+    assert att.dtype == np.float32
+    assert grad_of(sum_all(att), [qkv])[0].dtype == np.float32

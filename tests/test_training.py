@@ -80,7 +80,7 @@ def test_loss_gradients_match_finite_differences():
         pt = {k: Tensor(v) for k, v in values.items()}
         return neighbor_forcing_loss(pt, config, seqs, conds, t, eps, plan)
 
-    for name in ("input.w", "layers.0.mod1.w", "layers.1.attn.v.1", "output.b"):
+    for name in ("input.w", "layers.0.mod1.w", "layers.1.attn.qkv.w", "output.b"):
         pt = {k: Tensor(v) for k, v in params.values.items()}
         (g,) = grad_of(neighbor_forcing_loss(pt, config, seqs, conds, t, eps, plan), [pt[name]])
 
