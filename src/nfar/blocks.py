@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +38,9 @@ class BlockPlan:
     def total_chunks(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def starts(self) -> tuple[int, ...]:
+        """First chunk of every block; computed once, since chunk_range reads it per block."""
         out, acc = [], 0
         for s in self.sizes:
             out.append(acc)

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import convkv
 from .blocks import BlockPlan
-from .model import DenoiserConfig, DenoiserParams, block_causal_mask, init_params
-from .numerics import Tensor, finite_difference_grad, grad_of
+from .model import DenoiserConfig, DenoiserParams, block_causal_mask, init_params, wrap_params
+from .numerics import finite_difference_grad, grad_of
 from .rng import STREAM_DATA, make_rng
 from .schedule import GenericSchedule, SamplerConfig, expected_neighbor_distance, monte_carlo_prop2
 from .streaming import generate_full_recompute, generate_stream
@@ -169,18 +169,18 @@ def gradient_integrity(seed: int = 0) -> tuple[bool, str]:
         seqs2 = brng.standard_normal((1, plan_s2.total_chunks, 4))
         eps2 = brng.standard_normal((1, plan_s2.total_chunks, 4))
 
-        def loss_of(values, stage):
-            pt = {k: Tensor(v) for k, v in values.items()}
+        def loss_of(weights, stage):
             if stage == 1:
-                return neighbor_forcing_loss(pt, config, seqs1, conds, t, eps1, plan_s1), pt
-            return neighbor_forcing_loss(pt, config, seqs2, conds, t, eps2, plan_s2, compress_spec=spec), pt
+                return neighbor_forcing_loss(weights, config, seqs1, conds, t, eps1, plan_s1)
+            return neighbor_forcing_loss(weights, config, seqs2, conds, t, eps2, plan_s2, compress_spec=spec)
 
         for name in params.values:
             stage = 2 if name.startswith("compressor.") else 1
-            loss, pt = loss_of(params.values, stage)
-            (g,) = grad_of(loss, [pt[name]])
+            pt = wrap_params(params)
+            (g,) = grad_of(loss_of(pt, stage), [pt[name]])
+            # The differences need no tape: bare weights give the same loss bits.
             fd = finite_difference_grad(
-                lambda x, n=name, s=stage: loss_of({**params.values, n: x}, s)[0].item(),
+                lambda x, n=name, s=stage: loss_of({**params.values, n: x}, s).item(),
                 params.values[name])
             worst = max(worst, float(np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-8)))
     return worst < 1e-4, f"max_rel_err={worst:.2e} over every parameter, 3 batches (tol 1e-4)"

@@ -5,7 +5,8 @@ index; the two reference chunks sit at positions -2 and -1, before
 chunk 0. Step conditioning is adaLN-style: every modulation/gate head
 reads a raw time-feature vector (which includes 1/t alongside the
 sinusoids), so step-dependent rescalings of the velocity field are
-inside the linear span of the heads.
+inside the linear span of the heads. Everything a forward computes from
+(t, cond, weights) alone is folded into one StepConditioning per step.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .numerics import (
     ShapeError,
     Tensor,
     add,
-    as_tensor,
     attention,
     concat,
     conv1d_strided,
+    data_of,
     layer_norm,
     matmul,
     mul,
@@ -78,28 +79,32 @@ class RopeFrequencies:
         return cls(base ** (-2.0 * np.arange(half) / head_dim))
 
 
-def rope_apply(x, positions, freqs: RopeFrequencies) -> Tensor:
+def rope_apply(x, positions, freqs: RopeFrequencies) -> Tensor | np.ndarray:
     """Rotate the dimension pairs of each head_dim column group of (n, H*head_dim) rows.
 
-    Row i turns by positions[i] * frequency in every head's group.
+    Row i turns by positions[i] * frequency in every head's group. Like the
+    `numerics` ops, a bare array in gives a bare array out; a Tensor goes on the tape.
     """
-    x = as_tensor(x)
+    a = data_of(x)
     half = freqs.freqs.size
-    if x.ndim != 2 or x.shape[1] % (2 * half) != 0:
-        raise ShapeError(f"rope input shape {x.shape} does not split into groups of {half} pairs")
+    if a.ndim != 2 or a.shape[1] % (2 * half) != 0:
+        raise ShapeError(f"rope input shape {a.shape} does not split into groups of {half} pairs")
     pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (x.shape[0],):
-        raise ShapeError(f"positions shape {pos.shape} != ({x.shape[0]},)")
+    if pos.shape != (a.shape[0],):
+        raise ShapeError(f"positions shape {pos.shape} != ({a.shape[0]},)")
     angles = pos[:, None, None] * freqs.freqs
-    c = np.cos(angles).astype(x.dtype)
-    s = np.sin(angles).astype(x.dtype)
+    c = np.cos(angles).astype(a.dtype)
+    s = np.sin(angles).astype(a.dtype)
 
-    def rotate(a, sin):  # a: (n, H*head_dim); each group is [first halves | second halves]
-        a = a.reshape(a.shape[0], -1, 2, half)
-        a1, a2 = a[:, :, 0], a[:, :, 1]
-        return np.stack([a1 * c - a2 * sin, a1 * sin + a2 * c], axis=2).reshape(x.shape)
+    def rotate(r, sin):  # r: (n, H*head_dim); each group is [first halves | second halves]
+        r = r.reshape(r.shape[0], -1, 2, half)
+        r1, r2 = r[:, :, 0], r[:, :, 1]
+        return np.stack([r1 * c - r2 * sin, r1 * sin + r2 * c], axis=2).reshape(a.shape)
 
-    return Tensor(rotate(x.data, s), (x,), lambda g: (rotate(g, -s),))
+    out = rotate(a, s)
+    if not isinstance(x, Tensor):
+        return out
+    return Tensor(out, (x,), lambda g: (rotate(g, -s),))
 
 
 def time_embed(t: float, d: int) -> np.ndarray:
@@ -281,8 +286,57 @@ class StepTagError(ValueError):
     """Cached context was produced at a different diffusion step."""
 
 
+@dataclass(frozen=True)
+class StepConditioning:
+    """The part of a forward that depends only on (t, cond, weights), computed once per step.
+
+    Per layer, in `layers`: "mod1" and "mod3" as (1 + gamma, beta) pairs,
+    the gates "gate1" and "gate3", and "cond", the gated condition row
+    cross * gate2. `final` is final.mod's (1 + gamma, beta) pair. These are
+    bare arrays from bare weights and tape nodes from Tensor weights.
+    """
+
+    t: float
+    layers: tuple[dict, ...]
+    final: tuple
+    freqs: RopeFrequencies
+
+
+def step_conditioning(ptensors: dict, config: DenoiserConfig, t: float, cond) -> StepConditioning:
+    """Every modulation, gate and condition row of a forward at step `t`, tagged with `t`."""
+    dtype = ptensors["input.w"].dtype
+    phi = time_embed(t, config.d_model).reshape(1, -1).astype(dtype)
+    cond_row = np.asarray(cond).astype(dtype, copy=False).reshape(1, -1)
+    if cond_row.shape[1] != config.d_cond:
+        raise ShapeError(f"cond dim {cond_row.shape[1]} != {config.d_cond}")
+    one = np.ones((1, config.d_model), dtype=dtype)
+    if isinstance(ptensors["input.w"], Tensor):  # one shared tape leaf per constant, not one per use
+        phi, cond_row, one = Tensor(phi), Tensor(cond_row), Tensor(one)
+    dm = config.d_model
+
+    def linear(name: str):
+        return add(matmul(phi, ptensors[f"{name}.w"]), ptensors[f"{name}.b"])
+
+    def modulation(name: str) -> tuple:
+        m = linear(name)
+        return add(one, slice2d(m, cols=slice(0, dm))), slice2d(m, cols=slice(dm, 2 * dm))
+
+    layers = []
+    for l in range(config.n_layers):
+        p = f"layers.{l}"
+        # The condition is one token, so attention over it has weight 1 for
+        # every query: it enters as a single gated row broadcast over tokens.
+        cross = add(matmul(matmul(cond_row, ptensors[f"{p}.cross.v"]), ptensors[f"{p}.cross.o.w"]),
+                    ptensors[f"{p}.cross.o.b"])
+        layers.append({"mod1": modulation(f"{p}.mod1"), "gate1": linear(f"{p}.gate1"),
+                       "cond": mul(cross, linear(f"{p}.gate2")),
+                       "mod3": modulation(f"{p}.mod3"), "gate3": linear(f"{p}.gate3")})
+    return StepConditioning(t, tuple(layers), modulation("final.mod"),
+                            RopeFrequencies.create(config.head_dim, config.rope_base))
+
+
 def denoiser_forward(
-    ptensors: dict[str, Tensor],
+    ptensors: dict,
     config: DenoiserConfig,
     x_tokens,
     positions,
@@ -291,20 +345,22 @@ def denoiser_forward(
     mask: np.ndarray,
     ctx: ContextKV | None = None,
     memory: InlineMemorySpec | None = None,
-) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
+    conditioning: StepConditioning | None = None,
+) -> tuple[Tensor | np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Predict per-token velocity; also return the new tokens' per-layer K/V.
 
+    `ptensors` maps weight names to bare arrays (no tape: the velocity is
+    an ndarray) or to Tensors (the velocity is a Tensor on their tape).
     `mask` must cover (n_tokens, n_keys) where the key axis is
     [ctx || tokens] when a context is supplied, [tokens || memory] when an
     inline memory spec is supplied, and [tokens] otherwise.
+    `conditioning`, from `step_conditioning` with the same weights, step
+    and cond, saves recomputing it; it is built here when omitted.
     """
     if ctx is not None and memory is not None:
         raise ValueError("cached context and inline memory cannot be combined")
     dtype = ptensors["input.w"].dtype
-    if isinstance(x_tokens, Tensor):
-        x = x_tokens
-    else:
-        x = as_tensor(np.asarray(x_tokens).astype(dtype, copy=False))
+    x = x_tokens if isinstance(x_tokens, Tensor) else np.asarray(x_tokens).astype(dtype, copy=False)
     n = x.shape[0]
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (n,):
@@ -322,37 +378,31 @@ def denoiser_forward(
         key_pos = pos
     if mask.shape != (n, n_keys):
         raise ShapeError(f"mask shape {mask.shape} != ({n}, {n_keys})")
-
-    freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
-    phi = Tensor(time_embed(t, config.d_model).reshape(1, -1).astype(dtype))
-    cond_t = as_tensor(np.asarray(cond).astype(dtype, copy=False).reshape(1, -1))
-    if cond_t.shape[1] != config.d_cond:
-        raise ShapeError(f"cond dim {cond_t.shape[1]} != {config.d_cond}")
-    one = Tensor(np.ones((1, config.d_model), dtype=dtype))
+    if conditioning is None:
+        conditioning = step_conditioning(ptensors, config, t, cond)
+    elif conditioning.t != t:
+        raise StepTagError(f"conditioning step {conditioning.t} != forward step {t}")
+    freqs = conditioning.freqs
     dm = config.d_model
 
-    def modulate(u: Tensor, name: str) -> Tensor:
-        m = add(matmul(phi, ptensors[f"{name}.w"]), ptensors[f"{name}.b"])
-        gamma = slice2d(m, cols=slice(0, dm))
-        beta = slice2d(m, cols=slice(dm, 2 * dm))
-        return add(mul(u, add(one, gamma)), beta)
-
-    def gate(name: str) -> Tensor:
-        return add(matmul(phi, ptensors[f"{name}.w"]), ptensors[f"{name}.b"])
+    def modulate(u, scale_shift: tuple):
+        scale, shift = scale_shift
+        return add(mul(u, scale), shift)
 
     h = add(matmul(x, ptensors["input.w"]), ptensors["input.b"])
     new_kv: list[tuple[np.ndarray, np.ndarray]] = []
 
     for l in range(config.n_layers):
         p = f"layers.{l}"
-        u = modulate(layer_norm(h, ptensors[f"{p}.ln1.g"], ptensors[f"{p}.ln1.b"]), f"{p}.mod1")
+        step = conditioning.layers[l]
+        u = modulate(layer_norm(h, ptensors[f"{p}.ln1.g"], ptensors[f"{p}.ln1.b"]), step["mod1"])
         qkv = matmul(u, ptensors[f"{p}.attn.qkv.w"])
         q, k, v = (slice2d(qkv, cols=slice(i * dm, (i + 1) * dm)) for i in range(3))
-        new_kv.append((k.data, v.data))
+        new_kv.append((data_of(k), data_of(v)))
 
         if ctx is not None:
-            K_all = concat([as_tensor(ctx.layers[l][0].astype(dtype, copy=False)), k])
-            V_all = concat([as_tensor(ctx.layers[l][1].astype(dtype, copy=False)), v])
+            K_all = concat([ctx.layers[l][0].astype(dtype, copy=False), k])
+            V_all = concat([ctx.layers[l][1].astype(dtype, copy=False), v])
         elif memory is not None:
             mem_ks, mem_vs = [], []
             for s, e in memory.spans:
@@ -370,21 +420,16 @@ def denoiser_forward(
         heads = attention(rope_apply(q, pos, freqs), rope_apply(K_all, key_pos, freqs), V_all, mask,
                           config.n_heads)
         attn = add(matmul(heads, ptensors[f"{p}.attn.o.w"]), ptensors[f"{p}.attn.o.b"])
-        h = add(h, mul(attn, gate(f"{p}.gate1")))
+        h = add(h, mul(attn, step["gate1"]))
+        h = add(h, step["cond"])
 
-        # The condition is one token, so attention over it has weight 1 for
-        # every query: it enters as a single gated row broadcast over tokens.
-        cross = add(matmul(matmul(cond_t, ptensors[f"{p}.cross.v"]), ptensors[f"{p}.cross.o.w"]),
-                    ptensors[f"{p}.cross.o.b"])
-        h = add(h, mul(cross, gate(f"{p}.gate2")))
-
-        u3 = modulate(layer_norm(h, ptensors[f"{p}.ln3.g"], ptensors[f"{p}.ln3.b"]), f"{p}.mod3")
+        u3 = modulate(layer_norm(h, ptensors[f"{p}.ln3.g"], ptensors[f"{p}.ln3.b"]), step["mod3"])
         f1 = tanh(add(matmul(u3, ptensors[f"{p}.ffn.w1"]), ptensors[f"{p}.ffn.b1"]))
         f2 = add(matmul(f1, ptensors[f"{p}.ffn.w2"]), ptensors[f"{p}.ffn.b2"])
-        h = add(h, mul(f2, gate(f"{p}.gate3")))
+        h = add(h, mul(f2, step["gate3"]))
 
-    out = modulate(h, "final.mod")
+    out = modulate(h, conditioning.final)
     vel = add(matmul(out, ptensors["output.w"]), ptensors["output.b"])
-    if not np.isfinite(vel.data).all():
+    if not np.isfinite(data_of(vel)).all():
         raise FloatingPointError("denoiser produced non-finite velocities")
     return vel, new_kv

@@ -1,12 +1,15 @@
-"""Dense tensors with reverse-mode gradients on NumPy storage.
+"""Dense arrays with optional reverse-mode gradients on NumPy storage.
 
-Everything in this project computes on :class:`Tensor`, a thin immutable
-wrapper around a row-major float array. Each operation records its
+Every op takes plain arrays or :class:`Tensor` operands. With no
+:class:`Tensor` operand it returns a bare ``np.ndarray`` and records
+nothing: generation and held-out evaluation run this way. With at least
+one, it wraps the same result in a :class:`Tensor` that records its
 parents and a vector-Jacobian closure, so a scalar result can be walked
 backwards by :class:`GradientTape` to produce one gradient per leaf.
-Reduction order inside every op is fixed (plain NumPy loops/BLAS calls,
-no reordering), which is what lets cached-vs-recomputed comparisons use
-tight tolerances.
+Each op computes its result once, the same way on both paths, so the two
+agree bit for bit. Reduction order inside every op is fixed (plain NumPy
+loops/BLAS calls, no reordering), which is what lets cached-vs-recomputed
+comparisons use tight tolerances.
 
 Default precision is float64; float32 is an explicit opt-in for the
 streaming benchmarks.
@@ -19,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-FLOAT_DTYPES = (np.float64, np.float32)
+FLOAT_DTYPES = frozenset({np.dtype(np.float64), np.dtype(np.float32)})
 
 
 class ShapeError(ValueError):
@@ -48,11 +51,8 @@ class Tensor:
 
     __slots__ = ("data", "parents", "vjp")
 
-    def __init__(self, data, parents: tuple = (), vjp: Callable | None = None, dtype=None):
-        arr = _as_array(data, dtype)
-        if arr.dtype not in FLOAT_DTYPES:
-            raise TypeError(f"unsupported dtype {arr.dtype}")
-        self.data = arr
+    def __init__(self, data, parents: tuple = (), vjp: Callable | None = None):
+        self.data = _as_array(data)
         self.parents = parents
         self.vjp = vjp
 
@@ -82,10 +82,38 @@ class Tensor:
         return mul(self, other)
 
 
-def as_tensor(x, dtype=None) -> Tensor:
+def data_of(x):
+    """The array behind an op's result: a Tensor's data, or the bare array itself.
+
+    An ndarray has a ``.data`` attribute of its own (a memoryview), so code
+    that may receive either kind reads values through this, never ``.data``.
+    """
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _array(x) -> np.ndarray:
+    """An operand's float array: a Tensor's data, a float ndarray as is, anything else converted."""
     if isinstance(x, Tensor):
+        return x.data
+    if isinstance(x, np.ndarray) and x.dtype in FLOAT_DTYPES:
         return x
-    return Tensor(x, dtype=dtype)
+    return _as_array(x)
+
+
+def _taped(*operands) -> bool:
+    """Whether an op's result goes on the tape: some operand is a Tensor."""
+    for x in operands:
+        if isinstance(x, Tensor):
+            return True
+    return False
+
+
+def _parents(operands: tuple, arrays: tuple) -> tuple:
+    """Tape parents: each Tensor operand itself, any other operand as a constant leaf."""
+    for x in operands:
+        if not isinstance(x, Tensor):
+            return tuple([o if isinstance(o, Tensor) else Tensor(a) for o, a in zip(operands, arrays)])
+    return operands
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -100,150 +128,168 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- elementwise ops ------------------------------------------------------
 
-def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
-    """Pair coercion that keeps python-scalar operands in the tensor's dtype."""
-    if isinstance(a, Tensor) and not isinstance(b, (Tensor, np.ndarray)):
-        return a, as_tensor(b, dtype=a.dtype)
-    if isinstance(b, Tensor) and not isinstance(a, (Tensor, np.ndarray)):
-        return as_tensor(a, dtype=b.dtype), b
-    return as_tensor(a), as_tensor(b)
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Operand arrays; a scalar operand takes the dtype of an array or Tensor partner."""
+    if isinstance(b, (Tensor, np.ndarray)):
+        y = _array(b)
+        return (_array(a) if isinstance(a, (Tensor, np.ndarray)) else _as_array(a, y.dtype)), y
+    x = _array(a)
+    return x, _as_array(b, x.dtype)
 
 
-def add(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    out = a.data + b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor(out, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    out = a.data - b.data
+def add(a, b) -> Tensor | np.ndarray:
+    x, y = _pair(a, b)
+    out = x + y
+    if not _taped(a, b):
+        return out
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
+        return _unbroadcast(g, x.shape), _unbroadcast(g, y.shape)
 
-    return Tensor(out, (a, b), vjp)
+    return Tensor(out, _parents((a, b), (x, y)), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    out = a.data * b.data
+def sub(a, b) -> Tensor | np.ndarray:
+    x, y = _pair(a, b)
+    out = x - y
+    if not _taped(a, b):
+        return out
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g, x.shape), -_unbroadcast(g, y.shape)
 
-    return Tensor(out, (a, b), vjp)
+    return Tensor(out, _parents((a, b), (x, y)), vjp)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
+def mul(a, b) -> Tensor | np.ndarray:
+    x, y = _pair(a, b)
+    out = x * y
+    if not _taped(a, b):
+        return out
+
+    def vjp(g):
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
+
+    return Tensor(out, _parents((a, b), (x, y)), vjp)
+
+
+def tanh(a) -> Tensor | np.ndarray:
+    x = _array(a)
+    out = np.tanh(x)
+    if not _taped(a):
+        return out
 
     def vjp(g):
         return (g * (1.0 - out * out),)
 
-    return Tensor(out, (a,), vjp)
+    return Tensor(out, _parents((a,), (x,)), vjp)
 
 
 # -- structural ops -------------------------------------------------------
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    extents = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + extents)
+def concat(tensors: Sequence, axis: int = 0) -> Tensor | np.ndarray:
+    arrays = [_array(t) for t in tensors]
+    out = np.concatenate(arrays, axis=axis)
+    if not _taped(*tensors):
+        return out
+    offsets = np.cumsum([0] + [x.shape[axis] for x in arrays])
 
     def vjp(g):
         return tuple(
             np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
+            for i in range(len(arrays))
         )
 
-    return Tensor(out, tuple(tensors), vjp)
+    return Tensor(out, _parents(tuple(tensors), arrays), vjp)
 
 
-def slice2d(a, rows: slice | None = None, cols: slice | None = None) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"slice2d expects a matrix, got shape {a.shape}")
+def slice2d(a, rows: slice | None = None, cols: slice | None = None) -> Tensor | np.ndarray:
+    x = _array(a)
+    if x.ndim != 2:
+        raise ShapeError(f"slice2d expects a matrix, got shape {x.shape}")
     r = rows if rows is not None else slice(None)
     c = cols if cols is not None else slice(None)
-    out = a.data[r, c].copy()
+    out = x[r, c].copy()
+    if not _taped(a):
+        return out
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(x)
         full[r, c] = g
         return (full,)
 
-    return Tensor(out, (a,), vjp)
+    return Tensor(out, _parents((a,), (x,)), vjp)
 
 
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum()
-
-    def vjp(g):
-        return (np.full(a.shape, g, dtype=a.data.dtype),)
-
-    return Tensor(out, (a,), vjp)
-
-
-def mean_all(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size
-    out = a.data.mean()
+def sum_all(a) -> Tensor | np.ndarray:
+    x = _array(a)
+    out = np.asarray(x.sum())
+    if not _taped(a):
+        return out
 
     def vjp(g):
-        return (np.full(a.shape, g / n, dtype=a.data.dtype),)
+        return (np.full(x.shape, g, dtype=x.dtype),)
 
-    return Tensor(out, (a,), vjp)
+    return Tensor(out, _parents((a,), (x,)), vjp)
+
+
+def mean_all(a) -> Tensor | np.ndarray:
+    x = _array(a)
+    out = np.asarray(x.mean())
+    if not _taped(a):
+        return out
+    n = x.size
+
+    def vjp(g):
+        return (np.full(x.shape, g / n, dtype=x.dtype),)
+
+    return Tensor(out, _parents((a,), (x,)), vjp)
 
 
 # -- linear algebra -------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    out = a.data @ b.data
+def matmul(a, b) -> Tensor | np.ndarray:
+    x, y = _array(a), _array(b)
+    if x.ndim != 2 or y.ndim != 2:
+        raise ShapeError(f"matmul expects matrices, got shapes {x.shape} and {y.shape}")
+    if x.shape[1] != y.shape[0]:
+        raise ShapeError(f"matmul inner extents differ: {x.shape} x {y.shape}")
+    out = x @ y
+    if not _taped(a, b):
+        return out
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ y.T, x.T @ g
 
-    return Tensor(out, (a, b), vjp)
+    return Tensor(out, _parents((a, b), (x, y)), vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
+def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor | np.ndarray:
     """Row-wise layer norm over the last axis of a matrix."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if x.ndim != 2:
-        raise ShapeError(f"layer_norm expects a matrix, got shape {x.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    a, g_, b_ = _array(x), _array(gain), _array(bias)
+    if a.ndim != 2:
+        raise ShapeError(f"layer_norm expects a matrix, got shape {a.shape}")
+    mu = a.mean(axis=1, keepdims=True)
+    var = a.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    xhat = (a - mu) * inv
+    out = xhat * g_ + b_
+    if not _taped(x, gain, bias):
+        return out
 
     def vjp(g):
-        d = x.shape[1]
-        gxhat = g * gain.data
+        gxhat = g * g_
         gx = inv * (
             gxhat
             - gxhat.mean(axis=1, keepdims=True)
             - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)
         )
-        return gx.astype(x.data.dtype, copy=False), (g * xhat).sum(axis=0), g.sum(axis=0)
+        return gx.astype(a.dtype, copy=False), (g * xhat).sum(axis=0), g.sum(axis=0)
 
-    return Tensor(out, (x, gain, bias), vjp)
+    return Tensor(out, _parents((x, gain, bias), (a, g_, b_)), vjp)
 
 
-def attention(q, k, v, mask, n_heads: int) -> Tensor:
+def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
     """Masked multi-head attention of (n, H*hd) queries over (m, H*hd) keys and values.
 
     Head h owns columns [h*hd, (h+1)*hd) of q, k, v and the (n, H*hd) output.
@@ -251,19 +297,19 @@ def attention(q, k, v, mask, n_heads: int) -> Tensor:
     (n, m) mask, shared by every head, leaves on: masked weights are exactly
     0, so masked keys and values cannot reach the output. One tape node.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1] \
-            or q.shape[1] % n_heads:
-        raise ShapeError(f"attention operands q {q.shape}, k {k.shape}, v {v.shape} "
+    qa, ka, va = _array(q), _array(k), _array(v)
+    if qa.ndim != 2 or ka.ndim != 2 or ka.shape != va.shape or ka.shape[1] != qa.shape[1] \
+            or qa.shape[1] % n_heads:
+        raise ShapeError(f"attention operands q {qa.shape}, k {ka.shape}, v {va.shape} "
                          f"do not split into {n_heads} heads")
-    n, m = q.shape[0], k.shape[0]
+    n, m = qa.shape[0], ka.shape[0]
     on = np.asarray(mask) != 0
     if on.shape != (n, m):
         raise ShapeError(f"mask shape {on.shape} != scores shape ({n}, {m})")
     if not on.any(axis=1).all():
         bad = int(np.flatnonzero(~on.any(axis=1))[0])
         raise MaskError(f"row {bad} of the attention mask has no unmasked entry")
-    hd = q.shape[1] // n_heads
+    hd = qa.shape[1] // n_heads
     scale = 1.0 / math.sqrt(hd)  # a Python float: a NumPy scalar would promote float32 to float64
 
     def heads(a):  # (rows, H*hd) -> (H, rows, hd)
@@ -272,10 +318,13 @@ def attention(q, k, v, mask, n_heads: int) -> Tensor:
     def rows(a):  # (H, rows, hd) -> (rows, H*hd)
         return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    qh, kh, vh = heads(qa), heads(ka), heads(va)
     scores = np.where(on, (qh @ kh.transpose(0, 2, 1)) * scale, -np.inf)
     e = np.exp(scores - scores.max(axis=2, keepdims=True))  # exp(-inf) = 0 exactly on masked entries
     p = e / e.sum(axis=2, keepdims=True)
+    out = rows(p @ vh)
+    if not _taped(q, k, v):
+        return out
 
     def vjp(g):
         gh = heads(g)
@@ -283,7 +332,7 @@ def attention(q, k, v, mask, n_heads: int) -> Tensor:
         ds = (dp - (dp * p).sum(axis=2, keepdims=True)) * p * scale
         return rows(ds @ kh), rows(ds.transpose(0, 2, 1) @ qh), rows(p.transpose(0, 2, 1) @ gh)
 
-    return Tensor(rows(p @ vh), (q, k, v), vjp)
+    return Tensor(out, _parents((q, k, v), (qa, ka, va)), vjp)
 
 
 def window_products(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -300,31 +349,33 @@ def window_products(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
     return out[..., 0, :] + bias[..., None, :]
 
 
-def conv1d_strided(x, weights, bias) -> Tensor:
+def conv1d_strided(x, weights, bias) -> Tensor | np.ndarray:
     """Non-overlapping 1-D convolution whose stride is its kernel length.
 
     x: (L, c), weights: (k, c, c) mapping in-channel to out-channel,
     bias: (c,). Output row p mixes exactly input rows [p*k, p*k+k).
     A trailing remainder shorter than one window is dropped.
     """
-    x, weights, bias = as_tensor(x), as_tensor(weights), as_tensor(bias)
-    if x.ndim != 2 or weights.ndim != 3:
-        raise ShapeError(f"bad operand ranks: x {x.shape}, weights {weights.shape}")
-    L, c = x.shape
-    k = weights.shape[0]
-    if weights.shape != (k, c, c):
-        raise ShapeError(f"weights shape {weights.shape} != ({k}, {c}, {c})")
+    a, w, b = _array(x), _array(weights), _array(bias)
+    if a.ndim != 2 or w.ndim != 3:
+        raise ShapeError(f"bad operand ranks: x {a.shape}, weights {w.shape}")
+    L, c = a.shape
+    k = w.shape[0]
+    if w.shape != (k, c, c):
+        raise ShapeError(f"weights shape {w.shape} != ({k}, {c}, {c})")
     if L < k:
         raise ShapeError(f"input length {L} is shorter than the kernel {k}")
     n = L // k
-    out = window_products(x.data, weights.data, bias.data)
+    out = window_products(a, w, b)
+    if not _taped(x, weights, bias):
+        return out
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[:n * k] = (g @ weights.data.reshape(k * c, c).T).reshape(n * k, c)
-        return gx, (x.data[:n * k].reshape(n, k * c).T @ g).reshape(k, c, c), g.sum(axis=0)
+        gx = np.zeros_like(a)
+        gx[:n * k] = (g @ w.reshape(k * c, c).T).reshape(n * k, c)
+        return gx, (a[:n * k].reshape(n, k * c).T @ g).reshape(k, c, c), g.sum(axis=0)
 
-    return Tensor(out, (x, weights, bias), vjp)
+    return Tensor(out, _parents((x, weights, bias), (a, w, b)), vjp)
 
 
 # -- gradients ------------------------------------------------------------

@@ -4,7 +4,9 @@ One segmented cache per sampler grid step: within a step t, context K/V
 produced at t are reused append-only across blocks; after a block
 finalizes, every per-step cache rolls (compressing when bounded).
 Includes the uncached full-recompute oracle, the zero-shot conditioning
-experiment, and latency/memory reporting.
+experiment, and latency/memory reporting. Every path runs the denoiser on
+the bare weights, so no forward builds a gradient tape, and computes each
+sampler step's conditioning once.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .model import (
     DenoiserParams,
     block_causal_mask,
     denoiser_forward,
-    wrap_params,
+    step_conditioning,
 )
-from .numerics import Tensor
 from .rng import STREAM_GENERATE, make_rng
 from .schedule import SamplerConfig, euler_integrate
 from .synthdata import LatentSequence
@@ -69,12 +70,17 @@ def _integrate_block(b: int, velocity, x: np.ndarray, sampler: SamplerConfig) ->
         raise GenerationAborted(b, str(err)) from err
 
 
-def _prefill_reference(ptensors, config, x_ref, cond, caches: list[SegmentedKVCache]) -> None:
+def _step_conditionings(params: DenoiserParams, cond, sampler: SamplerConfig) -> list:
+    """One StepConditioning per sampler step, on the bare weights."""
+    return [step_conditioning(params.values, params.config, float(t), cond) for t in sampler.grid[:-1]]
+
+
+def _prefill_reference(weights, config, x_ref, cond, caches: list[SegmentedKVCache], steps: list) -> None:
     n_ref = x_ref.shape[0]
     pos = np.arange(-n_ref, 0)
     mask = np.ones((n_ref, n_ref))
-    for cache in caches:
-        _, kv = denoiser_forward(ptensors, config, x_ref, pos, cache.step_tag, cond, mask)
+    for cache, step in zip(caches, steps):
+        _, kv = denoiser_forward(weights, config, x_ref, pos, cache.step_tag, cond, mask, conditioning=step)
         set_reference(cache, kv, pos)
 
 
@@ -95,25 +101,20 @@ def generate_stream(
     """
     if params.values["input.w"].dtype != np.dtype(dtype):
         params = params.astype(dtype)
-    config = params.config
-    ptensors = wrap_params(params)
+    config, weights = params.config, params.values
     grid = sampler.grid
+    steps = _step_conditionings(params, cond, sampler)
     caches = [
         new_cache(config.n_layers, config.d_model, step_tag=float(t),
                   lam=config.compress_ratio, bounded=use_convkv, dtype=dtype)
         for t in grid[:-1]
     ]
-    _prefill_reference(ptensors, config, np.asarray(x_ref, dtype=dtype), cond, caches)
+    _prefill_reference(weights, config, np.asarray(x_ref, dtype=dtype), cond, caches, steps)
     compressor = compressor_arrays(params) if (use_convkv and compression_mode == "conv") else None
 
     rng = make_rng(seed, STREAM_GENERATE)
     report = GenerationReport(use_convkv=use_convkv)
     out = np.zeros((plan.total_chunks, config.d_latent), dtype=dtype)
-    # Keeps the last forward's tape alive until the next one is built. Freed
-    # first, its intermediates are returned to the OS and faulted back in on
-    # every step: on the stream-unbounded benchmark that made a block 22%
-    # slower (median of 3 runs each, 28.1 vs 23.1 ms).
-    last_tape: list[Tensor] = []
     for b in range(plan.n_blocks):
         s, e = plan.chunk_range(b)
         n = e - s
@@ -127,10 +128,10 @@ def generate_stream(
             ctx, _ = cache_context_view(caches[k])
             mask = np.ones((n, ctx.n_tokens + n))
             t = float(grid[k])
-            vel, kv = denoiser_forward(ptensors, config, x, positions, t, cond, mask, ctx=ctx)
+            vel, kv = denoiser_forward(weights, config, x, positions, t, cond, mask, ctx=ctx,
+                                       conditioning=steps[k])
             cache_append(caches[k], kv, positions, t)
-            last_tape[:] = [vel]
-            return vel.data
+            return vel
 
         out[s:e] = _integrate_block(b, velocity, x, sampler)
         t1 = time.monotonic()
@@ -161,9 +162,9 @@ def generate_full_recompute(
     """
     if params.values["input.w"].dtype != np.dtype(dtype):
         params = params.astype(dtype)
-    config = params.config
-    ptensors = wrap_params(params)
+    config, weights = params.config, params.values
     grid = sampler.grid
+    steps = _step_conditionings(params, cond, sampler)
     n_ref = x_ref.shape[0]
     x_ref = np.asarray(x_ref, dtype=dtype)
     # Reference chunks are inputs, not generated history: process them the
@@ -172,7 +173,7 @@ def generate_full_recompute(
         new_cache(config.n_layers, config.d_model, step_tag=float(t), dtype=dtype)
         for t in grid[:-1]
     ]
-    _prefill_reference(ptensors, config, x_ref, cond, ref_caches)
+    _prefill_reference(weights, config, x_ref, cond, ref_caches, steps)
     ref_ctx = [cache_context_view(c)[0] for c in ref_caches]
 
     rng = make_rng(seed, STREAM_GENERATE)
@@ -192,9 +193,9 @@ def generate_full_recompute(
         def velocity(x, k):
             states.append(x)
             tokens = np.concatenate([traj[a][k] for a in range(b)] + [x])
-            vel, _ = denoiser_forward(ptensors, config, tokens, positions, float(grid[k]), cond, mask,
-                                      ctx=ref_ctx[k])
-            return vel.data[s:]
+            vel, _ = denoiser_forward(weights, config, tokens, positions, float(grid[k]), cond, mask,
+                                      ctx=ref_ctx[k], conditioning=steps[k])
+            return vel[s:]
 
         out[s:e] = _integrate_block(b, velocity, x, sampler)
         traj.append(states)
@@ -237,9 +238,9 @@ def zero_shot_experiment(
             "zero-shot experiment requires a bidirectional (mask_mode='none') model, "
             f"got mask_mode={params.meta.get('mask_mode')!r}"
         )
-    config = params.config
-    ptensors = wrap_params(params)
+    config, weights = params.config, params.values
     grid = sampler.grid
+    steps = _step_conditionings(params, cond, sampler)
     n_ref = x_ref.shape[0]
     x_ref = np.asarray(x_ref, dtype=np.float64)
     scores: dict[str, float] = {}
@@ -278,8 +279,9 @@ def zero_shot_experiment(
                 mask[:n_ref, :n_ref] = 1.0
                 mask[n_ref:, :] = 1.0
                 mask[n_ref:n_ref + n_prev, n_ref + n_prev:] = 0.0  # history cannot see future
-                vel, _ = denoiser_forward(ptensors, config, tokens, positions, float(grid[k]), cond, mask)
-                return vel.data[n_ref + n_prev:]
+                vel, _ = denoiser_forward(weights, config, tokens, positions, float(grid[k]), cond, mask,
+                                          conditioning=steps[k])
+                return vel[n_ref + n_prev:]
 
             x = euler_integrate(velocity, x, sampler)
             out[s:e] = x

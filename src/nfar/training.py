@@ -23,7 +23,7 @@ from .model import (
     expand_mask_with_ref,
     wrap_params,
 )
-from .numerics import ShapeError, Tensor, grad_of, mean_all, mul, slice2d, sub
+from .numerics import ShapeError, add, grad_of, mean_all, mul, slice2d, sub
 from .rng import STREAM_TRAIN, make_rng
 from .synthdata import Dataset
 
@@ -111,7 +111,7 @@ def _inline_memory(spec: CompressSpec, n_ref: int) -> InlineMemorySpec:
 
 
 def neighbor_forcing_loss(
-    ptensors: dict[str, Tensor],
+    ptensors: dict,
     config,
     sequences: np.ndarray,
     conds: np.ndarray,
@@ -121,8 +121,10 @@ def neighbor_forcing_loss(
     compress_spec: CompressSpec | None = None,
     mask_mode: str = "causal",
     block_choice: np.ndarray | None = None,
-) -> Tensor:
+):
     """Mean squared velocity error with one shared step per batch element.
+
+    A scalar Tensor on the tape of Tensor weights; a bare NumPy float from bare weights.
 
     With ``mask_mode="none"`` each element trains a single block (picked by
     ``block_choice``) under full bidirectional attention — the non-AR
@@ -163,9 +165,9 @@ def neighbor_forcing_loss(
             ptensors, config, tokens, positions, t, conds[i], mask, memory=memory
         )
         vel_chunks = slice2d(vel, rows=slice(n_ref, None))
-        diff = sub(vel_chunks, Tensor(tgt))
+        diff = sub(vel_chunks, tgt)
         term = mean_all(mul(diff, diff))
-        loss = term if loss is None else loss + term
+        loss = term if loss is None else add(loss, term)
     return mul(loss, 1.0 / batch)
 
 
@@ -307,13 +309,12 @@ def evaluate_loss(
 ) -> float:
     """Deterministic held-out loss averaged over a fixed step grid."""
     rng = make_rng(seed, STREAM_TRAIN)
-    ptensors = wrap_params(params)
     n_seq, F, d = dataset.sequences.shape
     total = 0.0
     for t in t_values:
         eps = rng.standard_normal((n_seq, F, d))
         loss = neighbor_forcing_loss(
-            ptensors,
+            params.values,
             params.config,
             dataset.sequences,
             dataset.conditions,

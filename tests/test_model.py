@@ -5,6 +5,7 @@ from nfar.blocks import BlockPlan
 from nfar.model import (
     ContextKV,
     DenoiserConfig,
+    InlineMemorySpec,
     RopeFrequencies,
     StepTagError,
     block_causal_mask,
@@ -12,6 +13,7 @@ from nfar.model import (
     expand_mask_with_ref,
     init_params,
     rope_apply,
+    step_conditioning,
     time_embed,
     wrap_params,
 )
@@ -42,6 +44,18 @@ def test_block_plan_default_sizes():
     assert plan.total_chunks == 30
     assert plan.starts == (0, 6, 14, 22)
     assert plan.chunk_range(2) == (14, 22)
+
+
+def test_block_starts_are_cached_without_changing_plan_identity():
+    sizes = tuple(int(s) for s in np.random.default_rng(0).integers(1, 9, size=1000))
+    plan = BlockPlan(sizes)
+    assert plan.starts == tuple(np.cumsum((0,) + sizes[:-1]))
+    assert plan.starts is plan.starts  # built once, not per chunk_range call
+    assert plan.chunk_range(999) == (sum(sizes[:-1]), sum(sizes))
+    fresh = BlockPlan(sizes)
+    assert plan == fresh and hash(plan) == hash(fresh)
+    assert {plan: 1}[fresh] == 1
+    assert plan != BlockPlan(sizes[:-1] + (sizes[-1] + 1,))
 
 
 def test_mask_uniform_plans_match_floor_oracle():
@@ -183,6 +197,54 @@ def test_step_tag_mismatch_rejected():
     with pytest.raises(StepTagError):
         denoiser_forward(pt, config, tokens, np.arange(2), 0.7, np.zeros(8),
                          np.ones((2, 4)), ctx=ctx)
+
+
+def _forward_inputs(config, n=6):
+    return RNG.standard_normal((n, config.d_latent)), np.arange(n), RNG.standard_normal(config.d_cond)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_bare_weights_give_the_taped_forward_bit_for_bit(dtype):
+    config = small_config()
+    params = randomized_params(config, seed=6)
+    rng = np.random.default_rng(6)
+    for name in params.compressor_names():
+        params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
+    params = params.astype(dtype)
+    tokens, pos, cond = _forward_inputs(config, n=12)
+    kv = [(rng.standard_normal((3, config.d_model)), rng.standard_normal((3, config.d_model)))
+          for _ in range(config.n_layers)]
+    lam = config.compress_ratio
+    cases = {
+        "none": dict(mask=block_causal_mask(BlockPlan((6, 6)))),
+        "ctx": dict(mask=np.ones((12, 15)), ctx=ContextKV(layers=kv, positions=np.arange(-3, 0), step_tag=0.3)),
+        "memory": dict(mask=np.ones((12, 14)),
+                       memory=InlineMemorySpec(spans=((0, 2 * lam),), mem_positions=(0.0, float(lam)),
+                                               ratio=lam)),
+    }
+    for case, kw in cases.items():
+        bare, bare_kv = denoiser_forward(params.values, config, tokens, pos, 0.3, cond, **kw)
+        taped, taped_kv = denoiser_forward(wrap_params(params), config, tokens, pos, 0.3, cond, **kw)
+        assert type(bare) is np.ndarray and isinstance(taped, Tensor), case
+        assert bare.dtype == dtype and np.array_equal(bare, taped.data), case
+        for (bk, bv), (tk, tv) in zip(bare_kv, taped_kv):
+            assert type(bk) is np.ndarray and np.array_equal(bk, tk) and np.array_equal(bv, tv), case
+        step = step_conditioning(params.values, config, 0.3, cond)
+        given, _ = denoiser_forward(params.values, config, tokens, pos, 0.3, cond, conditioning=step, **kw)
+        assert np.array_equal(given, bare), case
+
+
+def test_conditioning_of_another_step_rejected():
+    config = small_config()
+    params = randomized_params(config, seed=7)
+    tokens, pos, cond = _forward_inputs(config, n=2)
+    step = step_conditioning(params.values, config, 0.5, cond)
+    assert step.t == 0.5
+    with pytest.raises(StepTagError):
+        denoiser_forward(params.values, config, tokens, pos, 0.7, cond, np.ones((2, 2)), conditioning=step)
+    with pytest.raises(StepTagError):
+        denoiser_forward(wrap_params(params), config, tokens, pos, 0.7, cond, np.ones((2, 2)),
+                         conditioning=step_conditioning(wrap_params(params), config, 0.5, cond))
 
 
 def test_mask_key_count_mismatch_rejected():

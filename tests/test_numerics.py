@@ -240,3 +240,74 @@ def test_float32_storage_propagates():
     att = attention(qkv, qkv, qkv, np.tril(np.ones((3, 3))), 2)
     assert att.dtype == np.float32
     assert grad_of(sum_all(att), [qkv])[0].dtype == np.float32
+
+
+# -- bare-array path ----------------------------------------------------------
+
+def _arrays(dtype, *shapes):
+    return [RNG.standard_normal(s).astype(dtype) for s in shapes]
+
+
+# op name -> (op over the operands, operand shapes)
+OPS = {
+    "add": (add, [(3, 4), (4,)]),
+    "sub": (sub, [(3, 4), (3, 4)]),
+    "mul": (mul, [(3, 4), (1, 4)]),
+    "tanh": (tanh, [(3, 4)]),
+    "concat": (lambda a, b: concat([a, b], axis=1), [(3, 4), (3, 2)]),
+    "slice2d": (lambda a: slice2d(a, rows=slice(1, 3), cols=slice(0, 2)), [(3, 4)]),
+    "matmul": (matmul, [(3, 4), (4, 5)]),
+    "layer_norm": (layer_norm, [(3, 4), (4,), (4,)]),
+    "attention": (lambda q, k, v: attention(q, k, v, attention_mask(3, 5), 2), [(3, 8), (5, 8), (5, 8)]),
+    "sum_all": (sum_all, [(3, 4)]),
+    "mean_all": (mean_all, [(3, 4)]),
+    "conv1d_strided": (conv1d_strided, [(7, 3), (2, 3, 3), (3,)]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", list(OPS))
+def test_bare_operands_give_the_taped_result_as_a_bare_array(name, dtype):
+    op, shapes = OPS[name]
+    arrays = _arrays(dtype, *shapes)
+    bare = op(*arrays)
+    taped = op(*[Tensor(a) for a in arrays])
+    assert type(bare) is np.ndarray and isinstance(taped, Tensor)
+    assert bare.dtype == taped.dtype == dtype
+    assert np.array_equal(bare, taped.data)
+    mixed = op(Tensor(arrays[0]), *arrays[1:])  # one Tensor operand puts the result on the tape
+    assert isinstance(mixed, Tensor) and np.array_equal(mixed.data, bare)
+
+
+def test_scalar_operand_takes_the_dtype_of_a_bare_array():
+    x = np.ones((2, 2), dtype=np.float32)
+    for op in (add, sub, mul):
+        assert op(x, 0.5).dtype == np.float32
+        assert np.array_equal(op(x, 0.5), op(Tensor(x), 0.5).data)
+
+
+# op name -> (call that must fail, operand arrays, expected error)
+BAD = {
+    "matmul-inner": (matmul, [np.zeros((2, 3)), np.zeros((4, 5))], ShapeError),
+    "matmul-rank": (matmul, [np.zeros(3), np.zeros((3, 5))], ShapeError),
+    "slice2d-rank": (lambda a: slice2d(a, rows=slice(0, 1)), [np.zeros(3)], ShapeError),
+    "layer_norm-rank": (layer_norm, [np.zeros(4), np.ones(4), np.zeros(4)], ShapeError),
+    "attention-heads": (lambda q, k, v: attention(q, k, v, np.ones((2, 3)), 3),
+                        [np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((3, 4))], ShapeError),
+    "attention-mask-shape": (lambda q, k, v: attention(q, k, v, np.ones((2, 2)), 2),
+                             [np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((3, 4))], ShapeError),
+    "attention-masked-row": (lambda q, k, v: attention(q, k, v, np.array([[1.0, 1, 1], [0, 0, 0]]), 2),
+                             [np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((3, 4))], MaskError),
+    "conv1d-weights": (conv1d_strided, [np.zeros((4, 3)), np.zeros((2, 3, 4)), np.zeros(3)], ShapeError),
+    "conv1d-short": (conv1d_strided, [np.zeros((1, 3)), np.zeros((2, 3, 3)), np.zeros(3)], ShapeError),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD))
+def test_bad_operands_raise_the_same_error_on_both_paths(case):
+    op, arrays, error = BAD[case]
+    with pytest.raises(error) as bare:
+        op(*arrays)
+    with pytest.raises(error) as taped:
+        op(*[Tensor(a) for a in arrays])
+    assert str(bare.value) == str(taped.value)

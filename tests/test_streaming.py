@@ -3,6 +3,7 @@ import pytest
 
 from nfar.blocks import BlockPlan
 from nfar.model import DenoiserConfig, init_params
+from nfar.numerics import Tensor
 from nfar.schedule import SamplerConfig
 from nfar.streaming import (
     discontinuity_score,
@@ -87,6 +88,27 @@ def test_convkv_vs_recompute_lossy_but_finite():
     diff = np.abs(seq.values - oracle.values).max()
     assert diff > 0.0
     assert np.isfinite(diff)
+
+
+def test_generation_builds_no_tape(monkeypatch):
+    params, x_ref, cond = toy_setup()
+    params.meta["mask_mode"] = "none"
+    created = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    plan = BlockPlan.default(6)
+    for bounded in (True, False):
+        generate_stream(params, x_ref, cond, plan, SAMPLER, use_convkv=bounded, seed=1)
+    generate_full_recompute(params, x_ref, cond, BlockPlan.default(3), SAMPLER, seed=1)
+    zero_shot_experiment(params, x_ref, cond, BlockPlan.default(3), SAMPLER, seed=1)
+    assert not created
+    Tensor(np.zeros(2))  # the patch counts
+    assert created == [1]
 
 
 def test_discontinuity_score_anchors_at_one():

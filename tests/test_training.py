@@ -185,6 +185,31 @@ def test_evaluate_loss_deterministic():
     assert a == b
 
 
+def test_held_out_loss_is_tape_free_and_equals_the_taped_loss(monkeypatch):
+    ds = tiny_dataset(n=3)
+    params = randomized_params(tiny_config(), seed=3)
+    eps = RNG.standard_normal(ds.sequences.shape)
+    t = np.array([0.2, 0.5, 0.9])
+    spec = default_compress_spec(PLAN3, ratio=params.config.compress_ratio)
+    for compress_spec in (None, spec):
+        taped = neighbor_forcing_loss(wrap_params(params), params.config, ds.sequences, ds.conditions,
+                                      t, eps, PLAN3, compress_spec=compress_spec)
+        bare = neighbor_forcing_loss(params.values, params.config, ds.sequences, ds.conditions,
+                                     t, eps, PLAN3, compress_spec=compress_spec)
+        assert isinstance(taped, Tensor) and not isinstance(bare, Tensor)
+        assert bare.item() == taped.item()
+    created = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    evaluate_loss(params, ds, PLAN3, seed=7, compress_spec=spec)
+    assert not created
+
+
 def test_batch_shape_mismatch_rejected():
     params = init_params(tiny_config(), seed=3)
     pt = wrap_params(params)
