@@ -7,6 +7,8 @@ reads a raw time-feature vector (which includes 1/t alongside the
 sinusoids), so step-dependent rescalings of the velocity field are
 inside the linear span of the heads. Everything a forward computes from
 (t, cond, weights) alone is folded into one StepConditioning per step.
+A forward runs one sequence, or a batch of sequences that share their
+positions and mask, each with its own step and condition.
 """
 
 from __future__ import annotations
@@ -80,26 +82,27 @@ class RopeFrequencies:
 
 
 def rope_apply(x, positions, freqs: RopeFrequencies) -> Tensor | np.ndarray:
-    """Rotate the dimension pairs of each head_dim column group of (n, H*head_dim) rows.
+    """Rotate the dimension pairs of each head_dim column group of (..., n, H*head_dim) rows.
 
-    Row i turns by positions[i] * frequency in every head's group. Like the
-    `numerics` ops, a bare array in gives a bare array out; a Tensor goes on the tape.
+    Row i of every leading index turns by positions[i] * frequency in every
+    head's group. Like the `numerics` ops, a bare array in gives a bare
+    array out; a Tensor goes on the tape.
     """
     a = data_of(x)
     half = freqs.freqs.size
-    if a.ndim != 2 or a.shape[1] % (2 * half) != 0:
+    if a.ndim < 2 or a.shape[-1] % (2 * half) != 0:
         raise ShapeError(f"rope input shape {a.shape} does not split into groups of {half} pairs")
     pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (a.shape[0],):
-        raise ShapeError(f"positions shape {pos.shape} != ({a.shape[0]},)")
+    if pos.shape != (a.shape[-2],):
+        raise ShapeError(f"positions shape {pos.shape} != ({a.shape[-2]},)")
     angles = pos[:, None, None] * freqs.freqs
     c = np.cos(angles).astype(a.dtype)
     s = np.sin(angles).astype(a.dtype)
 
-    def rotate(r, sin):  # r: (n, H*head_dim); each group is [first halves | second halves]
-        r = r.reshape(r.shape[0], -1, 2, half)
-        r1, r2 = r[:, :, 0], r[:, :, 1]
-        return np.stack([r1 * c - r2 * sin, r1 * sin + r2 * c], axis=2).reshape(a.shape)
+    def rotate(r, sin):  # r: (..., n, H*head_dim); each group is [first halves | second halves]
+        r = r.reshape(*r.shape[:-1], -1, 2, half)
+        r1, r2 = r[..., 0, :], r[..., 1, :]
+        return np.stack([r1 * c - r2 * sin, r1 * sin + r2 * c], axis=-2).reshape(a.shape)
 
     out = rotate(a, s)
     if not isinstance(x, Tensor):
@@ -107,22 +110,26 @@ def rope_apply(x, positions, freqs: RopeFrequencies) -> Tensor | np.ndarray:
     return Tensor(out, (x,), lambda g: (rotate(g, -s),))
 
 
-def time_embed(t: float, d: int) -> np.ndarray:
-    """Deterministic step embedding: [1, t, 1/max(t, floor), sin/cos bank]."""
-    if not 0.0 <= t <= 1.0:
+def time_embed(t, d: int) -> np.ndarray:
+    """Deterministic step embedding: [1, t, 1/max(t, floor), sin/cos bank].
+
+    A step gives a (d,) vector; an array of steps gives one row per step.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if not 0.0 <= t.min() <= t.max() <= 1.0:  # false for a NaN too
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if d < 4:
         raise ValueError("embedding dim must be >= 4")
-    feats = np.zeros(d)
-    feats[0] = 1.0
-    feats[1] = t
-    feats[2] = 1.0 / max(t, T_FLOOR)
+    feats = np.zeros(t.shape + (d,))
+    feats[..., 0] = 1.0
+    feats[..., 1] = t
+    feats[..., 2] = 1.0 / np.maximum(t, T_FLOOR)
     n_pairs = (d - 3) // 2
     if n_pairs > 0:
         j = np.arange(n_pairs)
         omega = 2.0 * math.pi * (200.0 ** (j / max(n_pairs - 1, 1)))
-        feats[3:3 + n_pairs] = np.sin(omega * t)
-        feats[3 + n_pairs:3 + 2 * n_pairs] = np.cos(omega * t)
+        feats[..., 3:3 + n_pairs] = np.sin(omega * t[..., None])
+        feats[..., 3 + n_pairs:3 + 2 * n_pairs] = np.cos(omega * t[..., None])
     return feats
 
 
@@ -240,9 +247,13 @@ def init_params(config: DenoiserConfig, seed: int, meta: dict[str, str] | None =
     return DenoiserParams(config, v, dict(meta or {}))
 
 
-def wrap_params(params: DenoiserParams) -> dict[str, Tensor]:
-    """Leaf tensors for one loss evaluation."""
-    return {k: Tensor(a) for k, a in params.values.items()}
+def wrap_params(params: DenoiserParams, names=None) -> dict:
+    """Weights for one loss evaluation: the named ones (all by default) as Tensor leaves, the rest bare.
+
+    Bare weights stay off the tape, so no gradient is computed for them.
+    """
+    taped = params.values.keys() if names is None else set(names)
+    return {k: Tensor(a) if k in taped else a for k, a in params.values.items()}
 
 
 # -- forward ----------------------------------------------------------------
@@ -292,26 +303,32 @@ class StepConditioning:
 
     Per layer, in `layers`: "mod1" and "mod3" as (1 + gamma, beta) pairs,
     the gates "gate1" and "gate3", and "cond", the gated condition row
-    cross * gate2. `final` is final.mod's (1 + gamma, beta) pair. These are
-    bare arrays from bare weights and tape nodes from Tensor weights.
+    cross * gate2. `final` is final.mod's (1 + gamma, beta) pair. Each is a
+    (1, d) row for one step, or (B, 1, d) rows for a batch of B steps. These
+    are bare arrays from bare weights and tape nodes from Tensor weights.
     """
 
-    t: float
+    t: float | np.ndarray
     layers: tuple[dict, ...]
     final: tuple
     freqs: RopeFrequencies
 
 
-def step_conditioning(ptensors: dict, config: DenoiserConfig, t: float, cond) -> StepConditioning:
-    """Every modulation, gate and condition row of a forward at step `t`, tagged with `t`."""
+def step_conditioning(ptensors: dict, config: DenoiserConfig, t, cond) -> StepConditioning:
+    """Every modulation, gate and condition row of a forward at step `t`, tagged with `t`.
+
+    `t` is one step with one `cond` vector, or a (B,) array of steps with
+    (B, d_cond) conditions, one per batch element.
+    """
     dtype = ptensors["input.w"].dtype
-    phi = time_embed(t, config.d_model).reshape(1, -1).astype(dtype)
-    cond_row = np.asarray(cond).astype(dtype, copy=False).reshape(1, -1)
-    if cond_row.shape[1] != config.d_cond:
-        raise ShapeError(f"cond dim {cond_row.shape[1]} != {config.d_cond}")
+    phi = time_embed(t, config.d_model)
+    lead = phi.shape[:-1]  # () for one step, (B,) for a batch
+    phi = phi.reshape(*lead, 1, -1).astype(dtype)
+    cond_row = np.asarray(cond).astype(dtype, copy=False)
+    if cond_row.size != phi.size // config.d_model * config.d_cond:
+        raise ShapeError(f"cond shape {cond_row.shape} does not give {config.d_cond} values per step {lead}")
+    cond_row = cond_row.reshape(*lead, 1, config.d_cond)
     one = np.ones((1, config.d_model), dtype=dtype)
-    if isinstance(ptensors["input.w"], Tensor):  # one shared tape leaf per constant, not one per use
-        phi, cond_row, one = Tensor(phi), Tensor(cond_row), Tensor(one)
     dm = config.d_model
 
     def linear(name: str):
@@ -340,7 +357,7 @@ def denoiser_forward(
     config: DenoiserConfig,
     x_tokens,
     positions,
-    t: float,
+    t,
     cond,
     mask: np.ndarray,
     ctx: ContextKV | None = None,
@@ -350,7 +367,10 @@ def denoiser_forward(
     """Predict per-token velocity; also return the new tokens' per-layer K/V.
 
     `ptensors` maps weight names to bare arrays (no tape: the velocity is
-    an ndarray) or to Tensors (the velocity is a Tensor on their tape).
+    an ndarray) or to Tensors (the velocity is a Tensor on their tape); a
+    bare weight in a taped forward is frozen. `x_tokens` is (n, d_latent),
+    or a (B, n, d_latent) batch that shares positions and mask, with one
+    step in `t` and one row of `cond` per element.
     `mask` must cover (n_tokens, n_keys) where the key axis is
     [ctx || tokens] when a context is supplied, [tokens || memory] when an
     inline memory spec is supplied, and [tokens] otherwise.
@@ -361,7 +381,7 @@ def denoiser_forward(
         raise ValueError("cached context and inline memory cannot be combined")
     dtype = ptensors["input.w"].dtype
     x = x_tokens if isinstance(x_tokens, Tensor) else np.asarray(x_tokens).astype(dtype, copy=False)
-    n = x.shape[0]
+    n = x.shape[-2]
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (n,):
         raise ShapeError(f"positions shape {pos.shape} != ({n},)")
@@ -380,7 +400,7 @@ def denoiser_forward(
         raise ShapeError(f"mask shape {mask.shape} != ({n}, {n_keys})")
     if conditioning is None:
         conditioning = step_conditioning(ptensors, config, t, cond)
-    elif conditioning.t != t:
+    elif conditioning.t != t if isinstance(t, float) else not np.array_equal(conditioning.t, t):
         raise StepTagError(f"conditioning step {conditioning.t} != forward step {t}")
     freqs = conditioning.freqs
     dm = config.d_model

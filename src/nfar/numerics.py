@@ -4,12 +4,18 @@ Every op takes plain arrays or :class:`Tensor` operands. With no
 :class:`Tensor` operand it returns a bare ``np.ndarray`` and records
 nothing: generation and held-out evaluation run this way. With at least
 one, it wraps the same result in a :class:`Tensor` that records its
-parents and a vector-Jacobian closure, so a scalar result can be walked
-backwards by :class:`GradientTape` to produce one gradient per leaf.
-Each op computes its result once, the same way on both paths, so the two
-agree bit for bit. Reduction order inside every op is fixed (plain NumPy
-loops/BLAS calls, no reordering), which is what lets cached-vs-recomputed
-comparisons use tight tolerances.
+Tensor operands as parents and a vector-Jacobian closure, so a scalar
+result can be walked backwards by :class:`GradientTape` to produce one
+gradient per leaf. A bare operand is a constant: it gets no gradient and
+no place on the tape. Each op computes its result once, the same way on
+both paths, so the two agree bit for bit. Reduction order inside every op
+is fixed (plain NumPy loops/BLAS calls, no reordering), which is what lets
+cached-vs-recomputed comparisons use tight tolerances.
+
+Row-wise ops take ``(..., n, d)`` operands: leading axes are a batch that
+shares the weights, and a matrix is the case with none. Each slice of a
+batched forward has the bits of its own 2-D call; a weight's gradient is
+one product over the rows of every slice.
 
 Default precision is float64; float32 is an explicit opt-in for the
 streaming benchmarks.
@@ -100,30 +106,32 @@ def _array(x) -> np.ndarray:
     return _as_array(x)
 
 
-def _taped(*operands) -> bool:
-    """Whether an op's result goes on the tape: some operand is a Tensor."""
-    for x in operands:
-        if isinstance(x, Tensor):
-            return True
-    return False
+def _node(out: np.ndarray, operands: tuple, vjp: Callable) -> Tensor:
+    """`out` as a tape node whose parents are the Tensor operands.
+
+    `vjp(g)` returns one gradient per operand, and None for an operand that
+    is not a Tensor: ops skip that gradient's arithmetic, and a bare operand
+    (a constant, or a frozen weight) never becomes a leaf on the tape.
+    """
+    keep = [isinstance(o, Tensor) for o in operands]
+    if all(keep):
+        return Tensor(out, operands, vjp)
+    parents = tuple(o for o, k in zip(operands, keep) if k)
+    return Tensor(out, parents, lambda g: [pg for pg, k in zip(vjp(g), keep) if k])
 
 
-def _parents(operands: tuple, arrays: tuple) -> tuple:
-    """Tape parents: each Tensor operand itself, any other operand as a constant leaf."""
-    for x in operands:
-        if not isinstance(x, Tensor):
-            return tuple([o if isinstance(o, Tensor) else Tensor(a) for o, a in zip(operands, arrays)])
-    return operands
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(..., d) -> (rows, d): every leading axis flattened into one row axis."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of NumPy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+    lead = grad.ndim - len(shape)
+    if lead:
+        grad = grad.sum(axis=tuple(range(lead)))
+    ones = tuple(i for i, extent in enumerate(shape) if extent == 1 and grad.shape[i] != 1)
+    return grad.sum(axis=ones, keepdims=True) if ones else grad
 
 
 # -- elementwise ops ------------------------------------------------------
@@ -140,199 +148,220 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 def add(a, b) -> Tensor | np.ndarray:
     x, y = _pair(a, b)
     out = x + y
-    if not _taped(a, b):
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (ta or tb):
         return out
 
     def vjp(g):
-        return _unbroadcast(g, x.shape), _unbroadcast(g, y.shape)
+        return _unbroadcast(g, x.shape) if ta else None, _unbroadcast(g, y.shape) if tb else None
 
-    return Tensor(out, _parents((a, b), (x, y)), vjp)
+    return _node(out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor | np.ndarray:
     x, y = _pair(a, b)
     out = x - y
-    if not _taped(a, b):
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (ta or tb):
         return out
 
     def vjp(g):
-        return _unbroadcast(g, x.shape), -_unbroadcast(g, y.shape)
+        return _unbroadcast(g, x.shape) if ta else None, -_unbroadcast(g, y.shape) if tb else None
 
-    return Tensor(out, _parents((a, b), (x, y)), vjp)
+    return _node(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor | np.ndarray:
     x, y = _pair(a, b)
     out = x * y
-    if not _taped(a, b):
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (ta or tb):
         return out
 
     def vjp(g):
-        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
+        return _unbroadcast(g * y, x.shape) if ta else None, _unbroadcast(g * x, y.shape) if tb else None
 
-    return Tensor(out, _parents((a, b), (x, y)), vjp)
+    return _node(out, (a, b), vjp)
 
 
 def tanh(a) -> Tensor | np.ndarray:
     x = _array(a)
     out = np.tanh(x)
-    if not _taped(a):
+    if not isinstance(a, Tensor):
         return out
 
     def vjp(g):
         return (g * (1.0 - out * out),)
 
-    return Tensor(out, _parents((a,), (x,)), vjp)
+    return _node(out, (a,), vjp)
 
 
 # -- structural ops -------------------------------------------------------
 
-def concat(tensors: Sequence, axis: int = 0) -> Tensor | np.ndarray:
+def concat(tensors: Sequence, axis: int = -2) -> Tensor | np.ndarray:
+    """Join along `axis`, by default the token axis of (..., n, d) operands."""
     arrays = [_array(t) for t in tensors]
     out = np.concatenate(arrays, axis=axis)
-    if not _taped(*tensors):
+    keep = [isinstance(t, Tensor) for t in tensors]
+    if not any(keep):
         return out
-    offsets = np.cumsum([0] + [x.shape[axis] for x in arrays])
+    cuts = np.cumsum([x.shape[axis] for x in arrays[:-1]])
 
     def vjp(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(arrays))
-        )
+        return [part if k else None for part, k in zip(np.split(g, cuts, axis=axis), keep)]
 
-    return Tensor(out, _parents(tuple(tensors), arrays), vjp)
+    return _node(out, tuple(tensors), vjp)
 
 
 def slice2d(a, rows: slice | None = None, cols: slice | None = None) -> Tensor | np.ndarray:
+    """Rows and columns of the last two axes of a (..., n, d) operand."""
     x = _array(a)
-    if x.ndim != 2:
-        raise ShapeError(f"slice2d expects a matrix, got shape {x.shape}")
+    if x.ndim < 2:
+        raise ShapeError(f"slice2d expects a matrix or a stack of them, got shape {x.shape}")
     r = rows if rows is not None else slice(None)
     c = cols if cols is not None else slice(None)
-    out = x[r, c].copy()
-    if not _taped(a):
+    out = x[..., r, c].copy()
+    if not isinstance(a, Tensor):
         return out
 
     def vjp(g):
         full = np.zeros_like(x)
-        full[r, c] = g
+        full[..., r, c] = g
         return (full,)
 
-    return Tensor(out, _parents((a,), (x,)), vjp)
+    return _node(out, (a,), vjp)
 
 
 def sum_all(a) -> Tensor | np.ndarray:
     x = _array(a)
     out = np.asarray(x.sum())
-    if not _taped(a):
+    if not isinstance(a, Tensor):
         return out
 
     def vjp(g):
         return (np.full(x.shape, g, dtype=x.dtype),)
 
-    return Tensor(out, _parents((a,), (x,)), vjp)
+    return _node(out, (a,), vjp)
 
 
 def mean_all(a) -> Tensor | np.ndarray:
     x = _array(a)
     out = np.asarray(x.mean())
-    if not _taped(a):
+    if not isinstance(a, Tensor):
         return out
     n = x.size
 
     def vjp(g):
         return (np.full(x.shape, g / n, dtype=x.dtype),)
 
-    return Tensor(out, _parents((a,), (x,)), vjp)
+    return _node(out, (a,), vjp)
 
 
 # -- linear algebra -------------------------------------------------------
 
 def matmul(a, b) -> Tensor | np.ndarray:
+    """(..., n, d) rows times a (d, e) matrix.
+
+    The forward is one product per (n, d) slice, so each slice's bits match
+    its own 2-D call; the matrix's gradient is one GEMM over all rows.
+    """
     x, y = _array(a), _array(b)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ShapeError(f"matmul expects matrices, got shapes {x.shape} and {y.shape}")
-    if x.shape[1] != y.shape[0]:
+    if x.ndim < 2 or y.ndim != 2:
+        raise ShapeError(f"matmul expects (..., n, d) rows and a matrix, got shapes {x.shape} and {y.shape}")
+    if x.shape[-1] != y.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {x.shape} x {y.shape}")
     out = x @ y
-    if not _taped(a, b):
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (ta or tb):
         return out
 
     def vjp(g):
-        return g @ y.T, x.T @ g
+        gx = (_rows(g) @ y.T).reshape(x.shape) if ta else None
+        return gx, _rows(x).T @ _rows(g) if tb else None
 
-    return Tensor(out, _parents((a, b), (x, y)), vjp)
+    return _node(out, (a, b), vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor | np.ndarray:
-    """Row-wise layer norm over the last axis of a matrix."""
+    """Layer norm over the last axis of (..., n, d) rows."""
     a, g_, b_ = _array(x), _array(gain), _array(bias)
-    if a.ndim != 2:
-        raise ShapeError(f"layer_norm expects a matrix, got shape {a.shape}")
-    mu = a.mean(axis=1, keepdims=True)
-    var = a.var(axis=1, keepdims=True)
+    if a.ndim < 2:
+        raise ShapeError(f"layer_norm expects a matrix or a stack of them, got shape {a.shape}")
+    mu = a.mean(axis=-1, keepdims=True)
+    var = a.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (a - mu) * inv
     out = xhat * g_ + b_
-    if not _taped(x, gain, bias):
+    tx, tg, tb = isinstance(x, Tensor), isinstance(gain, Tensor), isinstance(bias, Tensor)
+    if not (tx or tg or tb):
         return out
 
     def vjp(g):
-        gxhat = g * g_
-        gx = inv * (
-            gxhat
-            - gxhat.mean(axis=1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)
-        )
-        return gx.astype(a.dtype, copy=False), (g * xhat).sum(axis=0), g.sum(axis=0)
+        gx = None
+        if tx:
+            gxhat = g * g_
+            gx = inv * (
+                gxhat
+                - gxhat.mean(axis=-1, keepdims=True)
+                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+            gx = gx.astype(a.dtype, copy=False)
+        return (gx, _rows(g * xhat).sum(axis=0) if tg else None, _rows(g).sum(axis=0) if tb else None)
 
-    return Tensor(out, _parents((x, gain, bias), (a, g_, b_)), vjp)
+    return _node(out, (x, gain, bias), vjp)
 
 
 def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
-    """Masked multi-head attention of (n, H*hd) queries over (m, H*hd) keys and values.
+    """Masked multi-head attention of (..., n, H*hd) queries over (..., m, H*hd) keys and values.
 
-    Head h owns columns [h*hd, (h+1)*hd) of q, k, v and the (n, H*hd) output.
-    Scores are scaled by 1/sqrt(hd) and soft-maxed over the keys that the
-    (n, m) mask, shared by every head, leaves on: masked weights are exactly
-    0, so masked keys and values cannot reach the output. One tape node.
+    Head h owns columns [h*hd, (h+1)*hd) of q, k, v and the (..., n, H*hd)
+    output. Scores are scaled by 1/sqrt(hd) and soft-maxed over the keys that
+    the (n, m) mask, shared by every head and every leading index, leaves
+    on: masked weights are exactly 0, so masked keys and values cannot reach
+    the output. One tape node.
     """
     qa, ka, va = _array(q), _array(k), _array(v)
-    if qa.ndim != 2 or ka.ndim != 2 or ka.shape != va.shape or ka.shape[1] != qa.shape[1] \
-            or qa.shape[1] % n_heads:
+    if qa.ndim < 2 or ka.shape != va.shape or ka.shape[:-2] != qa.shape[:-2] \
+            or ka.shape[-1] != qa.shape[-1] or qa.shape[-1] % n_heads:
         raise ShapeError(f"attention operands q {qa.shape}, k {ka.shape}, v {va.shape} "
                          f"do not split into {n_heads} heads")
-    n, m = qa.shape[0], ka.shape[0]
+    n, m = qa.shape[-2], ka.shape[-2]
     on = np.asarray(mask) != 0
     if on.shape != (n, m):
         raise ShapeError(f"mask shape {on.shape} != scores shape ({n}, {m})")
     if not on.any(axis=1).all():
         bad = int(np.flatnonzero(~on.any(axis=1))[0])
         raise MaskError(f"row {bad} of the attention mask has no unmasked entry")
-    hd = qa.shape[1] // n_heads
+    hd = qa.shape[-1] // n_heads
     scale = 1.0 / math.sqrt(hd)  # a Python float: a NumPy scalar would promote float32 to float64
 
-    def heads(a):  # (rows, H*hd) -> (H, rows, hd)
-        return a.reshape(a.shape[0], n_heads, hd).transpose(1, 0, 2)
+    def heads(a):  # (..., rows, H*hd) -> (..., H, rows, hd)
+        return a.reshape(*a.shape[:-1], n_heads, hd).swapaxes(-2, -3)
 
-    def rows(a):  # (H, rows, hd) -> (rows, H*hd)
-        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+    def rows(a):  # (..., H, rows, hd) -> (..., rows, H*hd)
+        a = a.swapaxes(-2, -3)
+        return a.reshape(*a.shape[:-2], -1)
 
     qh, kh, vh = heads(qa), heads(ka), heads(va)
-    scores = np.where(on, (qh @ kh.transpose(0, 2, 1)) * scale, -np.inf)
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))  # exp(-inf) = 0 exactly on masked entries
-    p = e / e.sum(axis=2, keepdims=True)
+    scores = np.where(on, (qh @ kh.swapaxes(-1, -2)) * scale, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))  # exp(-inf) = 0 exactly on masked entries
+    p = e / e.sum(axis=-1, keepdims=True)
     out = rows(p @ vh)
-    if not _taped(q, k, v):
+    tq, tk, tv = isinstance(q, Tensor), isinstance(k, Tensor), isinstance(v, Tensor)
+    if not (tq or tk or tv):
         return out
 
     def vjp(g):
         gh = heads(g)
-        dp = gh @ vh.transpose(0, 2, 1)
-        ds = (dp - (dp * p).sum(axis=2, keepdims=True)) * p * scale
-        return rows(ds @ kh), rows(ds.transpose(0, 2, 1) @ qh), rows(p.transpose(0, 2, 1) @ gh)
+        gq = gk = None
+        if tq or tk:
+            dp = gh @ vh.swapaxes(-1, -2)
+            ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
+            gq = rows(ds @ kh) if tq else None
+            gk = rows(ds.swapaxes(-1, -2) @ qh) if tk else None
+        return gq, gk, rows(p.swapaxes(-1, -2) @ gh) if tv else None
 
-    return Tensor(out, _parents((q, k, v), (qa, ka, va)), vjp)
+    return _node(out, (q, k, v), vjp)
 
 
 def window_products(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -352,14 +381,14 @@ def window_products(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
 def conv1d_strided(x, weights, bias) -> Tensor | np.ndarray:
     """Non-overlapping 1-D convolution whose stride is its kernel length.
 
-    x: (L, c), weights: (k, c, c) mapping in-channel to out-channel,
+    x: (..., L, c), weights: (k, c, c) mapping in-channel to out-channel,
     bias: (c,). Output row p mixes exactly input rows [p*k, p*k+k).
     A trailing remainder shorter than one window is dropped.
     """
     a, w, b = _array(x), _array(weights), _array(bias)
-    if a.ndim != 2 or w.ndim != 3:
+    if a.ndim < 2 or w.ndim != 3:
         raise ShapeError(f"bad operand ranks: x {a.shape}, weights {w.shape}")
-    L, c = a.shape
+    L, c = a.shape[-2:]
     k = w.shape[0]
     if w.shape != (k, c, c):
         raise ShapeError(f"weights shape {w.shape} != ({k}, {c}, {c})")
@@ -367,15 +396,22 @@ def conv1d_strided(x, weights, bias) -> Tensor | np.ndarray:
         raise ShapeError(f"input length {L} is shorter than the kernel {k}")
     n = L // k
     out = window_products(a, w, b)
-    if not _taped(x, weights, bias):
+    tx, tw, tb = isinstance(x, Tensor), isinstance(weights, Tensor), isinstance(bias, Tensor)
+    if not (tx or tw or tb):
         return out
 
     def vjp(g):
-        gx = np.zeros_like(a)
-        gx[:n * k] = (g @ w.reshape(k * c, c).T).reshape(n * k, c)
-        return gx, (a[:n * k].reshape(n, k * c).T @ g).reshape(k, c, c), g.sum(axis=0)
+        gx = None
+        if tx:
+            gx = np.zeros_like(a)
+            gx[..., :n * k, :] = (g @ w.reshape(k * c, c).T).reshape(*a.shape[:-2], n * k, c)
+        gw = None
+        if tw:
+            windows = a[..., :n * k, :].reshape(-1, k * c)  # one row per window
+            gw = (windows.T @ _rows(g)).reshape(k, c, c)
+        return gx, gw, _rows(g).sum(axis=0) if tb else None
 
-    return Tensor(out, _parents((x, weights, bias), (a, w, b)), vjp)
+    return _node(out, (x, weights, bias), vjp)
 
 
 # -- gradients ------------------------------------------------------------
@@ -387,22 +423,20 @@ class GradientTape:
         if root.data.size != 1:
             raise ShapeError(f"gradient root must be a scalar, got shape {root.shape}")
         self.root = root
-        self._order: list[Tensor] = []
-        self._on_tape: set[int] = set()
-        # Iterative post-order DFS; graphs can be deep.
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        self._order: list[Tensor] = []   # every node after all of its parents
+        self._on_tape: set[int] = {id(root)}
+        # Iterative post-order DFS, each node pushed once; graphs can be deep.
+        stack = [(root, iter(root.parents))]
         while stack:
-            node, expanded = stack.pop()
-            if id(node) in self._on_tape:
-                continue
-            if expanded:
-                self._on_tape.add(id(node))
-                self._order.append(node)
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in self._on_tape:
+                    self._on_tape.add(id(p))
+                    stack.append((p, iter(p.parents)))
+                    break
             else:
-                stack.append((node, True))
-                for p in node.parents:
-                    if id(p) not in self._on_tape:
-                        stack.append((p, False))
+                stack.pop()
+                self._order.append(node)
 
     def contains(self, node: Tensor) -> bool:
         return id(node) in self._on_tape

@@ -18,8 +18,9 @@ from .rng import STREAM_MONTE_CARLO, make_rng
 class FlowSchedule:
     """Pure map t -> (alpha, sigma) = (1 - t, t) on [0, 1]."""
 
-    def coeffs(self, t: float) -> tuple[float, float]:
-        if not 0.0 <= t <= 1.0:
+    def coeffs(self, t):
+        """(1 - t, t) for a step, or elementwise for an array of steps."""
+        if not np.all((0.0 <= t) & (t <= 1.0)):
             raise ValueError(f"t must lie in [0, 1], got {t}")
         return 1.0 - t, t
 
@@ -70,8 +71,11 @@ class SamplerConfig:
         return len(self.grid) - 1
 
 
-def noise_forward(x0: np.ndarray, t: float, eps: np.ndarray, schedule=None) -> np.ndarray:
-    """Forward noising: alpha_t * x0 + sigma_t * eps (flow schedule by default)."""
+def noise_forward(x0: np.ndarray, t, eps: np.ndarray, schedule=None) -> np.ndarray:
+    """Forward noising: alpha_t * x0 + sigma_t * eps (flow schedule by default).
+
+    `t` may be an array that broadcasts against `x0`, e.g. one step per sequence.
+    """
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:

@@ -5,10 +5,15 @@ shared diffusion step (the step-aligned regime). Stage 2 freezes the
 denoiser and trains the KV compressor under an attention mask where late
 blocks see compressed-memory tokens instead of the raw chunks those
 tokens summarize.
+
+A training step runs its whole batch through one forward, keeps the
+frozen weights bare (off the tape) and updates every trainable weight with
+one Adam step over a flat buffer that the weights are views into.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,7 @@ from .model import (
 )
 from .numerics import ShapeError, add, grad_of, mean_all, mul, slice2d, sub
 from .rng import STREAM_TRAIN, make_rng
+from .schedule import noise_forward, velocity_target
 from .synthdata import Dataset
 
 
@@ -110,6 +116,31 @@ def _inline_memory(spec: CompressSpec, n_ref: int) -> InlineMemorySpec:
     return InlineMemorySpec(spans=token_spans, mem_positions=tuple(spec.mem_positions()), ratio=spec.ratio)
 
 
+def _check_loss_inputs(batch, config, sequences, conds, t_shared, eps, plan, compress_spec, mask_mode,
+                       block_choice) -> None:
+    if sequences.ndim != 3 or sequences.shape != eps.shape or t_shared.shape != (batch,):
+        raise ShapeError(
+            f"batch shapes disagree: sequences {sequences.shape}, eps {eps.shape}, t {t_shared.shape}"
+        )
+    if sequences.shape[1] != plan.total_chunks:
+        raise ShapeError(f"sequence length {sequences.shape[1]} != plan chunks {plan.total_chunks}")
+    if conds.shape != (batch, config.d_cond):
+        raise ShapeError(f"conds shape {conds.shape} != ({batch}, {config.d_cond}): one condition per sequence")
+    if mask_mode not in ("causal", "none"):
+        raise ValueError(f"unknown mask mode {mask_mode!r}")
+    if mask_mode == "causal":
+        return
+    if compress_spec is not None:
+        raise ValueError("compressed memory needs mask_mode='causal'")
+    if block_choice is None:
+        raise ValueError("mask_mode='none' needs a block_choice per sequence")
+    if block_choice.shape != (batch,):
+        raise ShapeError(f"block_choice shape {block_choice.shape} != ({batch},)")
+    if not np.issubdtype(block_choice.dtype, np.integer) \
+            or not ((block_choice >= 0) & (block_choice < plan.n_blocks)).all():
+        raise ValueError(f"block_choice must hold block indices in [0, {plan.n_blocks}), got {block_choice}")
+
+
 def neighbor_forcing_loss(
     ptensors: dict,
     config,
@@ -125,50 +156,47 @@ def neighbor_forcing_loss(
     """Mean squared velocity error with one shared step per batch element.
 
     A scalar Tensor on the tape of Tensor weights; a bare NumPy float from bare weights.
+    Every element shares the plan, so the whole batch runs as one forward.
 
     With ``mask_mode="none"`` each element trains a single block (picked by
     ``block_choice``) under full bidirectional attention — the non-AR
-    backbone used by the zero-shot experiment.
+    backbone used by the zero-shot experiment. Elements that picked the
+    same block share one forward.
     """
-    if sequences.shape[0] != t_shared.shape[0] or sequences.shape != eps.shape:
-        raise ShapeError(
-            f"batch shapes disagree: sequences {sequences.shape}, eps {eps.shape}, t {t_shared.shape}"
-        )
-    if sequences.shape[1] != plan.total_chunks:
-        raise ShapeError(f"sequence length {sequences.shape[1]} != plan chunks {plan.total_chunks}")
-    n_ref = config.n_ref_chunks
     batch = sequences.shape[0]
-    memory = _inline_memory(compress_spec, n_ref) if compress_spec is not None else None
-    if compress_spec is not None:
-        chunk_mask = build_stage2_mask(plan, compress_spec)
-    elif mask_mode == "causal":
-        chunk_mask = block_causal_mask(plan)
-    loss = None
-    for i in range(batch):
-        x0 = sequences[i]
-        t = float(t_shared[i])  # one step for every chunk of this element
-        x_t = (1.0 - t) * x0 + t * eps[i]
-        target = eps[i] - x0
-        if mask_mode == "none":
-            b = int(block_choice[i])
-            s, e = plan.chunk_range(b)
-            tokens = np.concatenate([x0[:n_ref], x_t[s:e]])
-            positions = np.concatenate([np.arange(-n_ref, 0), np.arange(s, e)])
-            mask = np.ones((tokens.shape[0], tokens.shape[0]))
-            tgt = target[s:e]
+    t_shared = np.asarray(t_shared)
+    if block_choice is not None:
+        block_choice = np.asarray(block_choice)
+    _check_loss_inputs(batch, config, sequences, conds, t_shared, eps, plan, compress_spec, mask_mode,
+                       block_choice)
+    n_ref = config.n_ref_chunks
+    x_t = noise_forward(sequences, t_shared[:, None, None], eps)  # one step for every chunk of an element
+    target = velocity_target(sequences, eps)
+    memory = None
+    if mask_mode == "none":
+        groups = [(block_choice == b, plan.chunk_range(b)) for b in np.unique(block_choice)]
+    else:
+        groups = [(slice(None), (0, plan.total_chunks))]
+        if compress_spec is None:
+            chunk_mask = block_causal_mask(plan)
         else:
-            tokens = np.concatenate([x0[:n_ref], x_t])
-            positions = np.concatenate([np.arange(-n_ref, 0), np.arange(plan.total_chunks)])
-            mask = expand_mask_with_ref(chunk_mask, n_ref)
-            tgt = target
+            memory = _inline_memory(compress_spec, n_ref)
+            chunk_mask = build_stage2_mask(plan, compress_spec)
+        mask = expand_mask_with_ref(chunk_mask, n_ref)
+    loss = None
+    for rows, (s, e) in groups:
+        tokens = np.concatenate([sequences[rows, :n_ref], x_t[rows, s:e]], axis=1)
+        positions = np.concatenate([np.arange(-n_ref, 0), np.arange(s, e)])
+        if mask_mode == "none":
+            mask = np.ones((tokens.shape[1], tokens.shape[1]))
         vel, _ = denoiser_forward(
-            ptensors, config, tokens, positions, t, conds[i], mask, memory=memory
+            ptensors, config, tokens, positions, t_shared[rows], conds[rows], mask, memory=memory
         )
-        vel_chunks = slice2d(vel, rows=slice(n_ref, None))
-        diff = sub(vel_chunks, tgt)
-        term = mean_all(mul(diff, diff))
+        diff = sub(slice2d(vel, rows=slice(n_ref, None)), target[rows, s:e])
+        # Each element's mean counts once: the group's mean over its share of the batch.
+        term = mul(mean_all(mul(diff, diff)), tokens.shape[0] / batch)
         loss = term if loss is None else add(loss, term)
-    return mul(loss, 1.0 / batch)
+    return loss
 
 
 @dataclass
@@ -196,32 +224,52 @@ class TrainConfig:
 
 
 class Adam:
-    def __init__(self, names: list[str], lr: float, betas: tuple[float, float], eps: float):
-        self.names = names
+    """Adam over one flat parameter buffer, updated in place.
+
+    The moments are kept undivided by (1 - beta): m = sum_k b1^(t-k) g_k and
+    v = sum_k b2^(t-k) g_k^2, which saves a pass per update, and the bias
+    corrections fold into scalars. Every pass writes into a buffer allocated
+    once, so a step touches no fresh memory.
+    """
+
+    def __init__(self, flat: np.ndarray, lr: float, betas: tuple[float, float], eps: float):
+        self.flat = flat
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+        self._g = np.empty_like(flat)
         self.t = 0
 
-    def step(self, values: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
+        """One update from per-tensor gradients listed in the buffer's order."""
         self.t += 1
-        for name in self.names:
-            g = grads[name]
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(values[name])
-                self.m[name] = m
-                self.v[name] = np.zeros_like(values[name])
-            v = self.v[name]
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1 ** self.t)
-            vhat = v / (1 - self.b2 ** self.t)
-            values[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        g = np.concatenate(grads, axis=None, out=self._g)
+        self.m *= self.b1
+        self.m += g
+        g *= g
+        self.v *= self.b2
+        self.v += g
+        # lr * mhat / (sqrt(vhat) + eps) with mhat = c1 m, vhat = c2 v
+        c1 = (1 - self.b1) / (1 - self.b1 ** self.t)
+        root_c2 = math.sqrt((1 - self.b2) / (1 - self.b2 ** self.t))
+        np.sqrt(self.v, out=g)
+        g += self.eps / root_c2
+        np.divide(self.m, g, out=g)
+        g *= self.lr * c1 / root_c2
+        self.flat -= g
+
+
+def _flat_views(values: dict[str, np.ndarray], names: list[str]) -> np.ndarray:
+    """Copy the named arrays into one contiguous buffer and make each a view into it."""
+    flat = np.concatenate([values[n] for n in names], axis=None)
+    offset = 0
+    for n in names:
+        size = values[n].size
+        values[n] = flat[offset:offset + size].reshape(values[n].shape)
+        offset += size
+    return flat
 
 
 def _stratified_t(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
@@ -239,7 +287,7 @@ def _run_training(
 ) -> tuple[DenoiserParams, list[tuple[int, float, float]]]:
     params = params.copy()
     rng = make_rng(config.seed, STREAM_TRAIN)
-    opt = Adam(trainable, config.learning_rate, config.betas, config.adam_eps)
+    opt = Adam(_flat_views(params.values, trainable), config.learning_rate, config.betas, config.adam_eps)
     n_seq, F, d = dataset.sequences.shape
     history: list[tuple[int, float, float]] = []
     last_good = params.copy()
@@ -250,7 +298,7 @@ def _run_training(
         block_choice = None
         if config.mask_mode == "none":
             block_choice = rng.integers(0, config.plan.n_blocks, size=config.batch_size)
-        ptensors = wrap_params(params)
+        ptensors = wrap_params(params, trainable)
         loss = neighbor_forcing_loss(
             ptensors,
             params.config,
@@ -270,7 +318,7 @@ def _run_training(
         grads = grad_of(loss, [ptensors[n] for n in trainable])
         if config.lr_schedule == "cosine":
             opt.lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.total_steps))
-        opt.step(params.values, dict(zip(trainable, grads)))
+        opt.step(grads)
         if step % 200 == 0:
             last_good = params.copy()
     return params, history

@@ -245,6 +245,13 @@ def test_conditioning_of_another_step_rejected():
     with pytest.raises(StepTagError):
         denoiser_forward(wrap_params(params), config, tokens, pos, 0.7, cond, np.ones((2, 2)),
                          conditioning=step_conditioning(wrap_params(params), config, 0.5, cond))
+    batch, conds, t = np.stack([tokens, tokens]), np.stack([cond, cond]), np.array([0.5, 0.7])
+    steps = step_conditioning(params.values, config, t, conds)
+    given, _ = denoiser_forward(params.values, config, batch, pos, t.copy(), conds, np.ones((2, 2)),
+                                conditioning=steps)
+    assert np.array_equal(given, denoiser_forward(params.values, config, batch, pos, t, conds, np.ones((2, 2)))[0])
+    with pytest.raises(StepTagError):
+        denoiser_forward(params.values, config, batch, pos, t[::-1], conds, np.ones((2, 2)), conditioning=steps)
 
 
 def test_mask_key_count_mismatch_rejected():

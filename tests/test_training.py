@@ -5,7 +5,7 @@ from nfar import checks
 from nfar.blocks import BlockPlan
 from nfar.checks import randomized_params
 from nfar.model import DenoiserConfig, block_causal_mask, init_params, wrap_params
-from nfar.numerics import Tensor, finite_difference_grad, grad_of
+from nfar.numerics import ShapeError, Tensor, finite_difference_grad, grad_of
 from nfar.synthdata import Dataset, LatentDynamics, condition_vector, make_dataset
 from nfar.training import (
     CompressSpec,
@@ -216,3 +216,64 @@ def test_batch_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         neighbor_forcing_loss(pt, params.config, np.zeros((2, 22, 16)), np.zeros((2, 32)),
                               np.zeros(3), np.zeros((2, 22, 16)), PLAN3)
+
+
+def _loss_args(batch=2):
+    params = init_params(tiny_config(), seed=3)
+    ds = tiny_dataset(n=batch)
+    return (params.values, params.config, ds.sequences, ds.conditions, np.full(batch, 0.5),
+            RNG.standard_normal(ds.sequences.shape), PLAN3)
+
+
+def test_unknown_mask_mode_rejected():
+    with pytest.raises(ValueError, match="unknown mask mode"):
+        neighbor_forcing_loss(*_loss_args(), mask_mode="bogus")
+
+
+def test_nonar_mask_mode_needs_a_valid_block_choice():
+    with pytest.raises(ValueError, match="block_choice"):
+        neighbor_forcing_loss(*_loss_args(), mask_mode="none")
+    with pytest.raises(ShapeError):
+        neighbor_forcing_loss(*_loss_args(), mask_mode="none", block_choice=np.array([0]))
+    for bad in (np.array([0, 3]), np.array([-1, 0]), np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="block indices"):
+            neighbor_forcing_loss(*_loss_args(), mask_mode="none", block_choice=bad)
+    spec = default_compress_spec(PLAN3)
+    with pytest.raises(ValueError, match="causal"):
+        neighbor_forcing_loss(*_loss_args(), compress_spec=spec, mask_mode="none",
+                              block_choice=np.array([0, 1]))
+
+
+def test_one_condition_per_sequence_required():
+    weights, config, seqs, conds, t, eps, plan = _loss_args()
+    for bad in (conds[:1], conds[:, :-1], conds[0]):
+        with pytest.raises(ShapeError, match="conds shape"):
+            neighbor_forcing_loss(weights, config, seqs, bad, t, eps, plan)
+
+
+def _tape_nodes(loss) -> tuple[set, set]:
+    """Ids of every node on the tape of `loss`, and of its leaves."""
+    seen, stack, leaves = set(), [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if not node.parents:
+                leaves.add(id(node))
+    return seen, leaves
+
+
+def test_stage2_tape_holds_only_the_compressor():
+    # Frozen weights stay bare, so every leaf of the stage-2 tape is a compressor
+    # tensor, and layer 0 up to its memory conv records nothing.
+    ds = tiny_dataset(n=2)
+    params = randomized_params(tiny_config(), seed=3)
+    spec = default_compress_spec(PLAN3)
+    args = (params.config, ds.sequences, ds.conditions, np.array([0.3, 0.6]),
+            RNG.standard_normal(ds.sequences.shape), PLAN3)
+    pt = wrap_params(params, params.compressor_names())
+    nodes, leaves = _tape_nodes(neighbor_forcing_loss(pt, *args, compress_spec=spec))
+    assert leaves == {id(pt[n]) for n in params.compressor_names()}
+    all_nodes, _ = _tape_nodes(neighbor_forcing_loss(wrap_params(params), *args, compress_spec=spec))
+    assert len(nodes) < len(all_nodes) / 2
