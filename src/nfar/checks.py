@@ -11,7 +11,14 @@ import numpy as np
 
 from . import convkv
 from .blocks import BlockPlan
-from .model import DenoiserConfig, DenoiserParams, block_causal_mask, init_params, wrap_params
+from .model import (
+    DenoiserConfig,
+    DenoiserParams,
+    RopeFrequencies,
+    block_causal_mask,
+    init_params,
+    wrap_params,
+)
 from .numerics import finite_difference_grad, grad_of
 from .rng import STREAM_DATA, make_rng
 from .schedule import GenericSchedule, SamplerConfig, expected_neighbor_distance, monte_carlo_prop2
@@ -127,7 +134,8 @@ def coverage_ledger(seed: int = 0) -> tuple[bool, str]:
     """Over 100 rolls every raw chunk is accounted exactly once and pending stays below a window."""
     config = DenoiserConfig()
     comp = convkv.compressor_arrays(init_params(config, seed=seed))
-    cache = convkv.new_cache(config.n_layers, config.d_model, step_tag=0.5)
+    freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
+    cache = convkv.new_cache(config.n_layers, config.d_model, step_tag=0.5, freqs=freqs)
     rng = np.random.default_rng(seed)
 
     def kv(n):

@@ -138,10 +138,10 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     io.write_latents(out / "latents.bin", seq.values.astype(dtype))
     with open(out / "report.csv", "w", encoding="utf-8") as fh:
-        fh.write("block,seconds,context_chunks,context_floats\n")
+        fh.write("block,seconds,context_chunks,context_floats,roll_seconds\n")
         for b in range(plan.n_blocks):
             fh.write(f"{b},{report.block_times[b]!r},{report.context_chunks[b]},"
-                     f"{report.context_floats[b]}\n")
+                     f"{report.context_floats[b]},{report.roll_times[b]!r}\n")
     _echo_config(out, args, ["ckpt", "blocks", "steps", "convkv", "seed", "dtype"])
     print("context chunks per block:", report.context_chunks)
     print(report.summary())

@@ -1,14 +1,26 @@
 """Bounded-memory segmented KV cache with convolutional compression.
 
-Keys and values are stored un-rotated together with a per-chunk position
-tag; rotary encoding is applied when a context view is consumed. A
-compressed chunk carries the starting position of the window it
-summarizes, which realizes the positional reset exactly instead of
-approximating it with inverse rotations.
+The cache is the one place where context keys are rotated. A stored
+chunk's rotary position never changes: a raw chunk keeps its own
+position, and a compressed chunk carries the starting position of the
+window it summarizes, which realizes the positional reset exactly instead
+of approximating it with inverse rotations. So each key is rotated once,
+when it enters a segment that attention reads: the reference in
+`set_reference`; short-term, long-term and history chunks in `cache_roll`.
+A context view hands out rotated keys, and a forward rotates only the
+block it computes.
 
 Segments (bounded mode): reference (2 chunks) | long_term (2 compressed
 chunks) | short_term (2 raw chunks) | current block, plus a pending
 buffer of evicted raw chunks waiting to fill a compression window.
+Un-rotated keys are kept where the compressor reads them (current,
+short-term, pending) and in long-term, whose chunks are the compressor's
+raw window products.
+
+Unbounded mode keeps reference || history as rotated keys and values
+only, in buffers that double their capacity: a roll writes the finalized
+block in place, and a context view is a read-only slice of the filled
+rows.
 
 A roll compresses every full window of pending, all layers and K/V at
 once, with numerics.window_products, the kernel stage-2 training's
@@ -23,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ContextKV, DenoiserParams
+from .model import ContextKV, DenoiserParams, RopeFrequencies, rope_apply
 from .numerics import window_products
 
 REF_CAPACITY = 2
@@ -35,51 +47,108 @@ class CacheStepError(ValueError):
     """An append or read was attempted at the wrong diffusion step."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
-    """Per-layer K/V chunks with position tags and raw-chunk coverage."""
+    """K/V chunks with position tags and raw-chunk coverage.
 
-    keys: np.ndarray        # (n_layers, n_chunks, d_kv)
+    Arrays are (n_layers, n_chunks, d_kv). `keys` are un-rotated, for the
+    compressor; `rotated` are the keys turned by `positions`, for
+    attention. A segment holds the copies its readers need and None in
+    place of the other.
+    """
+
+    keys: np.ndarray | None
     vals: np.ndarray
     positions: np.ndarray   # (n_chunks,) rope positions
     spans: list[tuple[int, int]]  # covered raw-chunk id range per stored chunk
+    rotated: np.ndarray | None = None
 
     @classmethod
-    def empty(cls, n_layers: int, d_kv: int, dtype=np.float64) -> "Segment":
-        return cls(
-            keys=np.zeros((n_layers, 0, d_kv), dtype=dtype),
-            vals=np.zeros((n_layers, 0, d_kv), dtype=dtype),
-            positions=np.zeros(0),
-            spans=[],
-        )
+    def empty(cls, n_layers: int, d_kv: int, dtype=np.float64, keys: bool = True,
+              rotated: bool = False) -> "Segment":
+        def no_rows():
+            return np.zeros((n_layers, 0, d_kv), dtype=dtype)
+
+        return cls(no_rows() if keys else None, no_rows(), np.zeros(0), [], no_rows() if rotated else None)
 
     @property
     def n_chunks(self) -> int:
-        return self.keys.shape[1]
+        return self.vals.shape[1]
 
-    def appended(self, keys, vals, positions, spans) -> "Segment":
-        return Segment(
-            keys=np.concatenate([self.keys, keys], axis=1),
-            vals=np.concatenate([self.vals, vals], axis=1),
-            positions=np.concatenate([self.positions, np.asarray(positions, dtype=np.float64)]),
-            spans=self.spans + list(spans),
-        )
+    @staticmethod
+    def joined(segs: list["Segment"]) -> "Segment":
+        """The segments' chunks in order, holding the copies the first one holds."""
+        first = segs[0]
+        keys = None if first.keys is None else np.concatenate([seg.keys for seg in segs], axis=1)
+        rotated = None if first.rotated is None else np.concatenate([seg.rotated for seg in segs], axis=1)
+        return Segment(keys, np.concatenate([seg.vals for seg in segs], axis=1),
+                       np.concatenate([seg.positions for seg in segs]),
+                       [span for seg in segs for span in seg.spans], rotated)
+
+    def rows(self, sel: slice) -> "Segment":
+        return Segment(None if self.keys is None else self.keys[:, sel], self.vals[:, sel],
+                       self.positions[sel], self.spans[sel],
+                       None if self.rotated is None else self.rotated[:, sel])
 
     def tail(self, n: int) -> "Segment":
-        if n <= 0:
-            return Segment(self.keys[:, :0].copy(), self.vals[:, :0].copy(), self.positions[:0].copy(), [])
-        return Segment(self.keys[:, -n:], self.vals[:, -n:], self.positions[-n:], self.spans[-n:])
+        return self.rows(slice(self.n_chunks - max(n, 0), None))
 
     def head(self, n: int) -> "Segment":
-        return Segment(self.keys[:, :n], self.vals[:, :n], self.positions[:n], self.spans[:n])
+        return self.rows(slice(0, n))
+
+    def rotated_by(self, freqs: RopeFrequencies) -> "Segment":
+        """This segment with its keys turned by its positions, in place of the un-rotated ones."""
+        return Segment(None, self.vals, self.positions, self.spans,
+                       rope_apply(self.keys, self.positions, freqs))
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.keys).tobytes())
-        h.update(np.ascontiguousarray(self.vals).tobytes())
-        h.update(np.ascontiguousarray(self.positions).tobytes())
+        for a in (self.keys, self.rotated, self.vals, self.positions):
+            h.update(b"-" if a is None else np.ascontiguousarray(a).tobytes())
         h.update(repr(self.spans).encode())
         return h.hexdigest()
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+class GrowingRows:
+    """Rotated keys, values and positions written once, in buffers that double their capacity.
+
+    The first `n` rows are filled. A write lands past every row handed out
+    before it, and a doubling copies into new buffers, so a slice taken
+    earlier keeps its values.
+    """
+
+    def __init__(self, n_layers: int, d_kv: int, dtype, capacity: int = 64):
+        self.rotated = np.empty((n_layers, capacity, d_kv), dtype=dtype)
+        self.vals = np.empty_like(self.rotated)
+        self.positions = np.empty(capacity)
+        self.n = 0
+
+    def extend(self, seg: Segment) -> None:
+        start, stop = self.n, self.n + seg.n_chunks
+        if stop > self.positions.size:
+            capacity = max(2 * self.positions.size, stop)
+            n_layers, _, d_kv = self.rotated.shape
+            rotated, vals = (np.empty((n_layers, capacity, d_kv), dtype=self.rotated.dtype) for _ in range(2))
+            positions = np.empty(capacity)
+            rotated[:, :start], vals[:, :start], positions[:start] = (
+                self.rotated[:, :start], self.vals[:, :start], self.positions[:start])
+            self.rotated, self.vals, self.positions = rotated, vals, positions
+        self.rotated[:, start:stop] = seg.rotated
+        self.vals[:, start:stop] = seg.vals
+        self.positions[start:stop] = seg.positions
+        self.n = stop
+
+    def segment(self, start: int, stop: int, spans: list[tuple[int, int]]) -> Segment:
+        """Rows [start, stop) as a read-only Segment of views."""
+        seg = Segment(None, self.vals[:, start:stop], self.positions[start:stop], spans,
+                      self.rotated[:, start:stop])
+        _read_only(seg.vals, seg.positions, seg.rotated)
+        return seg
 
 
 @dataclass
@@ -87,6 +156,7 @@ class SegmentedKVCache:
     n_layers: int
     d_kv: int
     step_tag: float
+    freqs: RopeFrequencies
     lam: int = 5
     bounded: bool = True
     dtype: object = np.float64
@@ -99,26 +169,31 @@ class SegmentedKVCache:
     dropped_spans: list[tuple[int, int]] = field(default_factory=list)
     next_position: int = 0           # monotone chunk-position counter
     next_chunk_id: int = 0
+    buffer: GrowingRows = None       # unbounded mode: reference || history
 
     def __post_init__(self):
-        for name in ("reference", "long_term", "short_term", "current", "pending", "history"):
+        # (keys, rotated) copies each segment holds.
+        kinds = {"reference": (False, True), "long_term": (True, True), "short_term": (True, True),
+                 "current": (True, False), "pending": (True, False), "history": (False, True)}
+        for name, (keys, rotated) in kinds.items():
             if getattr(self, name) is None:
-                setattr(self, name, Segment.empty(self.n_layers, self.d_kv, self.dtype))
+                setattr(self, name, Segment.empty(self.n_layers, self.d_kv, self.dtype, keys, rotated))
+        if not self.bounded and self.buffer is None:
+            self.buffer = GrowingRows(self.n_layers, self.d_kv, self.dtype)
 
     @property
     def context_chunks(self) -> int:
         """Non-current chunks visible to attention."""
-        if self.bounded:
-            return self.reference.n_chunks + self.long_term.n_chunks + self.short_term.n_chunks
-        return self.reference.n_chunks + self.history.n_chunks
+        return sum(s.n_chunks for s in self._context_segments())
 
     def context_floats(self) -> int:
-        segs = (
-            [self.reference, self.long_term, self.short_term]
-            if self.bounded
-            else [self.reference, self.history]
-        )
-        return sum(s.keys.size + s.vals.size for s in segs)
+        """Floats attention reads from the context: its keys and values, one copy of each."""
+        return sum(s.rotated.size + s.vals.size for s in self._context_segments())
+
+    def _context_segments(self) -> list[Segment]:
+        if self.bounded:
+            return [self.reference, self.long_term, self.short_term]
+        return [self.reference, self.history]
 
     def non_current_digest(self) -> str:
         h = hashlib.sha256()
@@ -127,21 +202,32 @@ class SegmentedKVCache:
         return h.hexdigest()
 
 
-def new_cache(n_layers: int, d_kv: int, step_tag: float, lam: int = 5, bounded: bool = True,
-              dtype=np.float64) -> SegmentedKVCache:
-    return SegmentedKVCache(n_layers=n_layers, d_kv=d_kv, step_tag=step_tag, lam=lam,
+def new_cache(n_layers: int, d_kv: int, step_tag: float, freqs: RopeFrequencies, lam: int = 5,
+              bounded: bool = True, dtype=np.float64) -> SegmentedKVCache:
+    """An empty cache whose stored keys are rotated by the model's frequencies."""
+    if d_kv % (2 * freqs.freqs.size) != 0:
+        raise ValueError(f"d_kv {d_kv} does not split into rotary groups of {2 * freqs.freqs.size}")
+    return SegmentedKVCache(n_layers=n_layers, d_kv=d_kv, step_tag=step_tag, freqs=freqs, lam=lam,
                             bounded=bounded, dtype=dtype)
 
 
 def set_reference(cache: SegmentedKVCache, kv_layers, positions) -> None:
-    """Install the reference-image K/V (occupies the reference segment)."""
+    """Install the reference-image K/V (occupies the reference segment), rotated."""
     keys = np.stack([k for k, _ in kv_layers])
     vals = np.stack([v for _, v in kv_layers])
     n = keys.shape[1]
     if n != REF_CAPACITY:
         raise ValueError(f"reference segment holds {REF_CAPACITY} chunks, got {n}")
-    cache.reference = Segment(keys, vals, np.asarray(positions, dtype=np.float64),
-                              [(-1, -1)] * n)
+    ref = Segment(keys, vals, np.asarray(positions, dtype=np.float64), [(-1, -1)] * n)
+    ref = ref.rotated_by(cache.freqs)
+    if cache.bounded:
+        cache.reference = ref
+        return
+    if cache.history.n_chunks:
+        raise ValueError("an unbounded cache takes its reference before any chunk is stored")
+    cache.buffer.n = 0
+    cache.buffer.extend(ref)
+    cache.reference = cache.buffer.segment(0, n, ref.spans)
 
 
 def cache_append(cache: SegmentedKVCache, new_kv, positions, step: float) -> None:
@@ -156,8 +242,9 @@ def cache_append(cache: SegmentedKVCache, new_kv, positions, step: float) -> Non
     n = keys.shape[1]
     if not np.array_equal(positions, np.arange(cache.next_position, cache.next_position + n)):
         raise ValueError(f"positions {list(positions)} do not continue from {cache.next_position}")
-    ids = list(range(cache.next_chunk_id, cache.next_chunk_id + n))
-    cache.current = cache.current.appended(keys, vals, positions, [(i, i + 1) for i in ids])
+    ids = range(cache.next_chunk_id, cache.next_chunk_id + n)
+    block = Segment(keys, vals, np.asarray(positions, dtype=np.float64), [(i, i + 1) for i in ids])
+    cache.current = Segment.joined([cache.current, block])
     cache.next_chunk_id += n
     cache.next_position += n
 
@@ -175,23 +262,25 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
     The last two chunks of the finalized block become short-term memory;
     displaced short-term chunks and the block's earlier chunks join the
     pending buffer; every full lam-window in pending is compressed into
-    long-term memory (FIFO-evicted beyond capacity).
+    long-term memory (FIFO-evicted beyond capacity). Unbounded, the whole
+    block joins the history. Chunks entering short-term, long-term or
+    history are rotated here, once.
     """
     cur = cache.current
     cache.current = Segment.empty(cache.n_layers, cache.d_kv, cache.dtype)
     if not cache.bounded:
-        cache.history = cache.history.appended(cur.keys, cur.vals, cur.positions, cur.spans)
+        cache.buffer.extend(cur.rotated_by(cache.freqs))
+        cache.history = cache.buffer.segment(cache.reference.n_chunks, cache.buffer.n,
+                                           cache.history.spans + cur.spans)
         return
     if mode not in ("conv", "subsample"):
         raise ValueError(f"unknown compression mode {mode!r}")
     if mode == "conv" and (compressor is None or compressor[0].shape[-3] != cache.lam):
         raise ValueError(f"conv mode requires compressor weights of kernel length {cache.lam}")
     keep = min(SHORT_TERM_CAPACITY, cur.n_chunks)
-    evicted, old_st = cur.head(cur.n_chunks - keep), cache.short_term
-    cache.short_term = cur.tail(keep)
+    evicted, fresh = cur.head(cur.n_chunks - keep), cur.tail(keep)
     # Chronological order: pending < displaced short-term < evicted current.
-    pending = cache.pending.appended(old_st.keys, old_st.vals, old_st.positions, old_st.spans)
-    pending = pending.appended(evicted.keys, evicted.vals, evicted.positions, evicted.spans)
+    pending = Segment.joined([cache.pending, cache.short_term, evicted])
 
     lam = cache.lam
     used = pending.n_chunks // lam * lam
@@ -203,29 +292,38 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
         # each window stands in for the whole window.
         m_k, m_v = pending.keys[:, :used:lam], pending.vals[:, :used:lam]
     spans = [(pending.spans[i][0], pending.spans[i + lam - 1][1]) for i in range(0, used, lam)]
-    long_term = cache.long_term.appended(m_k, m_v, pending.positions[:used:lam], spans)
+    starts = pending.positions[:used:lam]
+    # One rotation for the new short-term chunks and the new long-term windows.
+    rotated = rope_apply(np.concatenate([fresh.keys, m_k], axis=1), np.concatenate([fresh.positions, starts]),
+                         cache.freqs)
+    cache.short_term = Segment(fresh.keys, fresh.vals, fresh.positions, fresh.spans, rotated[:, :keep])
+    long_term = Segment.joined([cache.long_term, Segment(m_k, m_v, starts, spans, rotated[:, keep:])])
     cache.dropped_spans += long_term.spans[:-LONG_TERM_CAPACITY]
     cache.long_term = long_term.tail(LONG_TERM_CAPACITY)
     cache.pending = pending.tail(pending.n_chunks - used)
 
 
 def cache_context_view(cache: SegmentedKVCache) -> tuple[ContextKV, list[str]]:
-    """Read-only concatenation reference || long_term || short_term.
+    """Read-only rotated K/V of reference || long_term || short_term.
 
-    (reference || history in unbounded mode.) Returns the per-layer K/V
-    plus one segment label per context chunk.
+    (reference || history in unbounded mode, sliced from the history
+    buffers without a copy.) Returns the per-layer K/V plus one segment
+    label per context chunk. Every returned array is non-writeable.
     """
     if cache.bounded:
         segs = [("reference", cache.reference), ("long_term", cache.long_term),
                 ("short_term", cache.short_term)]
+        keys = np.concatenate([seg.rotated for _, seg in segs], axis=1)
+        vals = np.concatenate([seg.vals for _, seg in segs], axis=1)
+        positions = np.concatenate([seg.positions for _, seg in segs])
     else:
         segs = [("reference", cache.reference), ("history", cache.history)]
+        buf = cache.buffer
+        keys, vals, positions = buf.rotated[:, :buf.n], buf.vals[:, :buf.n], buf.positions[:buf.n]
+    _read_only(keys, vals, positions)
     labels: list[str] = []
     for name, seg in segs:
         labels += [name] * seg.n_chunks
-    keys = np.concatenate([seg.keys for _, seg in segs], axis=1)
-    vals = np.concatenate([seg.vals for _, seg in segs], axis=1)
-    positions = np.concatenate([seg.positions for _, seg in segs])
     layers = [(keys[l], vals[l]) for l in range(cache.n_layers)]
     return ContextKV(layers=layers, positions=positions, step_tag=cache.step_tag), labels
 
@@ -246,16 +344,18 @@ def coverage_accounting(cache: SegmentedKVCache) -> dict[str, list[int]]:
         "long_term": ids_of(cache.long_term.spans),
         "dropped": ids_of(cache.dropped_spans),
         "current": ids_of(cache.current.spans),
+        "history": ids_of(cache.history.spans),
     }
 
 
 def snapshot(cache: SegmentedKVCache) -> str:
-    """Human-readable debug snapshot: shapes, position tags, digests."""
+    """Human-readable debug snapshot: shapes, position tags, stored copies, digests."""
     lines = [f"step_tag={cache.step_tag} lam={cache.lam} bounded={cache.bounded}"]
     for name in ("reference", "long_term", "short_term", "pending", "current", "history"):
         seg: Segment = getattr(cache, name)
+        copies = "+".join(c for c in ("keys", "rotated") if getattr(seg, c) is not None)
         lines.append(
             f"{name}: chunks={seg.n_chunks} positions={seg.positions.tolist()} "
-            f"spans={seg.spans} sha256={seg.digest()[:16]}"
+            f"spans={seg.spans} stores={copies} sha256={seg.digest()[:16]}"
         )
     return "\n".join(lines)

@@ -81,6 +81,9 @@ class RopeFrequencies:
         return cls(base ** (-2.0 * np.arange(half) / head_dim))
 
 
+_PAIR_SIGN = np.array([[-1.0], [1.0]])
+
+
 def rope_apply(x, positions, freqs: RopeFrequencies) -> Tensor | np.ndarray:
     """Rotate the dimension pairs of each head_dim column group of (..., n, H*head_dim) rows.
 
@@ -95,14 +98,18 @@ def rope_apply(x, positions, freqs: RopeFrequencies) -> Tensor | np.ndarray:
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (a.shape[-2],):
         raise ShapeError(f"positions shape {pos.shape} != ({a.shape[-2]},)")
-    angles = pos[:, None, None] * freqs.freqs
-    c = np.cos(angles).astype(a.dtype)
-    s = np.sin(angles).astype(a.dtype)
+    # (n, 1, 1, half): one angle per row and pair, broadcast over heads and the pair axis.
+    angles = np.multiply.outer(pos, freqs.freqs)[:, None, None, :]
+    c = np.cos(angles).astype(a.dtype, copy=False)
+    s = (np.sin(angles) * _PAIR_SIGN).astype(a.dtype, copy=False)  # [-sin | sin]
+    pairs = a.shape[:-1] + (a.shape[-1] // (2 * half), 2, half)  # each group: [first half | second half]
 
-    def rotate(r, sin):  # r: (..., n, H*head_dim); each group is [first halves | second halves]
-        r = r.reshape(*r.shape[:-1], -1, 2, half)
-        r1, r2 = r[..., 0, :], r[..., 1, :]
-        return np.stack([r1 * c - r2 * sin, r1 * sin + r2 * c], axis=-2).reshape(a.shape)
+    # Each group [r1 | r2] becomes [r1 c - r2 sin | r2 c + r1 sin] = r c + [r2 | r1] [-sin | sin].
+    def rotate(r, signed_sin):
+        r = r.reshape(pairs)
+        out = r * c
+        out += r[..., ::-1, :] * signed_sin
+        return out.reshape(a.shape)
 
     out = rotate(a, s)
     if not isinstance(x, Tensor):
@@ -262,11 +269,12 @@ def wrap_params(params: DenoiserParams, names=None) -> dict:
 class ContextKV:
     """Per-layer key/value context consumed by an incremental forward pass.
 
-    Keys/values are stored un-rotated; rotation by the stored positions
-    happens at consumption time (this realizes the RoPE reset exactly).
+    Keys arrive already rotated by `positions` (the cache rotates each
+    chunk once, when it stores it), so a forward rotates only the keys of
+    the block it computes and attends over them after these.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]  # per layer (K, V), (n_ctx, d_model)
+    layers: list[tuple[np.ndarray, np.ndarray]]  # per layer (rotated K, V), (n_ctx, d_model)
     positions: np.ndarray                        # (n_ctx,)
     step_tag: float | None = None
 
@@ -373,7 +381,8 @@ def denoiser_forward(
     step in `t` and one row of `cond` per element.
     `mask` must cover (n_tokens, n_keys) where the key axis is
     [ctx || tokens] when a context is supplied, [tokens || memory] when an
-    inline memory spec is supplied, and [tokens] otherwise.
+    inline memory spec is supplied, and [tokens] otherwise. A context's keys
+    come rotated; the forward rotates only the keys it computes.
     `conditioning`, from `step_conditioning` with the same weights, step
     and cond, saves recomputing it; it is built here when omitted.
     """
@@ -385,17 +394,15 @@ def denoiser_forward(
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (n,):
         raise ShapeError(f"positions shape {pos.shape} != ({n},)")
+    key_pos = pos  # positions of the keys this forward computes: its tokens, then any memory
+    n_keys = n
     if ctx is not None:
         if ctx.step_tag is not None and ctx.step_tag != t:
             raise StepTagError(f"cache step tag {ctx.step_tag} != forward step {t}")
-        n_keys = ctx.n_tokens + n
-        key_pos = np.concatenate([ctx.positions, pos])
+        n_keys += ctx.n_tokens
     elif memory is not None:
-        n_keys = n + memory.n_mem
+        n_keys += memory.n_mem
         key_pos = np.concatenate([pos, np.asarray(memory.mem_positions, dtype=np.float64)])
-    else:
-        n_keys = n
-        key_pos = pos
     if mask.shape != (n, n_keys):
         raise ShapeError(f"mask shape {mask.shape} != ({n}, {n_keys})")
     if conditioning is None:
@@ -420,10 +427,7 @@ def denoiser_forward(
         q, k, v = (slice2d(qkv, cols=slice(i * dm, (i + 1) * dm)) for i in range(3))
         new_kv.append((data_of(k), data_of(v)))
 
-        if ctx is not None:
-            K_all = concat([ctx.layers[l][0].astype(dtype, copy=False), k])
-            V_all = concat([ctx.layers[l][1].astype(dtype, copy=False), v])
-        elif memory is not None:
+        if memory is not None:
             mem_ks, mem_vs = [], []
             for s, e in memory.spans:
                 span_k = slice2d(k, rows=slice(s, e))
@@ -432,13 +436,13 @@ def denoiser_forward(
                     span_k, ptensors[f"compressor.{l}.key.w"], ptensors[f"compressor.{l}.key.b"]))
                 mem_vs.append(conv1d_strided(
                     span_v, ptensors[f"compressor.{l}.val.w"], ptensors[f"compressor.{l}.val.b"]))
-            K_all = concat([k] + mem_ks)
-            V_all = concat([v] + mem_vs)
-        else:
-            K_all, V_all = k, v
+            k, v = concat([k] + mem_ks), concat([v] + mem_vs)
+        k = rope_apply(k, key_pos, freqs)
+        if ctx is not None:
+            k = concat([ctx.layers[l][0].astype(dtype, copy=False), k])
+            v = concat([ctx.layers[l][1].astype(dtype, copy=False), v])
 
-        heads = attention(rope_apply(q, pos, freqs), rope_apply(K_all, key_pos, freqs), V_all, mask,
-                          config.n_heads)
+        heads = attention(rope_apply(q, pos, freqs), k, v, mask, config.n_heads)
         attn = add(matmul(heads, ptensors[f"{p}.attn.o.w"]), ptensors[f"{p}.attn.o.b"])
         h = add(h, mul(attn, step["gate1"]))
         h = add(h, step["cond"])

@@ -105,9 +105,9 @@ def generate_stream(
     grid = sampler.grid
     steps = _step_conditionings(params, cond, sampler)
     caches = [
-        new_cache(config.n_layers, config.d_model, step_tag=float(t),
+        new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=step.freqs,
                   lam=config.compress_ratio, bounded=use_convkv, dtype=dtype)
-        for t in grid[:-1]
+        for t, step in zip(grid[:-1], steps)
     ]
     _prefill_reference(weights, config, np.asarray(x_ref, dtype=dtype), cond, caches, steps)
     compressor = compressor_arrays(params) if (use_convkv and compression_mode == "conv") else None
@@ -170,8 +170,8 @@ def generate_full_recompute(
     # Reference chunks are inputs, not generated history: process them the
     # same way the streaming path does, once per step.
     ref_caches = [
-        new_cache(config.n_layers, config.d_model, step_tag=float(t), dtype=dtype)
-        for t in grid[:-1]
+        new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=step.freqs, dtype=dtype)
+        for t, step in zip(grid[:-1], steps)
     ]
     _prefill_reference(weights, config, x_ref, cond, ref_caches, steps)
     ref_ctx = [cache_context_view(c)[0] for c in ref_caches]
@@ -322,15 +322,15 @@ def bench_overhead(
         return generate_stream(params, x_ref, cond, plan, sampler, use_convkv=bounded,
                                seed=seed, dtype=dtype, compression_mode=mode)[1]
 
-    conv, base = [], []
+    conv, base, unbounded_reports = [], [], []
     for rep in range(repetitions + 1):
-        pair = [("conv", conv), ("subsample", base)]
-        # Interleaved in alternating order, so drift in machine speed hits both modes alike.
-        for mode, reports in pair if rep % 2 == 0 else pair[::-1]:
-            report = run(mode, True)
+        runs = [("conv", True, conv), ("subsample", True, base), ("conv", False, unbounded_reports)]
+        # Interleaved in alternating order, so drift in machine speed hits every mode alike.
+        for mode, bounded, reports in runs if rep % 2 == 0 else runs[::-1]:
+            report = run(mode, bounded)
             if rep > 0:  # first round is warm-up
                 reports.append(report)
-    unbounded = np.asarray([run("conv", False).block_times for _ in range(repetitions + 1)][1:])
+    unbounded = np.asarray([r.block_times for r in unbounded_reports])
     conv_blocks, base_blocks = (np.asarray([r.block_times for r in rs]) for rs in (conv, base))
     conv_roll, base_roll = (float(np.median([r.roll_times[steady] for r in rs])) for rs in (conv, base))
     base_block = float(np.median(base_blocks[:, steady]))

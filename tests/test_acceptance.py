@@ -115,7 +115,8 @@ def test_08_averaging_fixed_point():
     rng = np.random.default_rng(5)
     K = rng.standard_normal((config.n_layers, 14, config.d_model))
     V = rng.standard_normal((config.n_layers, 14, config.d_model))
-    cache = new_cache(config.n_layers, config.d_model, step_tag=0.5)
+    freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
+    cache = new_cache(config.n_layers, config.d_model, step_tag=0.5, freqs=freqs)
     for a, e in ((0, 6), (6, 14)):  # the second roll compresses windows [0, 5) and [5, 10)
         cache_append(cache, list(zip(K[:, a:e], V[:, a:e])), list(range(a, e)), 0.5)
         cache_roll(cache, comp)
@@ -124,7 +125,6 @@ def test_08_averaging_fixed_point():
     err = max(np.abs(lt.keys[:, 1] - K[:, 5:10].mean(axis=1)).max(),
               np.abs(lt.vals[:, 1] - V[:, 5:10].mean(axis=1)).max())
     m_k = lt.keys[0, 1:2]
-    freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
     hd = config.head_dim
     consumed = rope_apply(Tensor(m_k[:, :hd]), np.array([s]), freqs).data[0]
     ang = s * freqs.freqs

@@ -48,8 +48,11 @@ def test_generate_writes_latents_and_report(tmp_path, capsys):
     latents = read_latents(out / "latents.bin")
     assert latents.shape == (30, 16)
     report = (out / "report.csv").read_text().strip().splitlines()
-    assert report[0] == "block,seconds,context_chunks,context_floats"
+    assert report[0] == "block,seconds,context_chunks,context_floats,roll_seconds"
     assert len(report) == 5
+    for line in report[1:]:
+        _, seconds, _, _, roll = line.split(",")
+        assert 0.0 <= float(roll) <= float(seconds)  # the block time includes its rolls
     captured = capsys.readouterr().out
     assert "context chunks per block: [2, 4, 6, 6]" in captured
 

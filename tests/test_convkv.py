@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfar import model
-from nfar.checks import randomized_params
+from nfar import model, streaming
+from nfar.blocks import BlockPlan
+from nfar.checks import TINY, randomized_params
 from nfar.convkv import (
     CacheStepError,
     LONG_TERM_CAPACITY,
@@ -28,9 +31,11 @@ from nfar.model import (
     wrap_params,
 )
 from nfar.numerics import Tensor, window_products
+from nfar.schedule import SamplerConfig
 
 RNG = np.random.default_rng(99)
 N_LAYERS, D_KV = 2, 16
+FREQS = RopeFrequencies.create(D_KV // 2, 10000.0)  # two heads, as in averaging_comp
 
 
 def fake_kv(n):
@@ -39,7 +44,7 @@ def fake_kv(n):
 
 
 def make_ready_cache():
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5)
+    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS)
     set_reference(cache, fake_kv(2), [-2, -1])
     return cache
 
@@ -75,7 +80,7 @@ def test_append_rejects_positions_that_do_not_continue():
 
 
 def test_reference_capacity_enforced():
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5)
+    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS)
     with pytest.raises(ValueError):
         set_reference(cache, fake_kv(3), [-3, -2, -1])
 
@@ -163,7 +168,7 @@ def test_context_view_order_and_labels():
 
 
 def test_unbounded_mode_accumulates_history():
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, bounded=False)
+    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
     set_reference(cache, fake_kv(2), [-2, -1])
     run_blocks(cache, None, [6, 8, 8])
     assert cache.history.n_chunks == 22
@@ -195,7 +200,7 @@ def test_snapshot_mentions_every_segment():
 
 def test_float32_cache_stays_float32():
     for weight_dtype in (np.float32, np.float64):  # the cache's dtype wins over the weights'
-        cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, dtype=np.float32)
+        cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, dtype=np.float32)
         kv32 = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(2)]
         set_reference(cache, kv32, [-2, -1])
         comp = tuple(a.astype(weight_dtype) for a in averaging_comp())
@@ -241,7 +246,8 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
                                  memory=memory)
         assert len(trained) == 2 * config.n_layers  # per layer: keys, then values
 
-        cache = new_cache(config.n_layers, config.d_model, step_tag=0.5, lam=lam, dtype=dtype)
+        cache = new_cache(config.n_layers, config.d_model, step_tag=0.5, lam=lam, dtype=dtype,
+                          freqs=RopeFrequencies.create(config.head_dim, config.rope_base))
         rolled = {}
         for a, e in ((0, 6), (6, 14), (14, 22)):
             cache_append(cache, [(k[a:e], v[a:e]) for k, v in kv], list(range(a, e)), 0.5)
@@ -264,7 +270,7 @@ def roll_and_check(sizes, mode, dtype):
     W, b = averaging_comp()
     W = (W + 0.05 * RNG.standard_normal(W.shape)).astype(dtype)
     b = b.astype(dtype)
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, dtype=dtype)
+    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, dtype=dtype)
     raw_k = np.zeros((N_LAYERS, 0, D_KV), dtype=dtype)
     raw_v = np.zeros((N_LAYERS, 0, D_KV), dtype=dtype)
     most_windows = most_evicted = 0
@@ -313,3 +319,114 @@ def test_roll_ledger_covers_multi_window_rolls():
     # evicting more than one long-term chunk.
     most_windows, most_evicted = roll_and_check([20, 20, 3, 17], "conv", np.float64)
     assert most_windows >= 3 and most_evicted > 1
+
+
+def test_context_views_are_read_only_and_outlive_later_rolls():
+    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
+    set_reference(cache, fake_kv(2), [-2, -1])
+    run_blocks(cache, None, [6])
+    early, _ = cache_context_view(cache)
+    kept = [(k.copy(), v.copy()) for k, v in early.layers]
+    capacity = cache.buffer.positions.size
+    for arr in (early.layers[0][0], early.layers[1][1], early.positions):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    run_blocks(cache, None, [8] * (capacity // 8 + 2))  # enough rows to double the capacity
+    assert cache.buffer.positions.size > capacity
+    late, _ = cache_context_view(cache)
+    for (k, v), (k1, v1), (k0, v0) in zip(early.layers, late.layers, kept):
+        assert np.array_equal(k, k0) and np.array_equal(v, v0)
+        assert np.array_equal(k1[:len(k0)], k0) and np.array_equal(v1[:len(v0)], v0)
+    assert np.array_equal(late.positions, np.arange(-2, cache.next_position))
+    bounded = make_ready_cache()
+    run_blocks(bounded, averaging_comp(), [6, 8])
+    ctx, _ = cache_context_view(bounded)
+    with pytest.raises(ValueError):
+        ctx.layers[0][0][0, 0] = 1.0
+
+
+def test_digests_cover_the_rotated_copies():
+    for cache, comp in ((make_ready_cache(), averaging_comp()),
+                        (new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False), None)):
+        if not cache.bounded:
+            set_reference(cache, fake_kv(2), [-2, -1])
+        run_blocks(cache, comp, [6, 8, 8])
+        for name in ("reference", "short_term", "long_term", "history"):
+            seg = getattr(cache, name)
+            if seg.n_chunks == 0:
+                continue
+            assert seg.rotated is not None
+            tampered = Segment(seg.keys, seg.vals, seg.positions, seg.spans, seg.rotated + 1.0)
+            assert tampered.digest() != seg.digest(), name
+        assert "rotated" in snapshot(cache)
+
+
+def test_unbounded_reference_goes_before_any_chunk():
+    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
+    run_blocks(cache, None, [6])
+    with pytest.raises(ValueError):
+        set_reference(cache, fake_kv(2), [-2, -1])
+
+
+def test_new_cache_rejects_frequencies_that_do_not_fit():
+    with pytest.raises(ValueError):
+        new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=RopeFrequencies.create(6, 10000.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5), bounded=st.booleans(),
+       dtype=st.sampled_from([np.float64, np.float32]), n_steps=st.sampled_from([2, 3]),
+       seed=st.integers(0, 1000))
+def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, seed):
+    # Every context view hands out keys equal, bit for bit, to one rotation of
+    # the un-rotated keys this test records (long-term: the cache's compressed
+    # keys) by the view's positions; the ledger conserves every chunk id after
+    # every roll; and the unbounded stream matches the full recompute.
+    config = TINY
+    params = randomized_params(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in params.compressor_names():
+        params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
+    x_ref = rng.standard_normal((2, config.d_latent))
+    cond = rng.standard_normal(config.d_cond)
+    plan, sampler = BlockPlan(tuple(sizes)), SamplerConfig.uniform(n_steps)
+    freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
+    raw: dict[int, list] = {}  # per cache: reference keys, then every appended block's keys
+    views = []
+
+    def recording_reference(cache, kv, positions):
+        raw[id(cache)] = [np.stack([k for k, _ in kv])]
+        set_reference(cache, kv, positions)
+
+    def recording_append(cache, kv, positions, step):
+        raw[id(cache)].append(np.stack([k for k, _ in kv]))
+        cache_append(cache, kv, positions, step)
+
+    def checking_view(cache):
+        ctx, labels = cache_context_view(cache)
+        if cache.bounded:
+            unrotated = np.concatenate([raw[id(cache)][0], cache.long_term.keys, cache.short_term.keys], axis=1)
+        else:
+            unrotated = np.concatenate(raw[id(cache)], axis=1)
+        keys = np.stack([k for k, _ in ctx.layers])
+        assert keys.dtype == np.dtype(dtype)
+        assert not any(a.flags.writeable for layer in ctx.layers for a in layer)
+        assert np.array_equal(keys, rope_apply(unrotated, ctx.positions, freqs))
+        assert len(labels) == ctx.n_tokens == cache.context_chunks
+        views.append(labels)
+        return ctx, labels
+
+    def checking_roll(cache, compressor=None, mode="conv"):
+        cache_roll(cache, compressor, mode=mode)
+        assert sorted(sum(coverage_accounting(cache).values(), [])) == list(range(cache.next_chunk_id))
+
+    with mock.patch.object(streaming, "set_reference", recording_reference), \
+            mock.patch.object(streaming, "cache_append", recording_append), \
+            mock.patch.object(streaming, "cache_context_view", checking_view), \
+            mock.patch.object(streaming, "cache_roll", checking_roll):
+        seq, _ = streaming.generate_stream(params, x_ref, cond, plan, sampler, use_convkv=bounded,
+                                           seed=seed, dtype=dtype)
+    assert len(views) == plan.n_blocks * n_steps
+    if not bounded:
+        oracle = streaming.generate_full_recompute(params, x_ref, cond, plan, sampler, seed=seed, dtype=dtype)
+        assert np.abs(seq.values - oracle.values).max() <= (1e-10 if dtype == np.float64 else 1e-5)

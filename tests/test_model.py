@@ -181,7 +181,9 @@ def test_cached_two_pass_equals_single_pass():
 
     pt = wrap_params(params)
     _, kv1 = denoiser_forward(pt, config, tokens[:3], np.arange(3), t, cond, np.ones((3, 3)))
-    ctx = ContextKV(layers=kv1, positions=np.arange(3), step_tag=t)
+    freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
+    ctx = ContextKV(layers=[(rope_apply(k, np.arange(3), freqs), v) for k, v in kv1],
+                    positions=np.arange(3), step_tag=t)
     out2, _ = denoiser_forward(pt, config, tokens[3:], np.arange(3, 6), t, cond,
                                np.ones((3, 6)), ctx=ctx)
     assert np.abs(out2.data - full.data[3:]).max() <= 1e-10
