@@ -12,11 +12,13 @@ import numpy as np
 from . import convkv
 from .blocks import BlockPlan
 from .model import (
+    BlockKV,
     DenoiserConfig,
     DenoiserParams,
     RopeFrequencies,
     block_causal_mask,
     init_params,
+    rope_apply,
     wrap_params,
 )
 from .numerics import finite_difference_grad, grad_of
@@ -138,15 +140,16 @@ def coverage_ledger(seed: int = 0) -> tuple[bool, str]:
     cache = convkv.new_cache(config.n_layers, config.d_model, step_tag=0.5, freqs=freqs)
     rng = np.random.default_rng(seed)
 
-    def kv(n):
-        return [(rng.standard_normal((n, config.d_model)), rng.standard_normal((n, config.d_model)))
-                for _ in range(config.n_layers)]
+    def kv(positions):
+        keys, vals = rng.standard_normal((2, config.n_layers, len(positions), config.d_model))
+        return BlockKV(keys, rope_apply(keys, positions, freqs), vals)
 
-    convkv.set_reference(cache, kv(2), [-2, -1])
+    convkv.set_reference(cache, kv([-2, -1]), [-2, -1])
     ok, total = True, 0
     for roll in range(100):
         n = 6 if roll == 0 else 8
-        convkv.cache_append(cache, kv(n), list(range(total, total + n)), 0.5)
+        positions = list(range(total, total + n))
+        convkv.cache_append(cache, kv(positions), positions, 0.5)
         total += n
         convkv.cache_roll(cache, comp)
         acc = convkv.coverage_accounting(cache)

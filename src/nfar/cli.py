@@ -283,30 +283,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """The config file's `key = value` lines as `--flag=value` options of the subcommand."""
+    sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a.option_strings[-1] for a in sub_action.choices[command]._actions
+             if a.option_strings and a.dest != "help"}
+    given = io.parse_config_text(Path(path).read_text(encoding="utf-8"), dict.fromkeys(flags, None))
+    return [f"{flags[key]}={value}" for key, value in given.items() if value is not None]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args, remaining = parser.parse_known_args(argv)
-    if remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
-    if args.config:
-        # Config file sets defaults for the chosen subcommand; explicit flags win.
-        sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        actions = {
-            a.dest: a
-            for a in sub_action.choices[args.command]._actions
-            if a.option_strings and a.dest != "help"
-        }
-        defaults = {dest: str(a.default) for dest, a in actions.items()}
-        resolved = io.parse_config_text(Path(args.config).read_text(encoding="utf-8"), defaults)
-        # Re-parse with every default suppressed: what remains was given explicitly.
-        for a in actions.values():
-            a.default = argparse.SUPPRESS
-        explicit = vars(parser.parse_known_args(argv)[0])
-        for key, value in resolved.items():
-            if key in explicit or value == defaults[key]:
-                continue
-            setattr(args, key, (actions[key].type or str)(value))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            # The config's options go right after the subcommand, so they pass
+            # the same checks as flags and an explicit flag, given later, wins.
+            at = next(i for i, arg in enumerate(argv)
+                      if arg == args.command and argv[i - 1:i] != ["--config"])
+            args = parser.parse_args(argv[:at + 1] + _config_flags(parser, args.command, args.config)
+                                     + argv[at + 1:])
         return args.func(args)
     except (io.FormatError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

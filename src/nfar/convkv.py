@@ -1,21 +1,20 @@
 """Bounded-memory segmented KV cache with convolutional compression.
 
-The cache is the one place where context keys are rotated. A stored
-chunk's rotary position never changes: a raw chunk keeps its own
-position, and a compressed chunk carries the starting position of the
-window it summarizes, which realizes the positional reset exactly instead
-of approximating it with inverse rotations. So each key is rotated once,
-when it enters a segment that attention reads: the reference in
-`set_reference`; short-term, long-term and history chunks in `cache_roll`.
-A context view hands out rotated keys, and a forward rotates only the
-block it computes.
+K/V keep one (n_layers, n_chunks, d_kv) layout from the forward to the
+cache and back: the cache stores a forward's `BlockKV` (un-rotated keys,
+rotated keys, values) as given, and a context view hands rotated keys and
+values back as one `ContextKV`.
+
+Each key is rotated once, where it is computed. A stored chunk's rotary
+position never changes: a raw chunk keeps its own position, by which its
+forward already rotated it, and a compressed chunk carries the starting
+position of the window it summarizes, which realizes the positional reset
+exactly instead of approximating it with inverse rotations. So the cache
+rotates only the long-term windows it compresses, at their window start.
 
 Segments (bounded mode): reference (2 chunks) | long_term (2 compressed
 chunks) | short_term (2 raw chunks) | current block, plus a pending
 buffer of evicted raw chunks waiting to fill a compression window.
-Un-rotated keys are kept where the compressor reads them (current,
-short-term, pending) and in long-term, whose chunks are the compressor's
-raw window products.
 
 Unbounded mode keeps reference || history as rotated keys and values
 only, in buffers that double their capacity: a roll writes the finalized
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ContextKV, DenoiserParams, RopeFrequencies, rope_apply
+from .model import BlockKV, ContextKV, DenoiserParams, RopeFrequencies, rope_apply
 from .numerics import window_products
 
 REF_CAPACITY = 2
@@ -51,25 +50,22 @@ class CacheStepError(ValueError):
 class Segment:
     """K/V chunks with position tags and raw-chunk coverage.
 
-    Arrays are (n_layers, n_chunks, d_kv). `keys` are un-rotated, for the
-    compressor; `rotated` are the keys turned by `positions`, for
-    attention. A segment holds the copies its readers need and None in
-    place of the other.
+    Arrays are (n_layers, n_chunks, d_kv), as a `BlockKV` carries them.
+    `keys` are un-rotated, for the compressor; `rotated` are the keys turned
+    by `positions`, for attention. Only unbounded reference and history
+    (views of `GrowingRows`), which nothing compresses, have None for `keys`.
     """
 
     keys: np.ndarray | None
     vals: np.ndarray
     positions: np.ndarray   # (n_chunks,) rope positions
     spans: list[tuple[int, int]]  # covered raw-chunk id range per stored chunk
-    rotated: np.ndarray | None = None
+    rotated: np.ndarray
 
     @classmethod
-    def empty(cls, n_layers: int, d_kv: int, dtype=np.float64, keys: bool = True,
-              rotated: bool = False) -> "Segment":
-        def no_rows():
-            return np.zeros((n_layers, 0, d_kv), dtype=dtype)
-
-        return cls(no_rows() if keys else None, no_rows(), np.zeros(0), [], no_rows() if rotated else None)
+    def empty(cls, n_layers: int, d_kv: int, dtype=np.float64) -> "Segment":
+        no_rows = np.zeros((n_layers, 0, d_kv), dtype=dtype)
+        return cls(no_rows, no_rows, np.zeros(0), [], no_rows)
 
     @property
     def n_chunks(self) -> int:
@@ -77,29 +73,18 @@ class Segment:
 
     @staticmethod
     def joined(segs: list["Segment"]) -> "Segment":
-        """The segments' chunks in order, holding the copies the first one holds."""
-        first = segs[0]
-        keys = None if first.keys is None else np.concatenate([seg.keys for seg in segs], axis=1)
-        rotated = None if first.rotated is None else np.concatenate([seg.rotated for seg in segs], axis=1)
-        return Segment(keys, np.concatenate([seg.vals for seg in segs], axis=1),
+        """The segments' chunks in order."""
+        return Segment(np.concatenate([seg.keys for seg in segs], axis=1),
+                       np.concatenate([seg.vals for seg in segs], axis=1),
                        np.concatenate([seg.positions for seg in segs]),
-                       [span for seg in segs for span in seg.spans], rotated)
+                       [span for seg in segs for span in seg.spans],
+                       np.concatenate([seg.rotated for seg in segs], axis=1))
 
-    def rows(self, sel: slice) -> "Segment":
-        return Segment(None if self.keys is None else self.keys[:, sel], self.vals[:, sel],
-                       self.positions[sel], self.spans[sel],
-                       None if self.rotated is None else self.rotated[:, sel])
-
-    def tail(self, n: int) -> "Segment":
-        return self.rows(slice(self.n_chunks - max(n, 0), None))
-
-    def head(self, n: int) -> "Segment":
-        return self.rows(slice(0, n))
-
-    def rotated_by(self, freqs: RopeFrequencies) -> "Segment":
-        """This segment with its keys turned by its positions, in place of the un-rotated ones."""
-        return Segment(None, self.vals, self.positions, self.spans,
-                       rope_apply(self.keys, self.positions, freqs))
+    def rows(self, start: int, stop: int | None = None) -> "Segment":
+        """Chunks [start:stop], sliced as a Python sequence is."""
+        sel = slice(start, stop)
+        return Segment(self.keys[:, sel], self.vals[:, sel], self.positions[sel], self.spans[sel],
+                       self.rotated[:, sel])
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -172,12 +157,9 @@ class SegmentedKVCache:
     buffer: GrowingRows = None       # unbounded mode: reference || history
 
     def __post_init__(self):
-        # (keys, rotated) copies each segment holds.
-        kinds = {"reference": (False, True), "long_term": (True, True), "short_term": (True, True),
-                 "current": (True, False), "pending": (True, False), "history": (False, True)}
-        for name, (keys, rotated) in kinds.items():
+        for name in ("reference", "long_term", "short_term", "current", "pending", "history"):
             if getattr(self, name) is None:
-                setattr(self, name, Segment.empty(self.n_layers, self.d_kv, self.dtype, keys, rotated))
+                setattr(self, name, Segment.empty(self.n_layers, self.d_kv, self.dtype))
         if not self.bounded and self.buffer is None:
             self.buffer = GrowingRows(self.n_layers, self.d_kv, self.dtype)
 
@@ -204,22 +186,19 @@ class SegmentedKVCache:
 
 def new_cache(n_layers: int, d_kv: int, step_tag: float, freqs: RopeFrequencies, lam: int = 5,
               bounded: bool = True, dtype=np.float64) -> SegmentedKVCache:
-    """An empty cache whose stored keys are rotated by the model's frequencies."""
+    """An empty cache that rotates the windows it compresses by the model's frequencies."""
     if d_kv % (2 * freqs.freqs.size) != 0:
         raise ValueError(f"d_kv {d_kv} does not split into rotary groups of {2 * freqs.freqs.size}")
     return SegmentedKVCache(n_layers=n_layers, d_kv=d_kv, step_tag=step_tag, freqs=freqs, lam=lam,
                             bounded=bounded, dtype=dtype)
 
 
-def set_reference(cache: SegmentedKVCache, kv_layers, positions) -> None:
-    """Install the reference-image K/V (occupies the reference segment), rotated."""
-    keys = np.stack([k for k, _ in kv_layers])
-    vals = np.stack([v for _, v in kv_layers])
-    n = keys.shape[1]
+def set_reference(cache: SegmentedKVCache, kv: BlockKV, positions) -> None:
+    """Install the reference-image K/V (occupies the reference segment)."""
+    n = kv.vals.shape[1]
     if n != REF_CAPACITY:
         raise ValueError(f"reference segment holds {REF_CAPACITY} chunks, got {n}")
-    ref = Segment(keys, vals, np.asarray(positions, dtype=np.float64), [(-1, -1)] * n)
-    ref = ref.rotated_by(cache.freqs)
+    ref = Segment(kv.keys, kv.vals, np.asarray(positions, dtype=np.float64), [(-1, -1)] * n, kv.rotated)
     if cache.bounded:
         cache.reference = ref
         return
@@ -230,20 +209,19 @@ def set_reference(cache: SegmentedKVCache, kv_layers, positions) -> None:
     cache.reference = cache.buffer.segment(0, n, ref.spans)
 
 
-def cache_append(cache: SegmentedKVCache, new_kv, positions, step: float) -> None:
+def cache_append(cache: SegmentedKVCache, kv: BlockKV, positions, step: float) -> None:
     """Append the freshly computed block K/V to the current segment.
 
     Strictly append-only: no previously stored tensor is modified.
     """
     if step != cache.step_tag:
         raise CacheStepError(f"append at step {step} into a cache tagged {cache.step_tag}")
-    keys = np.stack([k for k, _ in new_kv])
-    vals = np.stack([v for _, v in new_kv])
-    n = keys.shape[1]
+    n = kv.vals.shape[1]
     if not np.array_equal(positions, np.arange(cache.next_position, cache.next_position + n)):
         raise ValueError(f"positions {list(positions)} do not continue from {cache.next_position}")
     ids = range(cache.next_chunk_id, cache.next_chunk_id + n)
-    block = Segment(keys, vals, np.asarray(positions, dtype=np.float64), [(i, i + 1) for i in ids])
+    block = Segment(kv.keys, kv.vals, np.asarray(positions, dtype=np.float64), [(i, i + 1) for i in ids],
+                    kv.rotated)
     cache.current = Segment.joined([cache.current, block])
     cache.next_chunk_id += n
     cache.next_position += n
@@ -262,14 +240,14 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
     The last two chunks of the finalized block become short-term memory;
     displaced short-term chunks and the block's earlier chunks join the
     pending buffer; every full lam-window in pending is compressed into
-    long-term memory (FIFO-evicted beyond capacity). Unbounded, the whole
-    block joins the history. Chunks entering short-term, long-term or
-    history are rotated here, once.
+    long-term memory (FIFO-evicted beyond capacity), its keys rotated here,
+    once, at the window start. Unbounded, the whole block joins the
+    history.
     """
     cur = cache.current
     cache.current = Segment.empty(cache.n_layers, cache.d_kv, cache.dtype)
     if not cache.bounded:
-        cache.buffer.extend(cur.rotated_by(cache.freqs))
+        cache.buffer.extend(cur)
         cache.history = cache.buffer.segment(cache.reference.n_chunks, cache.buffer.n,
                                            cache.history.spans + cur.spans)
         return
@@ -278,7 +256,7 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
     if mode == "conv" and (compressor is None or compressor[0].shape[-3] != cache.lam):
         raise ValueError(f"conv mode requires compressor weights of kernel length {cache.lam}")
     keep = min(SHORT_TERM_CAPACITY, cur.n_chunks)
-    evicted, fresh = cur.head(cur.n_chunks - keep), cur.tail(keep)
+    evicted, fresh = cur.rows(0, cur.n_chunks - keep), cur.rows(cur.n_chunks - keep)
     # Chronological order: pending < displaced short-term < evicted current.
     pending = Segment.joined([cache.pending, cache.short_term, evicted])
 
@@ -293,22 +271,21 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
         m_k, m_v = pending.keys[:, :used:lam], pending.vals[:, :used:lam]
     spans = [(pending.spans[i][0], pending.spans[i + lam - 1][1]) for i in range(0, used, lam)]
     starts = pending.positions[:used:lam]
-    # One rotation for the new short-term chunks and the new long-term windows.
-    rotated = rope_apply(np.concatenate([fresh.keys, m_k], axis=1), np.concatenate([fresh.positions, starts]),
-                         cache.freqs)
-    cache.short_term = Segment(fresh.keys, fresh.vals, fresh.positions, fresh.spans, rotated[:, :keep])
-    long_term = Segment.joined([cache.long_term, Segment(m_k, m_v, starts, spans, rotated[:, keep:])])
+    cache.short_term = fresh
+    long_term = Segment.joined([cache.long_term,
+                                Segment(m_k, m_v, starts, spans, rope_apply(m_k, starts, cache.freqs))])
     cache.dropped_spans += long_term.spans[:-LONG_TERM_CAPACITY]
-    cache.long_term = long_term.tail(LONG_TERM_CAPACITY)
-    cache.pending = pending.tail(pending.n_chunks - used)
+    cache.long_term = long_term.rows(-LONG_TERM_CAPACITY)
+    cache.pending = pending.rows(used)
 
 
 def cache_context_view(cache: SegmentedKVCache) -> tuple[ContextKV, list[str]]:
     """Read-only rotated K/V of reference || long_term || short_term.
 
     (reference || history in unbounded mode, sliced from the history
-    buffers without a copy.) Returns the per-layer K/V plus one segment
-    label per context chunk. Every returned array is non-writeable.
+    buffers without a copy.) Returns the (n_layers, n_ctx, d_kv) K/V plus
+    one segment label per context chunk. Every returned array is
+    non-writeable.
     """
     if cache.bounded:
         segs = [("reference", cache.reference), ("long_term", cache.long_term),
@@ -324,19 +301,14 @@ def cache_context_view(cache: SegmentedKVCache) -> tuple[ContextKV, list[str]]:
     labels: list[str] = []
     for name, seg in segs:
         labels += [name] * seg.n_chunks
-    layers = [(keys[l], vals[l]) for l in range(cache.n_layers)]
-    return ContextKV(layers=layers, positions=positions, step_tag=cache.step_tag), labels
+    return ContextKV(keys, vals, positions, cache.step_tag), labels
 
 
 def coverage_accounting(cache: SegmentedKVCache) -> dict[str, list[int]]:
     """Raw-chunk ids accounted per location (for the conservation ledger)."""
 
     def ids_of(spans):
-        out = []
-        for s, e in spans:
-            if s >= 0:
-                out.extend(range(s, e))
-        return out
+        return [i for s, e in spans if s >= 0 for i in range(s, e)]
 
     return {
         "short_term": ids_of(cache.short_term.spans),

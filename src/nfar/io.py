@@ -5,6 +5,7 @@ All formats are little-endian and round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from pathlib import Path
@@ -67,6 +68,7 @@ _CONFIG_FIELDS = (
 # which never affected the output, and a rope-on-values flag.
 _V1_DEAD = re.compile(r"layers\.\d+\.(ln2\.[gb]|cross\.[qk])")
 _VERSIONS = (b"checkpoint v1\n", b"checkpoint v2\n", b"checkpoint v3\n")
+_TENSOR_DTYPES = {name: np.dtype(name) for name in ("float64", "float32")}
 
 
 def _head_tensors(config: DenoiserConfig) -> dict[str, list[str]]:
@@ -78,7 +80,7 @@ def _head_tensors(config: DenoiserConfig) -> dict[str, list[str]]:
 
 
 def save_checkpoint(path, params: DenoiserParams) -> None:
-    """Text manifest (config, meta, tensor table) + concatenated payloads."""
+    """Text manifest (config, meta, tensor table) + the payloads, back to back in name order."""
     lines = ["checkpoint v3"]
     for f in _CONFIG_FIELDS:
         lines.append(f"config.{f} = {getattr(params.config, f)}")
@@ -88,6 +90,8 @@ def save_checkpoint(path, params: DenoiserParams) -> None:
     payloads = []
     for name in sorted(params.values):
         arr = params.values[name]
+        if arr.dtype.name not in _TENSOR_DTYPES:
+            raise ValueError(f"tensor {name}: cannot store dtype {arr.dtype}")
         le = arr.astype(arr.dtype.newbyteorder("<"))
         shape = ",".join(str(s) for s in arr.shape)
         lines.append(f"tensor {name} {arr.dtype.name} {offset} {shape}")
@@ -102,7 +106,7 @@ def save_checkpoint(path, params: DenoiserParams) -> None:
 
 def load_checkpoint(path) -> DenoiserParams:
     """Read a v3 checkpoint, or a v1/v2 one with its per-head q/k/v matrices joined
-    into attn.qkv.w (and v1's dead tensors dropped); validate the layout."""
+    into attn.qkv.w (and v1's dead tensors dropped); validate the layout and the tiling."""
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     split = blob.find(marker)
@@ -110,9 +114,12 @@ def load_checkpoint(path) -> DenoiserParams:
     if version not in _VERSIONS or split < 0:
         raise FormatError(f"{path}: not a checkpoint file")
     v1 = version == _VERSIONS[0]
-    text = blob[:split + 1].decode("utf-8").splitlines()
+    try:
+        text = blob[:split + 1].decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: manifest is not UTF-8: {err}") from err
     payload = blob[split + len(marker):]
-    cfg_kwargs, meta, tensors = {}, {}, []
+    cfg_kwargs, meta, entries = {}, {}, []
     for line in text[1:]:
         if line.startswith("config."):
             key, _, raw = line.partition(" = ")
@@ -123,23 +130,30 @@ def load_checkpoint(path) -> DenoiserParams:
             elif field not in _CONFIG_FIELDS:
                 raise FormatError(f"{path}: unknown config field {field!r}")
             else:
-                cfg_kwargs[field] = float(raw) if field == "rope_base" else int(raw)
+                cfg_kwargs[field] = raw
         elif line.startswith("meta."):
             key, _, raw = line.partition(" = ")
             meta[key[len("meta."):]] = raw
         elif line.startswith("tensor "):
             try:
                 _, name, dtype, offset, shape = line.split(" ")
-                entry = (name, np.dtype(dtype), int(offset),
-                         tuple(int(s) for s in shape.split(",")) if shape else ())
-            except (TypeError, ValueError) as err:
+                entries.append((name, _TENSOR_DTYPES[dtype], int(offset),
+                                tuple(int(s) for s in shape.split(",")) if shape else ()))
+            except (KeyError, ValueError) as err:
                 raise FormatError(f"{path}: bad tensor line {line!r}") from err
-            if not (v1 and _V1_DEAD.fullmatch(name)):
-                tensors.append(entry)
         else:
             raise FormatError(f"{path}: unrecognized manifest line {line!r}")
+    end = 0
+    for name, dt, offset, shape in entries:  # each tensor starts where the one before ends
+        if offset != end:
+            raise FormatError(f"{path}: tensor {name} starts at byte {offset}, not {end}")
+        end += math.prod(shape) * dt.itemsize
+    if end != len(payload):
+        raise FormatError(f"{path}: the tensors take {end} bytes, the payload {len(payload)}")
+    tensors = [entry for entry in entries if not (v1 and _V1_DEAD.fullmatch(entry[0]))]
     try:
-        config = DenoiserConfig(**cfg_kwargs)
+        config = DenoiserConfig(**{f: float(raw) if f == "rope_base" else int(raw)
+                                   for f, raw in cfg_kwargs.items()})
     except ValueError as err:
         raise FormatError(f"{path}: bad config: {err}") from err
     layout = {name: shape for name, (shape, _) in param_layout(config).items()}
@@ -158,10 +172,7 @@ def load_checkpoint(path) -> DenoiserParams:
             raise FormatError(f"{path}: tensor {name} has shape {shape}, expected {layout[name]}")
     values = {}
     for name, dt, offset, shape in tensors:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = payload[offset:offset + n * dt.itemsize]
-        if len(raw) != n * dt.itemsize:
-            raise FormatError(f"{path}: tensor {name} payload truncated")
+        raw = payload[offset:offset + math.prod(shape) * dt.itemsize]
         values[name] = np.frombuffer(raw, dtype=dt.newbyteorder("<")).astype(dt).reshape(shape)
     for fused, parts in heads.items():
         values[fused] = np.concatenate([values.pop(part) for part in parts], axis=1)

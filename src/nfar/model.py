@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -265,22 +266,33 @@ def wrap_params(params: DenoiserParams, names=None) -> dict:
 
 # -- forward ----------------------------------------------------------------
 
+class BlockKV(NamedTuple):
+    """A forward's K/V of its own tokens, each (n_layers, *batch, n, d_model): un-rotated keys
+    (what the compressor reads), the keys rotated by the tokens' positions (what attention
+    read), and values."""
+
+    keys: np.ndarray
+    rotated: np.ndarray
+    vals: np.ndarray
+
+
 @dataclass
 class ContextKV:
-    """Per-layer key/value context consumed by an incremental forward pass.
+    """Cached K/V consumed by an incremental forward, (n_layers, n_ctx, d_model) as in a BlockKV.
 
-    Keys arrive already rotated by `positions` (the cache rotates each
-    chunk once, when it stores it), so a forward rotates only the keys of
-    the block it computes and attends over them after these.
+    Keys arrive rotated by `positions` (each once, where it was computed), so
+    a forward rotates only the keys of the block it computes and attends over
+    them after these.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]  # per layer (rotated K, V), (n_ctx, d_model)
-    positions: np.ndarray                        # (n_ctx,)
+    keys: np.ndarray       # rotated
+    vals: np.ndarray
+    positions: np.ndarray  # (n_ctx,)
     step_tag: float | None = None
 
     @property
     def n_tokens(self) -> int:
-        return self.layers[0][0].shape[0] if self.layers else 0
+        return self.keys.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -371,8 +383,8 @@ def denoiser_forward(
     ctx: ContextKV | None = None,
     memory: InlineMemorySpec | None = None,
     conditioning: StepConditioning | None = None,
-) -> tuple[Tensor | np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Predict per-token velocity; also return the new tokens' per-layer K/V.
+) -> tuple[Tensor | np.ndarray, BlockKV]:
+    """Predict per-token velocity; also return the new tokens' K/V as one BlockKV.
 
     `ptensors` maps weight names to bare arrays (no tape: the velocity is
     an ndarray) or to Tensors (the velocity is a Tensor on their tape); a
@@ -382,7 +394,8 @@ def denoiser_forward(
     `mask` must cover (n_tokens, n_keys) where the key axis is
     [ctx || tokens] when a context is supplied, [tokens || memory] when an
     inline memory spec is supplied, and [tokens] otherwise. A context's keys
-    come rotated; the forward rotates only the keys it computes.
+    come rotated; the forward rotates only the keys it computes and returns
+    its tokens' keys, un-rotated and rotated, in the BlockKV.
     `conditioning`, from `step_conditioning` with the same weights, step
     and cond, saves recomputing it; it is built here when omitted.
     """
@@ -417,7 +430,7 @@ def denoiser_forward(
         return add(mul(u, scale), shift)
 
     h = add(matmul(x, ptensors["input.w"]), ptensors["input.b"])
-    new_kv: list[tuple[np.ndarray, np.ndarray]] = []
+    keys, rotated, vals = [], [], []
 
     for l in range(config.n_layers):
         p = f"layers.{l}"
@@ -425,7 +438,8 @@ def denoiser_forward(
         u = modulate(layer_norm(h, ptensors[f"{p}.ln1.g"], ptensors[f"{p}.ln1.b"]), step["mod1"])
         qkv = matmul(u, ptensors[f"{p}.attn.qkv.w"])
         q, k, v = (slice2d(qkv, cols=slice(i * dm, (i + 1) * dm)) for i in range(3))
-        new_kv.append((data_of(k), data_of(v)))
+        keys.append(data_of(k))
+        vals.append(data_of(v))
 
         if memory is not None:
             mem_ks, mem_vs = [], []
@@ -438,9 +452,10 @@ def denoiser_forward(
                     span_v, ptensors[f"compressor.{l}.val.w"], ptensors[f"compressor.{l}.val.b"]))
             k, v = concat([k] + mem_ks), concat([v] + mem_vs)
         k = rope_apply(k, key_pos, freqs)
+        rotated.append(data_of(k)[..., :n, :])
         if ctx is not None:
-            k = concat([ctx.layers[l][0].astype(dtype, copy=False), k])
-            v = concat([ctx.layers[l][1].astype(dtype, copy=False), v])
+            k = concat([ctx.keys[l].astype(dtype, copy=False), k])
+            v = concat([ctx.vals[l].astype(dtype, copy=False), v])
 
         heads = attention(rope_apply(q, pos, freqs), k, v, mask, config.n_heads)
         attn = add(matmul(heads, ptensors[f"{p}.attn.o.w"]), ptensors[f"{p}.attn.o.b"])
@@ -456,4 +471,4 @@ def denoiser_forward(
     vel = add(matmul(out, ptensors["output.w"]), ptensors["output.b"])
     if not np.isfinite(data_of(vel)).all():
         raise FloatingPointError("denoiser produced non-finite velocities")
-    return vel, new_kv
+    return vel, BlockKV(np.stack(keys), np.stack(rotated), np.stack(vals))

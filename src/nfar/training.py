@@ -33,6 +33,10 @@ from .rng import STREAM_TRAIN, make_rng
 from .schedule import noise_forward, velocity_target
 from .synthdata import Dataset
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+T_RANGE = (0.02, 0.98)  # training steps t are drawn from this range, stratified over the batch
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int, last_good: DenoiserParams, history: list):
@@ -204,11 +208,8 @@ class TrainConfig:
     total_steps: int
     plan: BlockPlan
     learning_rate: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     batch_size: int = 4
     seed: int = 0
-    t_range: tuple[float, float] = (0.02, 0.98)
     mask_mode: str = "causal"         # "causal" or "none" (non-AR backbone)
     lr_schedule: str = "constant"     # "constant" or "cosine" (decay to 0)
 
@@ -287,13 +288,13 @@ def _run_training(
 ) -> tuple[DenoiserParams, list[tuple[int, float, float]]]:
     params = params.copy()
     rng = make_rng(config.seed, STREAM_TRAIN)
-    opt = Adam(_flat_views(params.values, trainable), config.learning_rate, config.betas, config.adam_eps)
+    opt = Adam(_flat_views(params.values, trainable), config.learning_rate, ADAM_BETAS, ADAM_EPS)
     n_seq, F, d = dataset.sequences.shape
     history: list[tuple[int, float, float]] = []
     last_good = params.copy()
     for step in range(config.total_steps):
         idx = rng.integers(0, n_seq, size=config.batch_size)
-        t_shared = _stratified_t(rng, config.batch_size, *config.t_range)
+        t_shared = _stratified_t(rng, config.batch_size, *T_RANGE)
         eps = rng.standard_normal((config.batch_size, F, d))
         block_choice = None
         if config.mask_mode == "none":

@@ -15,6 +15,7 @@ from nfar.blocks import BlockPlan
 from nfar.checks import randomized_params
 from nfar.convkv import cache_append, cache_roll, compressor_arrays, new_cache
 from nfar.model import (
+    BlockKV,
     DenoiserConfig,
     RopeFrequencies,
     block_causal_mask,
@@ -118,7 +119,8 @@ def test_08_averaging_fixed_point():
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
     cache = new_cache(config.n_layers, config.d_model, step_tag=0.5, freqs=freqs)
     for a, e in ((0, 6), (6, 14)):  # the second roll compresses windows [0, 5) and [5, 10)
-        cache_append(cache, list(zip(K[:, a:e], V[:, a:e])), list(range(a, e)), 0.5)
+        pos = list(range(a, e))
+        cache_append(cache, BlockKV(K[:, a:e], rope_apply(K[:, a:e], pos, freqs), V[:, a:e]), pos, 0.5)
         cache_roll(cache, comp)
     lt = cache.long_term
     s = float(lt.positions[1])

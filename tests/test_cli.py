@@ -162,3 +162,35 @@ def test_explicit_flag_beats_config_file(tmp_path, spelling):
     assert run(["--config", str(cfg), "data", "--out", str(out), "--frames", "22", *spelling]) == EXIT_OK
     echoed = (out / "config.txt").read_text()
     assert "seed = 5" in echoed and "sequences = 2" in echoed
+
+
+def exit_code(argv) -> int:
+    try:
+        return run(argv)
+    except SystemExit as exc:  # argparse rejects a value
+        return exc.code
+
+
+@pytest.mark.parametrize("case", ["missing_file", "no_separator", "seed_not_an_int", "stage_3",
+                                  "convkv_maybe", "dtype_f16"])
+def test_bad_config_is_usage_error(tmp_path, capsys, case):
+    cfg = tmp_path / "run.cfg"
+    text = {"no_separator": "seed 9\n", "seed_not_an_int": "seed = abc\n", "stage_3": "stage = 3\n",
+            "convkv_maybe": "convkv = maybe\n", "dtype_f16": "dtype = f16\n"}.get(case)
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    if case == "stage_3":
+        ds = tmp_path / "ds"
+        run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
+        argv = ["train", "--data", str(ds), "--out", str(out), "--steps", "0"]
+    elif case in ("convkv_maybe", "dtype_f16"):
+        save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+        argv = ["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(out), "--blocks", "1", "--steps", "1"]
+    else:
+        argv = ["data", "--out", str(out), "--sequences", "1"]
+    capsys.readouterr()
+    assert exit_code(["--config", str(cfg), *argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from nfar.convkv import (
     snapshot,
 )
 from nfar.model import (
+    BlockKV,
     DenoiserConfig,
     InlineMemorySpec,
     RopeFrequencies,
@@ -38,14 +40,15 @@ N_LAYERS, D_KV = 2, 16
 FREQS = RopeFrequencies.create(D_KV // 2, 10000.0)  # two heads, as in averaging_comp
 
 
-def fake_kv(n):
-    return [(RNG.standard_normal((n, D_KV)), RNG.standard_normal((n, D_KV)))
-            for _ in range(N_LAYERS)]
+def fake_kv(positions, dtype=np.float64):
+    """Random K/V of chunks at `positions`, keys also rotated by them, as a forward returns it."""
+    keys, vals = RNG.standard_normal((2, N_LAYERS, len(positions), D_KV)).astype(dtype)
+    return BlockKV(keys, rope_apply(keys, positions, FREQS), vals)
 
 
 def make_ready_cache():
     cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS)
-    set_reference(cache, fake_kv(2), [-2, -1])
+    set_reference(cache, fake_kv([-2, -1]), [-2, -1])
     return cache
 
 
@@ -58,7 +61,8 @@ def averaging_comp():
 def run_blocks(cache, comp, sizes, mode="conv"):
     pos = cache.next_position
     for n in sizes:
-        cache_append(cache, fake_kv(n), list(range(pos, pos + n)), 0.5)
+        positions = list(range(pos, pos + n))
+        cache_append(cache, fake_kv(positions), positions, 0.5)
         pos += n
         cache_roll(cache, comp, mode=mode)
     return pos
@@ -67,30 +71,30 @@ def run_blocks(cache, comp, sizes, mode="conv"):
 def test_step_tag_enforced_on_append():
     cache = make_ready_cache()
     with pytest.raises(CacheStepError):
-        cache_append(cache, fake_kv(3), [0, 1, 2], 0.7)
+        cache_append(cache, fake_kv([0, 1, 2]), [0, 1, 2], 0.7)
 
 
 def test_append_rejects_positions_that_do_not_continue():
     cache = make_ready_cache()
-    cache_append(cache, fake_kv(3), [0, 1, 2], 0.5)
+    cache_append(cache, fake_kv([0, 1, 2]), [0, 1, 2], 0.5)
     for bad in ([4, 5, 6], [2, 3, 4], [3, 5, 4]):
         with pytest.raises(ValueError):
-            cache_append(cache, fake_kv(3), bad, 0.5)
-    cache_append(cache, fake_kv(3), [3, 4, 5], 0.5)
+            cache_append(cache, fake_kv(bad), bad, 0.5)
+    cache_append(cache, fake_kv([3, 4, 5]), [3, 4, 5], 0.5)
 
 
 def test_reference_capacity_enforced():
     cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS)
     with pytest.raises(ValueError):
-        set_reference(cache, fake_kv(3), [-3, -2, -1])
+        set_reference(cache, fake_kv([-3, -2, -1]), [-3, -2, -1])
 
 
 def test_append_is_append_only():
     cache = make_ready_cache()
-    cache_append(cache, fake_kv(6), list(range(6)), 0.5)
+    cache_append(cache, fake_kv(range(6)), list(range(6)), 0.5)
     cache_roll(cache, averaging_comp())
     before = cache.non_current_digest()
-    cache_append(cache, fake_kv(8), list(range(6, 14)), 0.5)
+    cache_append(cache, fake_kv(range(6, 14)), list(range(6, 14)), 0.5)
     assert cache.non_current_digest() == before
 
 
@@ -169,7 +173,7 @@ def test_context_view_order_and_labels():
 
 def test_unbounded_mode_accumulates_history():
     cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
-    set_reference(cache, fake_kv(2), [-2, -1])
+    set_reference(cache, fake_kv([-2, -1]), [-2, -1])
     run_blocks(cache, None, [6, 8, 8])
     assert cache.history.n_chunks == 22
     assert cache.context_chunks == 24
@@ -187,7 +191,7 @@ def test_roll_rejects_a_bad_compressor_or_mode():
     W, b = averaging_comp()
     for comp, mode in (((W[:, :3], b), "conv"), (None, "conv"), ((W, b), "average")):
         cache = make_ready_cache()
-        cache_append(cache, fake_kv(8), list(range(8)), 0.5)
+        cache_append(cache, fake_kv(range(8)), list(range(8)), 0.5)
         with pytest.raises(ValueError):
             cache_roll(cache, comp, mode=mode)
 
@@ -201,17 +205,16 @@ def test_snapshot_mentions_every_segment():
 def test_float32_cache_stays_float32():
     for weight_dtype in (np.float32, np.float64):  # the cache's dtype wins over the weights'
         cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, dtype=np.float32)
-        kv32 = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(2)]
-        set_reference(cache, kv32, [-2, -1])
+        set_reference(cache, fake_kv([-2, -1], np.float32), [-2, -1])
         comp = tuple(a.astype(weight_dtype) for a in averaging_comp())
         pos = 0
         for n in (6, 8, 8):
-            kv = [(k.astype(np.float32), v.astype(np.float32)) for k, v in fake_kv(n)]
-            cache_append(cache, kv, list(range(pos, pos + n)), 0.5)
+            positions = list(range(pos, pos + n))
+            cache_append(cache, fake_kv(positions, np.float32), positions, 0.5)
             pos += n
             cache_roll(cache, comp)
         ctx, _ = cache_context_view(cache)
-        assert all(k.dtype == np.float32 and v.dtype == np.float32 for k, v in ctx.layers)
+        assert ctx.keys.dtype == np.float32 and ctx.vals.dtype == np.float32
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -250,7 +253,7 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
                           freqs=RopeFrequencies.create(config.head_dim, config.rope_base))
         rolled = {}
         for a, e in ((0, 6), (6, 14), (14, 22)):
-            cache_append(cache, [(k[a:e], v[a:e]) for k, v in kv], list(range(a, e)), 0.5)
+            cache_append(cache, BlockKV(*(arr[:, a:e] for arr in kv)), list(range(a, e)), 0.5)
             cache_roll(cache, compressor_arrays(params))
             for i, span in enumerate(cache.long_term.spans):
                 rolled[span] = (cache.long_term.keys[:, i], cache.long_term.vals[:, i])
@@ -275,12 +278,13 @@ def roll_and_check(sizes, mode, dtype):
     raw_v = np.zeros((N_LAYERS, 0, D_KV), dtype=dtype)
     most_windows = most_evicted = 0
     for n in sizes:
-        kv = [(k.astype(dtype), v.astype(dtype)) for k, v in fake_kv(n)]
-        raw_k = np.concatenate([raw_k, np.stack([k for k, _ in kv])], axis=1)
-        raw_v = np.concatenate([raw_v, np.stack([v for _, v in kv])], axis=1)
+        positions = list(range(cache.next_position, cache.next_position + n))
+        kv = fake_kv(positions, dtype)
+        raw_k = np.concatenate([raw_k, kv.keys], axis=1)
+        raw_v = np.concatenate([raw_v, kv.vals], axis=1)
         before = cache.dropped_spans + cache.long_term.spans
         dropped_before = len(cache.dropped_spans)
-        cache_append(cache, kv, list(range(cache.next_position, cache.next_position + n)), 0.5)
+        cache_append(cache, kv, positions, 0.5)
         cache_roll(cache, (W, b), mode=mode)
 
         acc = coverage_accounting(cache)
@@ -323,33 +327,33 @@ def test_roll_ledger_covers_multi_window_rolls():
 
 def test_context_views_are_read_only_and_outlive_later_rolls():
     cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
-    set_reference(cache, fake_kv(2), [-2, -1])
+    set_reference(cache, fake_kv([-2, -1]), [-2, -1])
     run_blocks(cache, None, [6])
     early, _ = cache_context_view(cache)
-    kept = [(k.copy(), v.copy()) for k, v in early.layers]
+    kept = (early.keys.copy(), early.vals.copy())
     capacity = cache.buffer.positions.size
-    for arr in (early.layers[0][0], early.layers[1][1], early.positions):
+    for arr in (early.keys, early.vals, early.positions):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     run_blocks(cache, None, [8] * (capacity // 8 + 2))  # enough rows to double the capacity
     assert cache.buffer.positions.size > capacity
     late, _ = cache_context_view(cache)
-    for (k, v), (k1, v1), (k0, v0) in zip(early.layers, late.layers, kept):
-        assert np.array_equal(k, k0) and np.array_equal(v, v0)
-        assert np.array_equal(k1[:len(k0)], k0) and np.array_equal(v1[:len(v0)], v0)
+    for a, a1, a0 in zip((early.keys, early.vals), (late.keys, late.vals), kept):
+        assert np.array_equal(a, a0)
+        assert np.array_equal(a1[:, :a0.shape[1]], a0)
     assert np.array_equal(late.positions, np.arange(-2, cache.next_position))
     bounded = make_ready_cache()
     run_blocks(bounded, averaging_comp(), [6, 8])
     ctx, _ = cache_context_view(bounded)
     with pytest.raises(ValueError):
-        ctx.layers[0][0][0, 0] = 1.0
+        ctx.keys[0, 0, 0] = 1.0
 
 
 def test_digests_cover_the_rotated_copies():
     for cache, comp in ((make_ready_cache(), averaging_comp()),
                         (new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False), None)):
         if not cache.bounded:
-            set_reference(cache, fake_kv(2), [-2, -1])
+            set_reference(cache, fake_kv([-2, -1]), [-2, -1])
         run_blocks(cache, comp, [6, 8, 8])
         for name in ("reference", "short_term", "long_term", "history"):
             seg = getattr(cache, name)
@@ -365,7 +369,7 @@ def test_unbounded_reference_goes_before_any_chunk():
     cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
     run_blocks(cache, None, [6])
     with pytest.raises(ValueError):
-        set_reference(cache, fake_kv(2), [-2, -1])
+        set_reference(cache, fake_kv([-2, -1]), [-2, -1])
 
 
 def test_new_cache_rejects_frequencies_that_do_not_fit():
@@ -376,13 +380,14 @@ def test_new_cache_rejects_frequencies_that_do_not_fit():
 @settings(max_examples=40, deadline=None)
 @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5), bounded=st.booleans(),
        dtype=st.sampled_from([np.float64, np.float32]), n_steps=st.sampled_from([2, 3]),
-       seed=st.integers(0, 1000))
-def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, seed):
+       seed=st.integers(0, 1000), n_layers=st.sampled_from([1, 2, 3]), n_heads=st.sampled_from([1, 2, 4]))
+def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, seed, n_layers, n_heads):
     # Every context view hands out keys equal, bit for bit, to one rotation of
     # the un-rotated keys this test records (long-term: the cache's compressed
     # keys) by the view's positions; the ledger conserves every chunk id after
-    # every roll; and the unbounded stream matches the full recompute.
-    config = TINY
+    # every roll; and the unbounded stream matches the full recompute. The
+    # layer and head counts vary, so a mis-stacked layer axis breaks the bits.
+    config = replace(TINY, n_layers=n_layers, n_heads=n_heads)
     params = randomized_params(config, seed=seed)
     rng = np.random.default_rng(seed)
     for name in params.compressor_names():
@@ -395,11 +400,11 @@ def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, 
     views = []
 
     def recording_reference(cache, kv, positions):
-        raw[id(cache)] = [np.stack([k for k, _ in kv])]
+        raw[id(cache)] = [kv.keys]
         set_reference(cache, kv, positions)
 
     def recording_append(cache, kv, positions, step):
-        raw[id(cache)].append(np.stack([k for k, _ in kv]))
+        raw[id(cache)].append(kv.keys)
         cache_append(cache, kv, positions, step)
 
     def checking_view(cache):
@@ -408,10 +413,9 @@ def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, 
             unrotated = np.concatenate([raw[id(cache)][0], cache.long_term.keys, cache.short_term.keys], axis=1)
         else:
             unrotated = np.concatenate(raw[id(cache)], axis=1)
-        keys = np.stack([k for k, _ in ctx.layers])
-        assert keys.dtype == np.dtype(dtype)
-        assert not any(a.flags.writeable for layer in ctx.layers for a in layer)
-        assert np.array_equal(keys, rope_apply(unrotated, ctx.positions, freqs))
+        assert ctx.keys.dtype == np.dtype(dtype)
+        assert not any(a.flags.writeable for a in (ctx.keys, ctx.vals))
+        assert np.array_equal(ctx.keys, rope_apply(unrotated, ctx.positions, freqs))
         assert len(labels) == ctx.n_tokens == cache.context_chunks
         views.append(labels)
         return ctx, labels

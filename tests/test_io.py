@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nfar.checks import TINY
 from nfar.cli import EXIT_USAGE, main
 from nfar.io import (
     FormatError,
@@ -156,6 +159,38 @@ def test_checkpoint_garbage_rejected(tmp_path):
         load_checkpoint(path)
     save_checkpoint(path, init_params(DenoiserConfig(d_model=16, d_ff=16), seed=1))
     path.write_bytes(path.read_bytes().replace(b"input.b float64", b"input.b bogus64", 1))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+TINY_PARAMS = init_params(TINY, seed=3, meta={"stage": "1"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_manifest_raises_or_loads_the_same_tensors(tmp_path_factory, data):
+    # Any one byte of the manifest replaced: a FormatError, or the original
+    # tensors (a changed head count or rope base loads the same weights).
+    # Any truncation: a FormatError.
+    path = tmp_path_factory.getbasetemp() / "tiny.ckpt"
+    save_checkpoint(path, TINY_PARAMS)
+    blob = path.read_bytes()
+    manifest_end = blob.index(b"\npayload\n") + len(b"\npayload\n")
+    # Half the draws aim at the numbers (sizes, shapes, offsets) with number-like bytes.
+    digits = [i for i in range(manifest_end) if blob[i:i + 1].isdigit()]
+    i = data.draw(st.one_of(st.integers(0, manifest_end - 1), st.sampled_from(digits)), label="index")
+    byte = data.draw(st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789_-. ")), label="byte")
+    path.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1:])
+    try:
+        damaged = load_checkpoint(path)
+    except FormatError:
+        pass
+    else:
+        assert damaged.equal(TINY_PARAMS)
+    path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="length")])
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    path.write_bytes(blob + b"\0")
     with pytest.raises(FormatError):
         load_checkpoint(path)
 

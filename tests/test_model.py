@@ -182,8 +182,7 @@ def test_cached_two_pass_equals_single_pass():
     pt = wrap_params(params)
     _, kv1 = denoiser_forward(pt, config, tokens[:3], np.arange(3), t, cond, np.ones((3, 3)))
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
-    ctx = ContextKV(layers=[(rope_apply(k, np.arange(3), freqs), v) for k, v in kv1],
-                    positions=np.arange(3), step_tag=t)
+    ctx = ContextKV(rope_apply(kv1.keys, np.arange(3), freqs), kv1.vals, positions=np.arange(3), step_tag=t)
     out2, _ = denoiser_forward(pt, config, tokens[3:], np.arange(3, 6), t, cond,
                                np.ones((3, 6)), ctx=ctx)
     assert np.abs(out2.data - full.data[3:]).max() <= 1e-10
@@ -195,7 +194,7 @@ def test_step_tag_mismatch_rejected():
     pt = wrap_params(params)
     tokens = RNG.standard_normal((2, 4))
     _, kv = denoiser_forward(pt, config, tokens, np.arange(2), 0.5, np.zeros(8), np.ones((2, 2)))
-    ctx = ContextKV(layers=kv, positions=np.arange(2), step_tag=0.5)
+    ctx = ContextKV(kv.rotated, kv.vals, positions=np.arange(2), step_tag=0.5)
     with pytest.raises(StepTagError):
         denoiser_forward(pt, config, tokens, np.arange(2), 0.7, np.zeros(8),
                          np.ones((2, 4)), ctx=ctx)
@@ -214,12 +213,11 @@ def test_bare_weights_give_the_taped_forward_bit_for_bit(dtype):
         params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
     params = params.astype(dtype)
     tokens, pos, cond = _forward_inputs(config, n=12)
-    kv = [(rng.standard_normal((3, config.d_model)), rng.standard_normal((3, config.d_model)))
-          for _ in range(config.n_layers)]
+    ctx_k, ctx_v = rng.standard_normal((2, config.n_layers, 3, config.d_model))
     lam = config.compress_ratio
     cases = {
         "none": dict(mask=block_causal_mask(BlockPlan((6, 6)))),
-        "ctx": dict(mask=np.ones((12, 15)), ctx=ContextKV(layers=kv, positions=np.arange(-3, 0), step_tag=0.3)),
+        "ctx": dict(mask=np.ones((12, 15)), ctx=ContextKV(ctx_k, ctx_v, positions=np.arange(-3, 0), step_tag=0.3)),
         "memory": dict(mask=np.ones((12, 14)),
                        memory=InlineMemorySpec(spans=((0, 2 * lam),), mem_positions=(0.0, float(lam)),
                                                ratio=lam)),
@@ -229,8 +227,8 @@ def test_bare_weights_give_the_taped_forward_bit_for_bit(dtype):
         taped, taped_kv = denoiser_forward(wrap_params(params), config, tokens, pos, 0.3, cond, **kw)
         assert type(bare) is np.ndarray and isinstance(taped, Tensor), case
         assert bare.dtype == dtype and np.array_equal(bare, taped.data), case
-        for (bk, bv), (tk, tv) in zip(bare_kv, taped_kv):
-            assert type(bk) is np.ndarray and np.array_equal(bk, tk) and np.array_equal(bv, tv), case
+        for bare_a, taped_a in zip(bare_kv, taped_kv):
+            assert type(bare_a) is np.ndarray and np.array_equal(bare_a, taped_a), case
         step = step_conditioning(params.values, config, 0.3, cond)
         given, _ = denoiser_forward(params.values, config, tokens, pos, 0.3, cond, conditioning=step, **kw)
         assert np.array_equal(given, bare), case
