@@ -188,7 +188,9 @@ def cmd_bench(args) -> int:
         for b in range(plan.n_blocks):
             fh.write(f"{b},convkv,{result['per_block_with'][b]!r}\n")
             fh.write(f"{b},no-compression-ops,{result['per_block_without'][b]!r}\n")
+            fh.write(f"{b},unbounded,{result['per_block_unbounded'][b]!r}\n")
     print(f"compression overhead fraction: {result['overhead_fraction']:.4f}")
+    print(f"conv roll cost over subsample: {result['roll_overhead'] * 1e6:.1f}us per block")
     print(f"bounded last-block latency:   {result['bounded_last_block']:.4f}s")
     print(f"unbounded last-block latency: {result['unbounded_last_block']:.4f}s")
     return EXIT_OK
@@ -283,27 +285,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
-    """The config file's `key = value` lines as `--flag=value` options of the subcommand."""
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """`argv` with the `--config` file's `key = value` lines as `--flag=value` options of the subcommand.
+
+    They go right after the subcommand, before the parse, so they pass the
+    same checks as flags, can supply a required flag, and lose to an
+    explicit flag, which comes later.
+    """
+    top = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    top.add_argument("--config")
+    top.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand and everything after it
+    known, _ = top.parse_known_args(argv)
     sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a.option_strings[-1] for a in sub_action.choices[command]._actions
+    if known.config is None or not known.rest or known.rest[0] not in sub_action.choices:
+        return argv  # nothing to insert; the real parse reports any error
+    flags = {a.dest: a.option_strings[-1] for a in sub_action.choices[known.rest[0]]._actions
              if a.option_strings and a.dest != "help"}
-    given = io.parse_config_text(Path(path).read_text(encoding="utf-8"), dict.fromkeys(flags, None))
-    return [f"{flags[key]}={value}" for key, value in given.items() if value is not None]
+    given = io.parse_config_text(Path(known.config).read_text(encoding="utf-8"), dict.fromkeys(flags, None))
+    at = len(argv) - len(known.rest) + 1
+    return argv[:at] + [f"{flags[key]}={value}" for key, value in given.items() if value is not None] + argv[at:]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            # The config's options go right after the subcommand, so they pass
-            # the same checks as flags and an explicit flag, given later, wins.
-            at = next(i for i, arg in enumerate(argv)
-                      if arg == args.command and argv[i - 1:i] != ["--config"])
-            args = parser.parse_args(argv[:at + 1] + _config_flags(parser, args.command, args.config)
-                                     + argv[at + 1:])
+        args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
     except (io.FormatError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

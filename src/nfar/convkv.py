@@ -228,10 +228,12 @@ def cache_append(cache: SegmentedKVCache, kv: BlockKV, positions, step: float) -
 
 
 def compressor_arrays(params: DenoiserParams) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (W (2*n_layers, lam, d, d), b (2*n_layers, d)): key layers, then value layers."""
-    names = [f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(params.config.n_layers)]
-    return (np.stack([params.values[f"{name}.w"] for name in names]),
-            np.stack([params.values[f"{name}.b"] for name in names]))
+    """Stacked (W (2*n_layers, lam, d, d), b (2*n_layers, d)): key layers, then value layers.
+
+    The params' own compressor storage, not a copy, while every compressor
+    entry views it (see `DenoiserParams`); a fresh stack otherwise.
+    """
+    return params.compressor_stack()
 
 
 def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> None:

@@ -176,7 +176,7 @@ def load_checkpoint(path) -> DenoiserParams:
         values[name] = np.frombuffer(raw, dtype=dt.newbyteorder("<")).astype(dt).reshape(shape)
     for fused, parts in heads.items():
         values[fused] = np.concatenate([values.pop(part) for part in parts], axis=1)
-    return DenoiserParams(config=config, values=values, meta=meta)
+    return DenoiserParams(config=config, values=values, meta=meta).stack_compressor()
 
 
 # -- key = value configs -------------------------------------------------------

@@ -161,13 +161,61 @@ def expand_mask_with_ref(mask: np.ndarray, n_ref: int) -> np.ndarray:
 
 # -- parameters -------------------------------------------------------------
 
+def compressor_stack_names(config: DenoiserConfig) -> tuple[list[str], list[str]]:
+    """The compressor's (w names, b names), each in stack order: every key layer, then every value layer."""
+    prefixes = [f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(config.n_layers)]
+    return [f"{n}.w" for n in prefixes], [f"{n}.b" for n in prefixes]
+
+
 @dataclass
 class DenoiserParams:
-    """Flat name -> array store for all learnable weights (compressor included)."""
+    """Flat name -> array store for all learnable weights (compressor included).
+
+    `stack_compressor` (which `init_params` and `io.load_checkpoint` call)
+    moves the compressor's weights into one (2*n_layers, lam, d, d) and one
+    (2*n_layers, d) stack; each `compressor.*` entry is then a view into
+    them, so an in-place edit of an entry is an edit of the stack. A caller
+    that rebinds an entry (as training's flat Adam buffer does) detaches it
+    from the stack. `copy` and `astype` give plain arrays.
+    """
 
     config: DenoiserConfig
     values: dict[str, np.ndarray]
     meta: dict[str, str] = field(default_factory=dict)
+    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def stack_compressor(self) -> "DenoiserParams":
+        """Keep the compressor weights in one stack, each entry a view into it; returns self.
+
+        Each entry is copied in and replaced by its view in turn, so the old
+        arrays are released one at a time rather than all held next to the
+        stack. Leaves the entries as they are when a kind (w or b) mixes
+        shapes or dtypes.
+        """
+        kinds = compressor_stack_names(self.config)
+        if any(len({(self.values[n].shape, self.values[n].dtype) for n in kind}) > 1 for kind in kinds):
+            return self
+        stacks, views = [], {}
+        for kind in kinds:
+            stack = np.empty((len(kind), *self.values[kind[0]].shape), self.values[kind[0]].dtype)
+            for i, n in enumerate(kind):
+                stack[i] = self.values[n]
+                self.values[n] = views[n] = stack[i]
+            stacks.append(stack)
+        self._stack = (*stacks, views)
+        return self
+
+    def compressor_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W (2*n_layers, lam, d, d), b (2*n_layers, d)): key layers, then value layers.
+
+        The live storage, without a copy, while every compressor entry is
+        still its view into it; otherwise a fresh stack of the current values.
+        """
+        if self._stack is not None:
+            w, b, views = self._stack
+            if all(self.values.get(name) is view for name, view in views.items()):
+                return w, b
+        return tuple(np.stack([self.values[n] for n in kind]) for kind in compressor_stack_names(self.config))
 
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(self.config, {k: v.copy() for k, v in self.values.items()}, dict(self.meta))
@@ -252,7 +300,7 @@ def init_params(config: DenoiserConfig, seed: int, meta: dict[str, str] | None =
             v[name] = np.tile(np.eye(c) / lam, (lam, 1, 1))
         else:
             v[name] = rng.standard_normal(shape) / math.sqrt(init)
-    return DenoiserParams(config, v, dict(meta or {}))
+    return DenoiserParams(config, v, dict(meta or {})).stack_compressor()
 
 
 def wrap_params(params: DenoiserParams, names=None) -> dict:
@@ -332,6 +380,15 @@ class StepConditioning:
     layers: tuple[dict, ...]
     final: tuple
     freqs: RopeFrequencies
+
+    def row(self, k: int) -> "StepConditioning":
+        """Batch element k of a batch of bare steps, as the one-step conditioning at step t[k]."""
+
+        def pick(a):
+            return tuple(pick(b) for b in a) if isinstance(a, tuple) else a[k]
+
+        layers = tuple({name: pick(a) for name, a in layer.items()} for layer in self.layers)
+        return StepConditioning(float(self.t[k]), layers, pick(self.final), self.freqs)
 
 
 def step_conditioning(ptensors: dict, config: DenoiserConfig, t, cond) -> StepConditioning:

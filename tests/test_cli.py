@@ -55,6 +55,7 @@ def test_generate_writes_latents_and_report(tmp_path, capsys):
         assert 0.0 <= float(roll) <= float(seconds)  # the block time includes its rolls
     captured = capsys.readouterr().out
     assert "context chunks per block: [2, 4, 6, 6]" in captured
+    assert "setup time: " in captured
 
 
 def test_train_blocks_not_matching_the_frames_is_usage_error(tmp_path, capsys):
@@ -98,6 +99,18 @@ def test_bench_rejects_runs_it_cannot_measure(tmp_path, capsys, flags):
     save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
     assert run(["bench", "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "b"), *flags]) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_bench_writes_every_mode_and_the_roll_cost(tmp_path, capsys):
+    save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+    out = tmp_path / "b"
+    assert run(["bench", "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(out),
+                "--blocks", "4", "--reps", "1"]) == EXIT_OK
+    rows = (out / "bench.csv").read_text().strip().splitlines()
+    assert rows[0] == "block,mode,median_seconds"
+    assert sorted(row.split(",")[1] for row in rows[1:]) == sorted(
+        ["convkv", "no-compression-ops", "unbounded"] * 4)
+    assert "conv roll cost over subsample: " in capsys.readouterr().out
 
 
 def test_verify_emits_check_lines(capsys):
@@ -164,6 +177,17 @@ def test_explicit_flag_beats_config_file(tmp_path, spelling):
     assert "seed = 5" in echoed and "sequences = 2" in echoed
 
 
+def test_config_file_supplies_a_required_flag(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {a}\nsequences = 2\n")
+    assert run(["--config", str(cfg), "data", "--frames", "22"]) == EXIT_OK
+    assert (a / "seq_00001.bin").exists()
+    assert run(["--config", str(cfg), "data", "--out", str(b), "--frames", "22"]) == EXIT_OK
+    assert (b / "seq_00001.bin").exists()  # the explicit flag wins over the file
+    assert (a / "seq_00001.bin").read_bytes() == (b / "seq_00001.bin").read_bytes()
+
+
 def exit_code(argv) -> int:
     try:
         return run(argv)
@@ -194,3 +218,10 @@ def test_bad_config_is_usage_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_required_flag_missing_from_flags_and_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sequences = 2\n")
+    assert exit_code(["--config", str(cfg), "data", "--frames", "22"]) == EXIT_USAGE
+    assert "the following arguments are required: --out" in capsys.readouterr().err

@@ -32,8 +32,11 @@ from nfar.model import (
     rope_apply,
     wrap_params,
 )
+from nfar.io import load_checkpoint, save_checkpoint
 from nfar.numerics import Tensor, window_products
 from nfar.schedule import SamplerConfig
+from nfar.synthdata import LatentDynamics, make_dataset
+from nfar.training import TrainConfig, train_stage2_convkv
 
 RNG = np.random.default_rng(99)
 N_LAYERS, D_KV = 2, 16
@@ -434,3 +437,84 @@ def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, 
     if not bounded:
         oracle = streaming.generate_full_recompute(params, x_ref, cond, plan, sampler, seed=seed, dtype=dtype)
         assert np.abs(seq.values - oracle.values).max() <= (1e-10 if dtype == np.float64 else 1e-5)
+
+
+# -- the compressor stack ------------------------------------------------------
+
+def fresh_stack(params):
+    return tuple(np.stack([params.values[n] for n in kind]) for kind in model.compressor_stack_names(params.config))
+
+
+def assert_current(params):
+    for got, want in zip(compressor_arrays(params), fresh_stack(params)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_compressor_arrays_hand_out_the_params_own_storage():
+    params = init_params(TINY, seed=0)
+    w, b = compressor_arrays(params)
+    again = compressor_arrays(params)
+    assert again[0] is w and again[1] is b  # no copy per call
+    assert np.shares_memory(w, params.values["compressor.1.val.w"])
+    assert np.shares_memory(b, params.values["compressor.0.key.b"])
+    assert_current(params)
+
+
+@pytest.mark.parametrize("change", ["in_place", "reassigned", "copy", "astype", "checkpoint",
+                                    "checkpoint_mixed_dtypes", "stage2"])
+def test_compressor_arrays_follow_the_current_values(tmp_path, change):
+    config = replace(TINY, d_latent=8, d_cond=16)
+    params = randomized_params(config, seed=0)  # live output heads, so stage 2 moves the compressor
+    before = [a.copy() for a in compressor_arrays(params)]
+    rng = np.random.default_rng(1)
+    if change == "in_place":
+        params.values["compressor.1.val.w"] += rng.standard_normal(params.values["compressor.1.val.w"].shape)
+        params.values["compressor.0.key.b"][...] = 3.0
+    elif change == "reassigned":
+        params.values["compressor.1.key.w"] = params.values["compressor.1.key.w"] + 1.0
+    elif change == "copy":
+        original, params = params, params.copy()
+        params.values["compressor.0.val.w"] *= 2.0
+        assert all(np.array_equal(a, b) for a, b in zip(compressor_arrays(original), before))
+    elif change == "astype":
+        params = params.astype(np.float32)
+        params.values["compressor.0.val.b"] += 1.0
+        assert compressor_arrays(params)[0].dtype == np.float32
+    elif change == "checkpoint":
+        params.values["compressor.1.key.b"] += 1.0
+        save_checkpoint(tmp_path / "m.ckpt", params)
+        params = load_checkpoint(tmp_path / "m.ckpt")
+        assert np.shares_memory(compressor_arrays(params)[1], params.values["compressor.1.key.b"])
+    elif change == "checkpoint_mixed_dtypes":  # a file may store each tensor in its own dtype
+        params.values["compressor.0.key.w"] = params.values["compressor.0.key.w"].astype(np.float32)
+        save_checkpoint(tmp_path / "m.ckpt", params)
+        params = load_checkpoint(tmp_path / "m.ckpt")
+        assert params.values["compressor.0.key.w"].dtype == np.float32
+    else:
+        dataset = make_dataset(LatentDynamics.create(seed=1, latent_dim=config.d_latent), 4, 22, seed=2)
+        params, _ = train_stage2_convkv(TrainConfig(total_steps=2, plan=BlockPlan.default(3), seed=0),
+                                        dataset, params)
+    assert_current(params)
+    assert not all(np.array_equal(a, b) for a, b in zip(compressor_arrays(params), before))
+
+
+def test_roll_after_an_in_place_edit_compresses_with_the_edited_weights():
+    config = DenoiserConfig(n_layers=N_LAYERS, d_model=D_KV, n_heads=2, d_latent=4, d_cond=4, d_ff=8)
+    params = init_params(config, seed=0)
+    averaging = [a.copy() for a in compressor_arrays(params)]
+    params.values["compressor.0.key.w"] *= 2.0
+    params.values["compressor.1.val.b"] += 1.0
+    ref, blocks = fake_kv([-2, -1]), [fake_kv(range(s, s + 8)) for s in (0, 8)]
+
+    def long_term(comp):
+        cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS)
+        set_reference(cache, ref, [-2, -1])
+        for s, kv in zip((0, 8), blocks):
+            cache_append(cache, kv, np.arange(s, s + 8), 0.5)
+            cache_roll(cache, comp)
+        return cache.long_term
+
+    edited, want, old = long_term(compressor_arrays(params)), long_term(fresh_stack(params)), long_term(averaging)
+    assert edited.n_chunks > 0
+    assert np.array_equal(edited.keys, want.keys) and np.array_equal(edited.vals, want.vals)
+    assert not np.array_equal(edited.keys, old.keys) and not np.array_equal(edited.vals, old.vals)

@@ -1,8 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nfar import streaming
 from nfar.blocks import BlockPlan
-from nfar.model import DenoiserConfig, init_params
+from nfar.checks import TINY, randomized_params
+from nfar.convkv import new_cache
+from nfar.model import DenoiserConfig, denoiser_forward, init_params, step_conditioning
 from nfar.numerics import Tensor
 from nfar.schedule import SamplerConfig
 from nfar.streaming import (
@@ -69,6 +76,17 @@ def test_context_bounded_with_convkv():
     _, report = generate_stream(params, x_ref, cond, plan, SAMPLER, use_convkv=True, seed=2)
     assert report.context_chunks[2:] == [6] * 6
     assert len(set(report.context_floats[2:])) == 1
+
+
+def test_report_times_the_setup_before_block_zero(monkeypatch):
+    params, x_ref, cond = toy_setup()
+    calls = []
+    prefill = streaming._prefill_reference
+    monkeypatch.setattr(streaming, "_prefill_reference", lambda *a: calls.append(a) or prefill(*a))
+    _, report = generate_stream(params, x_ref, cond, BlockPlan.default(2), SAMPLER, seed=2)
+    assert len(calls) == 1  # one batched prefill for every sampler step
+    assert report.setup_seconds > 0.0
+    assert f"setup time: {report.setup_seconds:.4f}s" in report.summary()
 
 
 def test_context_grows_without_convkv():
@@ -139,3 +157,40 @@ def test_zero_shot_returns_all_variants_deterministically():
     b = zero_shot_experiment(params, x_ref, cond, plan, SAMPLER, seed=4)
     assert set(a) == {"same-step", "clean-history", "independent-noise"}
     assert a == b
+
+
+def conditioning_arrays(step):
+    out = [step.freqs.freqs]
+    for part in [*step.layers, {"final": step.final}]:
+        for name in sorted(part):
+            out += list(part[name]) if isinstance(part[name], tuple) else [part[name]]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_steps=st.sampled_from([1, 2, 3]), dtype=st.sampled_from([np.float64, np.float32]),
+       n_layers=st.sampled_from([1, 2, 3]), n_heads=st.sampled_from([1, 2, 4]), seed=st.integers(0, 1000))
+def test_batched_setup_equals_one_step_at_a_time(n_steps, dtype, n_layers, n_heads, seed):
+    # A stream's setup builds every step's conditioning and reference K/V in
+    # one batched call each; step k of it must equal, bit for bit, what a
+    # one-step build and a one-step forward at t_k give.
+    config = replace(TINY, n_layers=n_layers, n_heads=n_heads)
+    params = randomized_params(config, seed=seed).astype(dtype)
+    rng = np.random.default_rng(seed)
+    x_ref = rng.standard_normal((2, config.d_latent)).astype(dtype)
+    cond = rng.standard_normal(config.d_cond)
+    sampler = SamplerConfig.uniform(n_steps)
+    batch, steps = streaming._step_conditionings(params, cond, sampler)
+    caches = [new_cache(config.n_layers, config.d_model, float(t), batch.freqs, dtype=dtype)
+              for t in sampler.grid[:-1]]
+    streaming._prefill_reference(params.values, config, x_ref, cond, caches, batch)
+    assert len(steps) == len(caches) == n_steps
+    for t, step, cache in zip(sampler.grid[:-1], steps, caches):
+        one = step_conditioning(params.values, config, float(t), cond)
+        assert type(step.t) is float and step.t == one.t
+        for got, want in zip(conditioning_arrays(step), conditioning_arrays(one), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        _, kv = denoiser_forward(params.values, config, x_ref, np.arange(-2, 0), float(t), cond, np.ones((2, 2)))
+        ref = cache.reference
+        for got, want in ((ref.keys, kv.keys), (ref.rotated, kv.rotated), (ref.vals, kv.vals)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
