@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BlockKV, ContextKV, DenoiserParams, RopeFrequencies, rope_apply
+from .model import BlockKV, ContextKV, DenoiserParams, RopeFrequencies, compressor_stack_names, rope_apply
 from .numerics import window_products
 
 REF_CAPACITY = 2
@@ -230,10 +230,15 @@ def cache_append(cache: SegmentedKVCache, kv: BlockKV, positions, step: float) -
 def compressor_arrays(params: DenoiserParams) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (W (2*n_layers, lam, d, d), b (2*n_layers, d)): key layers, then value layers.
 
-    The params' own compressor storage, not a copy, while every compressor
-    entry views it (see `DenoiserParams`); a fresh stack otherwise.
+    The params' own stack (see `DenoiserParams.stack_compressor`), not a
+    copy, while every compressor entry is still its view; a fresh stack of
+    the current values otherwise.
     """
-    return params.compressor_stack()
+    if params._stack is not None:
+        w, b, views = params._stack
+        if all(params.values.get(name) is view for name, view in views.items()):
+            return w, b
+    return tuple(np.stack([params.values[n] for n in kind]) for kind in compressor_stack_names(params.config))
 
 
 def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> None:

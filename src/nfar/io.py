@@ -118,7 +118,7 @@ def load_checkpoint(path) -> DenoiserParams:
         text = blob[:split + 1].decode("utf-8").splitlines()
     except UnicodeDecodeError as err:
         raise FormatError(f"{path}: manifest is not UTF-8: {err}") from err
-    payload = blob[split + len(marker):]
+    payload = memoryview(blob)[split + len(marker):]  # tensors are read from the file's bytes, not a copy
     cfg_kwargs, meta, entries = {}, {}, []
     for line in text[1:]:
         if line.startswith("config."):

@@ -171,25 +171,24 @@ def compressor_stack_names(config: DenoiserConfig) -> tuple[list[str], list[str]
 class DenoiserParams:
     """Flat name -> array store for all learnable weights (compressor included).
 
-    `stack_compressor` (which `init_params` and `io.load_checkpoint` call)
-    moves the compressor's weights into one (2*n_layers, lam, d, d) and one
-    (2*n_layers, d) stack; each `compressor.*` entry is then a view into
-    them, so an in-place edit of an entry is an edit of the stack. A caller
-    that rebinds an entry (as training's flat Adam buffer does) detaches it
-    from the stack. `copy` and `astype` give plain arrays.
+    `stack_compressor` (which `io.load_checkpoint` calls) moves the
+    compressor's weights into one (2*n_layers, lam, d, d) and one
+    (2*n_layers, d) stack and makes each `compressor.*` entry a view into
+    them, so that `convkv.compressor_arrays` can hand the stack out without
+    a copy. Rebinding an entry (as training's flat Adam buffer does)
+    detaches it from the stack; `copy` and `astype` give plain arrays.
     """
 
     config: DenoiserConfig
     values: dict[str, np.ndarray]
     meta: dict[str, str] = field(default_factory=dict)
-    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)  # (w, b, {name: view})
 
     def stack_compressor(self) -> "DenoiserParams":
         """Keep the compressor weights in one stack, each entry a view into it; returns self.
 
-        Each entry is copied in and replaced by its view in turn, so the old
-        arrays are released one at a time rather than all held next to the
-        stack. Leaves the entries as they are when a kind (w or b) mixes
+        The entries are copied in one at a time, each released as its view
+        replaces it. Leaves them as they are when a kind (w or b) mixes
         shapes or dtypes.
         """
         kinds = compressor_stack_names(self.config)
@@ -204,18 +203,6 @@ class DenoiserParams:
             stacks.append(stack)
         self._stack = (*stacks, views)
         return self
-
-    def compressor_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W (2*n_layers, lam, d, d), b (2*n_layers, d)): key layers, then value layers.
-
-        The live storage, without a copy, while every compressor entry is
-        still its view into it; otherwise a fresh stack of the current values.
-        """
-        if self._stack is not None:
-            w, b, views = self._stack
-            if all(self.values.get(name) is view for name, view in views.items()):
-                return w, b
-        return tuple(np.stack([self.values[n] for n in kind]) for kind in compressor_stack_names(self.config))
 
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(self.config, {k: v.copy() for k, v in self.values.items()}, dict(self.meta))
@@ -300,7 +287,7 @@ def init_params(config: DenoiserConfig, seed: int, meta: dict[str, str] | None =
             v[name] = np.tile(np.eye(c) / lam, (lam, 1, 1))
         else:
             v[name] = rng.standard_normal(shape) / math.sqrt(init)
-    return DenoiserParams(config, v, dict(meta or {})).stack_compressor()
+    return DenoiserParams(config, v, dict(meta or {}))
 
 
 def wrap_params(params: DenoiserParams, names=None) -> dict:

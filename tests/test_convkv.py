@@ -450,8 +450,9 @@ def assert_current(params):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_compressor_arrays_hand_out_the_params_own_storage():
-    params = init_params(TINY, seed=0)
+def test_compressor_arrays_hand_out_a_loaded_checkpoint_own_storage(tmp_path):
+    save_checkpoint(tmp_path / "m.ckpt", init_params(TINY, seed=0))
+    params = load_checkpoint(tmp_path / "m.ckpt")
     w, b = compressor_arrays(params)
     again = compressor_arrays(params)
     assert again[0] is w and again[1] is b  # no copy per call
@@ -464,7 +465,8 @@ def test_compressor_arrays_hand_out_the_params_own_storage():
                                     "checkpoint_mixed_dtypes", "stage2"])
 def test_compressor_arrays_follow_the_current_values(tmp_path, change):
     config = replace(TINY, d_latent=8, d_cond=16)
-    params = randomized_params(config, seed=0)  # live output heads, so stage 2 moves the compressor
+    params = randomized_params(config, seed=0).stack_compressor()  # live output heads: stage 2 moves the compressor
+    assert np.shares_memory(compressor_arrays(params)[0], params.values["compressor.0.key.w"])
     before = [a.copy() for a in compressor_arrays(params)]
     rng = np.random.default_rng(1)
     if change == "in_place":
@@ -500,10 +502,13 @@ def test_compressor_arrays_follow_the_current_values(tmp_path, change):
 
 def test_roll_after_an_in_place_edit_compresses_with_the_edited_weights():
     config = DenoiserConfig(n_layers=N_LAYERS, d_model=D_KV, n_heads=2, d_latent=4, d_cond=4, d_ff=8)
-    params = init_params(config, seed=0)
+    params = init_params(config, seed=0).stack_compressor()  # as a loaded checkpoint holds them
     averaging = [a.copy() for a in compressor_arrays(params)]
     params.values["compressor.0.key.w"] *= 2.0
     params.values["compressor.1.val.b"] += 1.0
+    by_hand = [a.copy() for a in averaging]  # the same edits at their stack rows: keys, then values
+    by_hand[0][0] *= 2.0
+    by_hand[1][N_LAYERS + 1] += 1.0
     ref, blocks = fake_kv([-2, -1]), [fake_kv(range(s, s + 8)) for s in (0, 8)]
 
     def long_term(comp):
@@ -514,7 +519,7 @@ def test_roll_after_an_in_place_edit_compresses_with_the_edited_weights():
             cache_roll(cache, comp)
         return cache.long_term
 
-    edited, want, old = long_term(compressor_arrays(params)), long_term(fresh_stack(params)), long_term(averaging)
+    edited, want, old = long_term(compressor_arrays(params)), long_term(by_hand), long_term(averaging)
     assert edited.n_chunks > 0
     assert np.array_equal(edited.keys, want.keys) and np.array_equal(edited.vals, want.vals)
     assert not np.array_equal(edited.keys, old.keys) and not np.array_equal(edited.vals, old.vals)
