@@ -19,6 +19,7 @@ from .model import (
     block_causal_mask,
     init_params,
     rope_apply,
+    tape_leaves,
     wrap_params,
 )
 from .numerics import finite_difference_grad, grad_of
@@ -188,7 +189,8 @@ def gradient_integrity(seed: int = 0) -> tuple[bool, str]:
         for name in params.values:
             stage = 2 if name.startswith("compressor.") else 1
             pt = wrap_params(params)
-            (g,) = grad_of(loss_of(pt, stage), [pt[name]])
+            # A compressor stack's leaves are its rows, so its gradient is the stack of theirs.
+            g = np.stack(grad_of(loss_of(pt, stage), tape_leaves(pt, [name]))).reshape(params.values[name].shape)
             # The differences need no tape: bare weights give the same loss bits.
             fd = finite_difference_grad(
                 lambda x, n=name, s=stage: loss_of({**params.values, n: x}, s).item(),

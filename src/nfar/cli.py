@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
-    except (io.FormatError, FileNotFoundError, ValueError) as err:
+    except (io.FormatError, OSError, ValueError) as err:  # OSError: a path missing or of the wrong kind
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (GenerationAborted, TrainingDiverged, FloatingPointError) as err:

@@ -9,6 +9,7 @@ import math
 import re
 import struct
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -67,21 +68,34 @@ _CONFIG_FIELDS = (
 # Version 1 also stored the single-key cross-attention's query/key side,
 # which never affected the output, and a rope-on-values flag.
 _V1_DEAD = re.compile(r"layers\.\d+\.(ln2\.[gb]|cross\.[qk])")
-_VERSIONS = (b"checkpoint v1\n", b"checkpoint v2\n", b"checkpoint v3\n")
+_VERSIONS = (b"checkpoint v1\n", b"checkpoint v2\n", b"checkpoint v3\n", b"checkpoint v4\n")
 _TENSOR_DTYPES = {name: np.dtype(name) for name in ("float64", "float32")}
 
 
-def _head_tensors(config: DenoiserConfig) -> dict[str, list[str]]:
-    """Versions 1 and 2 stored one (d_model, head_dim) matrix per layer, q/k/v and head:
-    each layer's attn.qkv.w -> the names of its column blocks, in column order."""
-    h = config.n_heads
-    return {f"layers.{l}.attn.qkv.w": [f"layers.{l}.attn.{'qkv'[i // h]}.{i % h}" for i in range(3 * h)]
-            for l in range(config.n_layers)}
+def _legacy_tensors(config: DenoiserConfig, version: int) -> dict[str, tuple[list[str], tuple, Callable]]:
+    """Tensors that a file of `version` stores in parts: name -> (part names, part shape, join).
+
+    Versions 1 and 2 stored one (d_model, head_dim) matrix per layer, q/k/v
+    and head: the column blocks of each layer's attn.qkv.w. Versions 1 to 3
+    stored a compressor per layer and K/V: the rows of compressor.w and
+    compressor.b, every key layer, then every value layer.
+    """
+    h, dm = config.n_heads, config.d_model
+    out = {}
+    if version < 3:
+        for l in range(config.n_layers):
+            out[f"layers.{l}.attn.qkv.w"] = ([f"layers.{l}.attn.{'qkv'[i // h]}.{i % h}" for i in range(3 * h)],
+                                             (dm, config.head_dim), lambda parts: np.concatenate(parts, axis=1))
+    if version < 4:
+        rows = [f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(config.n_layers)]
+        out["compressor.w"] = ([f"{r}.w" for r in rows], (config.compress_ratio, dm, dm), np.stack)
+        out["compressor.b"] = ([f"{r}.b" for r in rows], (dm,), np.stack)
+    return out
 
 
 def save_checkpoint(path, params: DenoiserParams) -> None:
     """Text manifest (config, meta, tensor table) + the payloads, back to back in name order."""
-    lines = ["checkpoint v3"]
+    lines = ["checkpoint v4"]
     for f in _CONFIG_FIELDS:
         lines.append(f"config.{f} = {getattr(params.config, f)}")
     for k in sorted(params.meta):
@@ -105,15 +119,16 @@ def save_checkpoint(path, params: DenoiserParams) -> None:
 
 
 def load_checkpoint(path) -> DenoiserParams:
-    """Read a v3 checkpoint, or a v1/v2 one with its per-head q/k/v matrices joined
-    into attn.qkv.w (and v1's dead tensors dropped); validate the layout and the tiling."""
+    """Read a v4 checkpoint, or an older one with its parts joined (see `_legacy_tensors`)
+    and v1's dead tensors dropped; validate the layout and the tiling."""
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     split = blob.find(marker)
-    version = blob[:blob.find(b"\n") + 1]
-    if version not in _VERSIONS or split < 0:
+    header = blob[:blob.find(b"\n") + 1]
+    if header not in _VERSIONS or split < 0:
         raise FormatError(f"{path}: not a checkpoint file")
-    v1 = version == _VERSIONS[0]
+    version = _VERSIONS.index(header) + 1
+    v1 = version == 1
     try:
         text = blob[:split + 1].decode("utf-8").splitlines()
     except UnicodeDecodeError as err:
@@ -157,10 +172,10 @@ def load_checkpoint(path) -> DenoiserParams:
     except ValueError as err:
         raise FormatError(f"{path}: bad config: {err}") from err
     layout = {name: shape for name, (shape, _) in param_layout(config).items()}
-    heads = _head_tensors(config) if version != _VERSIONS[2] else {}
-    for fused, parts in heads.items():
+    legacy = _legacy_tensors(config, version)
+    for fused, (parts, shape, _) in legacy.items():
         del layout[fused]
-        layout.update({part: (config.d_model, config.head_dim) for part in parts})
+        layout.update(dict.fromkeys(parts, shape))
     found = {name: shape for name, _, _, shape in tensors}
     if len(found) != len(tensors):
         raise FormatError(f"{path}: a tensor name appears twice")
@@ -174,9 +189,9 @@ def load_checkpoint(path) -> DenoiserParams:
     for name, dt, offset, shape in tensors:
         raw = payload[offset:offset + math.prod(shape) * dt.itemsize]
         values[name] = np.frombuffer(raw, dtype=dt.newbyteorder("<")).astype(dt).reshape(shape)
-    for fused, parts in heads.items():
-        values[fused] = np.concatenate([values.pop(part) for part in parts], axis=1)
-    return DenoiserParams(config=config, values=values, meta=meta).stack_compressor()
+    for fused, (parts, _, join) in legacy.items():
+        values[fused] = join([values.pop(part) for part in parts])
+    return DenoiserParams(config=config, values=values, meta=meta)
 
 
 # -- key = value configs -------------------------------------------------------

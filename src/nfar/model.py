@@ -161,48 +161,18 @@ def expand_mask_with_ref(mask: np.ndarray, n_ref: int) -> np.ndarray:
 
 # -- parameters -------------------------------------------------------------
 
-def compressor_stack_names(config: DenoiserConfig) -> tuple[list[str], list[str]]:
-    """The compressor's (w names, b names), each in stack order: every key layer, then every value layer."""
-    prefixes = [f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(config.n_layers)]
-    return [f"{n}.w" for n in prefixes], [f"{n}.b" for n in prefixes]
-
-
 @dataclass
 class DenoiserParams:
     """Flat name -> array store for all learnable weights (compressor included).
 
-    `stack_compressor` (which `io.load_checkpoint` calls) moves the
-    compressor's weights into one (2*n_layers, lam, d, d) and one
-    (2*n_layers, d) stack and makes each `compressor.*` entry a view into
-    them, so that `convkv.compressor_arrays` can hand the stack out without
-    a copy. Rebinding an entry (as training's flat Adam buffer does)
-    detaches it from the stack; `copy` and `astype` give plain arrays.
+    The compressor is two stacks, `compressor.w` (2*n_layers, lam, d, d) and
+    `compressor.b` (2*n_layers, d): row l compresses layer l's keys, row
+    n_layers + l its values.
     """
 
     config: DenoiserConfig
     values: dict[str, np.ndarray]
     meta: dict[str, str] = field(default_factory=dict)
-    _stack: tuple | None = field(default=None, init=False, repr=False, compare=False)  # (w, b, {name: view})
-
-    def stack_compressor(self) -> "DenoiserParams":
-        """Keep the compressor weights in one stack, each entry a view into it; returns self.
-
-        The entries are copied in one at a time, each released as its view
-        replaces it. Leaves them as they are when a kind (w or b) mixes
-        shapes or dtypes.
-        """
-        kinds = compressor_stack_names(self.config)
-        if any(len({(self.values[n].shape, self.values[n].dtype) for n in kind}) > 1 for kind in kinds):
-            return self
-        stacks, views = [], {}
-        for kind in kinds:
-            stack = np.empty((len(kind), *self.values[kind[0]].shape), self.values[kind[0]].dtype)
-            for i, n in enumerate(kind):
-                stack[i] = self.values[n]
-                self.values[n] = views[n] = stack[i]
-            stacks.append(stack)
-        self._stack = (*stacks, views)
-        return self
 
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(self.config, {k: v.copy() for k, v in self.values.items()}, dict(self.meta))
@@ -267,10 +237,9 @@ def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], int
         out[f"{p}.ffn.b2"] = ((dm,), "zeros")
         out[f"{p}.gate3.w"] = ((dm, dm), "zeros")
         out[f"{p}.gate3.b"] = ((dm,), "zeros")
-    for l in range(config.n_layers):
-        for kind in ("key", "val"):
-            out[f"compressor.{l}.{kind}.w"] = ((config.compress_ratio, dm, dm), "average")
-            out[f"compressor.{l}.{kind}.b"] = ((dm,), "zeros")
+    rows = 2 * config.n_layers  # every layer's key compressor, then every layer's value compressor
+    out["compressor.w"] = ((rows, config.compress_ratio, dm, dm), "average")
+    out["compressor.b"] = ((rows, dm), "zeros")
     return out
 
 
@@ -283,8 +252,8 @@ def init_params(config: DenoiserConfig, seed: int, meta: dict[str, str] | None =
         elif init == "ones":
             v[name] = np.ones(shape)
         elif init == "average":
-            lam, c, _ = shape
-            v[name] = np.tile(np.eye(c) / lam, (lam, 1, 1))
+            rows, lam, c, _ = shape
+            v[name] = np.tile(np.eye(c) / lam, (rows, lam, 1, 1))
         else:
             v[name] = rng.standard_normal(shape) / math.sqrt(init)
     return DenoiserParams(config, v, dict(meta or {}))
@@ -293,10 +262,23 @@ def init_params(config: DenoiserConfig, seed: int, meta: dict[str, str] | None =
 def wrap_params(params: DenoiserParams, names=None) -> dict:
     """Weights for one loss evaluation: the named ones (all by default) as Tensor leaves, the rest bare.
 
-    Bare weights stay off the tape, so no gradient is computed for them.
+    Bare weights stay off the tape, so no gradient is computed for them. A
+    compressor stack becomes a tuple of one leaf per row, which the forward
+    indexes as it indexes the bare stack.
     """
     taped = params.values.keys() if names is None else set(names)
-    return {k: Tensor(a) if k in taped else a for k, a in params.values.items()}
+
+    def wrap(name, a):
+        if name not in taped:
+            return a
+        return tuple(Tensor(row) for row in a) if name.startswith("compressor.") else Tensor(a)
+
+    return {k: wrap(k, a) for k, a in params.values.items()}
+
+
+def tape_leaves(ptensors: dict, names) -> list[Tensor]:
+    """The leaves of the named weights from `wrap_params`, in the order of their values."""
+    return [leaf for n in names for leaf in (ptensors[n] if isinstance(ptensors[n], tuple) else (ptensors[n],))]
 
 
 # -- forward ----------------------------------------------------------------
@@ -486,14 +468,11 @@ def denoiser_forward(
         vals.append(data_of(v))
 
         if memory is not None:
+            w, b, lv = ptensors["compressor.w"], ptensors["compressor.b"], config.n_layers + l
             mem_ks, mem_vs = [], []
             for s, e in memory.spans:
-                span_k = slice2d(k, rows=slice(s, e))
-                span_v = slice2d(v, rows=slice(s, e))
-                mem_ks.append(conv1d_strided(
-                    span_k, ptensors[f"compressor.{l}.key.w"], ptensors[f"compressor.{l}.key.b"]))
-                mem_vs.append(conv1d_strided(
-                    span_v, ptensors[f"compressor.{l}.val.w"], ptensors[f"compressor.{l}.val.b"]))
+                mem_ks.append(conv1d_strided(slice2d(k, rows=slice(s, e)), w[l], b[l]))
+                mem_vs.append(conv1d_strided(slice2d(v, rows=slice(s, e)), w[lv], b[lv]))
             k, v = concat([k] + mem_ks), concat([v] + mem_vs)
         k = rope_apply(k, key_pos, freqs)
         rotated.append(data_of(k)[..., :n, :])

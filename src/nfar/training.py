@@ -26,6 +26,7 @@ from .model import (
     block_causal_mask,
     denoiser_forward,
     expand_mask_with_ref,
+    tape_leaves,
     wrap_params,
 )
 from .numerics import ShapeError, add, grad_of, mean_all, mul, slice2d, sub
@@ -216,8 +217,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.total_steps < 0:
             raise ValueError("total_steps must be >= 0")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning rate must be finite and non-negative, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.mask_mode not in ("causal", "none"):
             raise ValueError(f"unknown mask mode {self.mask_mode!r}")
         if self.lr_schedule not in ("constant", "cosine"):
@@ -286,12 +289,22 @@ def _run_training(
     trainable: list[str],
     compress_spec: CompressSpec | None,
 ) -> tuple[DenoiserParams, list[tuple[int, float, float]]]:
-    params = params.copy()
+    if dataset.sequences.shape[0] == 0:
+        raise ValueError(f"the dataset holds no sequences (shape {dataset.sequences.shape})")
+    trained = set(trainable)
+    # The flat buffer copies the trained weights, so only the frozen ones are copied here.
+    params = DenoiserParams(params.config, {k: a if k in trained else a.copy() for k, a in params.values.items()},
+                            dict(params.meta))
     rng = make_rng(config.seed, STREAM_TRAIN)
     opt = Adam(_flat_views(params.values, trainable), config.learning_rate, ADAM_BETAS, ADAM_EPS)
     n_seq, F, d = dataset.sequences.shape
     history: list[tuple[int, float, float]] = []
-    last_good = params.copy()
+
+    def snapshot() -> DenoiserParams:  # the frozen weights never change, so they are shared, not copied
+        return DenoiserParams(params.config, {k: a.copy() if k in trained else a for k, a in params.values.items()},
+                              dict(params.meta))
+
+    last_good = snapshot()
     for step in range(config.total_steps):
         idx = rng.integers(0, n_seq, size=config.batch_size)
         t_shared = _stratified_t(rng, config.batch_size, *T_RANGE)
@@ -316,12 +329,12 @@ def _run_training(
         history.append((step, loss_val, float(t_shared.mean())))
         if not np.isfinite(loss_val):
             raise TrainingDiverged(step, last_good, history)
-        grads = grad_of(loss, [ptensors[n] for n in trainable])
+        grads = grad_of(loss, tape_leaves(ptensors, trainable))
         if config.lr_schedule == "cosine":
             opt.lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.total_steps))
         opt.step(grads)
         if step % 200 == 0:
-            last_good = params.copy()
+            last_good = snapshot()
     return params, history
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,40 @@ def test_required_flag_missing_from_flags_and_config_is_usage_error(tmp_path, ca
     cfg.write_text("sequences = 2\n")
     assert exit_code(["--config", str(cfg), "data", "--frames", "22"]) == EXIT_USAGE
     assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["ckpt_is_a_directory", "data_is_a_file", "config_is_a_directory",
+                                  "out_under_a_file", "out_is_a_file"])
+def test_path_of_the_wrong_kind_is_usage_error(tmp_path, capsys, case):
+    ds, a_file = tmp_path / "ds", tmp_path / "a_file"
+    run(["data", "--out", str(ds), "--seed", "1", "--sequences", "1", "--frames", "22"])
+    a_file.write_text("not a directory\n")
+    save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+    generate = ["generate", "--blocks", "1", "--steps", "1"]
+    argv = {
+        "ckpt_is_a_directory": [*generate, "--ckpt", str(ds), "--out", str(tmp_path / "gen")],
+        "data_is_a_file": ["train", "--data", str(a_file), "--out", str(tmp_path / "run"), "--steps", "1"],
+        "config_is_a_directory": ["--config", str(ds), "data", "--out", str(tmp_path / "d")],
+        "out_under_a_file": ["data", "--out", str(a_file / "x"), "--sequences", "1"],
+        "out_is_a_file": [*generate, "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(a_file)],
+    }[case]
+    capsys.readouterr()
+    assert exit_code(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["lr_nan", "lr_inf", "batch_0", "empty_dataset"])
+def test_train_rejects_bad_arguments(tmp_path, capsys, case):
+    flags, message = {"lr_nan": (["--lr", "nan"], "learning rate .* got nan"),
+                      "lr_inf": (["--lr", "inf"], "learning rate .* got inf"),
+                      "batch_0": (["--batch", "0"], "batch size .* got 0"),
+                      "empty_dataset": ([], "no sequences")}[case]
+    ds, out = tmp_path / "ds", tmp_path / "run"
+    n_seq = "0" if case == "empty_dataset" else "2"
+    run(["data", "--out", str(ds), "--seed", "1", "--sequences", n_seq, "--frames", "22"])
+    capsys.readouterr()
+    assert run(["train", "--data", str(ds), "--out", str(out), "--steps", "1", *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert re.search(message, err) and "Traceback" not in err
+    assert not out.exists()

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfar.checks import TINY
+from nfar.checks import TINY, randomized_params
 from nfar.cli import EXIT_USAGE, main
 from nfar.io import (
     FormatError,
@@ -82,10 +84,20 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def per_layer(params):
+    """`params` as versions 1 to 3 stored the compressor: one w and one b per layer and K/V."""
+    L = params.config.n_layers
+    values = {k: v for k, v in params.values.items() if not k.startswith("compressor.")}
+    for i, part in enumerate(f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(L)):
+        values[f"{part}.w"], values[f"{part}.b"] = params.values["compressor.w"][i], params.values["compressor.b"][i]
+    return DenoiserParams(params.config, values, params.meta)
+
+
 def per_head(params):
-    """`params` as versions 1 and 2 stored them: one (d_model, head_dim) matrix per layer, head and q/k/v."""
+    """`params` as versions 1 and 2 stored them: per-layer compressors, and one (d_model, head_dim)
+    matrix per layer, head and q/k/v."""
     config, hd = params.config, params.config.head_dim
-    values = {k: v for k, v in params.values.items() if not k.endswith(".attn.qkv.w")}
+    values = {k: v for k, v in per_layer(params).values.items() if not k.endswith(".attn.qkv.w")}
     for l in range(config.n_layers):
         qkv = params.values[f"layers.{l}.attn.qkv.w"]
         for i, kind in enumerate(("q", "k", "v")):
@@ -95,10 +107,20 @@ def per_head(params):
     return DenoiserParams(config, values, params.meta)
 
 
+def write_legacy(path, legacy, header: bytes):
+    """A file of `legacy` params whose first line is `header` instead of the current version's."""
+    save_checkpoint(path, legacy)
+    path.write_bytes(path.read_bytes().replace(b"checkpoint v4\n", header, 1))
+
+
+def write_v3(path, legacy):
+    """A version-3 file of per-layer `legacy` params."""
+    write_legacy(path, legacy, b"checkpoint v3\n")
+
+
 def write_v2(path, legacy):
     """A version-2 file of per-head `legacy` params."""
-    save_checkpoint(path, legacy)
-    path.write_bytes(path.read_bytes().replace(b"checkpoint v3\n", b"checkpoint v2\n", 1))
+    write_legacy(path, legacy, b"checkpoint v2\n")
 
 
 def write_v1(path, params, rope_on_values="False"):
@@ -109,41 +131,75 @@ def write_v1(path, params, rope_on_values="False"):
         legacy.values.update({f"layers.{l}.ln2.g": np.ones(dm), f"layers.{l}.ln2.b": np.zeros(dm),
                               f"layers.{l}.cross.q": RNG.standard_normal((dm, dm)),
                               f"layers.{l}.cross.k": RNG.standard_normal((dc, dm))})
-    save_checkpoint(path, legacy)
-    header = b"checkpoint v1\nconfig.rope_on_values = " + rope_on_values.encode() + b"\n"
-    path.write_bytes(path.read_bytes().replace(b"checkpoint v3\n", header, 1))
+    write_legacy(path, legacy, b"checkpoint v1\nconfig.rope_on_values = " + rope_on_values.encode() + b"\n")
+
+
+def assert_same(loaded, params):
+    assert loaded.config == params.config and loaded.meta == params.meta
+    assert loaded.equal(params)
+    assert all(loaded.values[k].dtype == a.dtype for k, a in params.values.items())
 
 
 def test_v1_checkpoint_reads_as_its_v2_counterpart(tmp_path):
-    params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6, meta={"stage": "1"})
+    # Every legacy version loads bit-equal to the v4 save of the same params.
+    params = randomized_params(DenoiserConfig(d_model=16, d_ff=16), seed=6)
+    params.values["compressor.w"] = params.values["compressor.w"] + RNG.standard_normal(params.values["compressor.w"].shape)
+    params.values["compressor.b"] = params.values["compressor.b"] + RNG.standard_normal(params.values["compressor.b"].shape)
+    params.meta["stage"] = "2"
     write_v1(tmp_path / "v1.ckpt", params)
     write_v2(tmp_path / "v2.ckpt", per_head(params))
-    save_checkpoint(tmp_path / "v3.ckpt", params)
-    assert (tmp_path / "v3.ckpt").read_bytes().startswith(b"checkpoint v3\n")
-    v1, v2, v3 = (load_checkpoint(tmp_path / f"v{i}.ckpt") for i in (1, 2, 3))
-    assert v1.config == v2.config == v3.config == params.config
-    assert v1.meta == v2.meta == v3.meta
-    assert v1.equal(v3) and v2.equal(v3) and v3.equal(params)
-    legacy = per_head(params)
-    for l in range(params.config.n_layers):
+    write_v3(tmp_path / "v3.ckpt", per_layer(params))
+    save_checkpoint(tmp_path / "v4.ckpt", params)
+    assert (tmp_path / "v4.ckpt").read_bytes().startswith(b"checkpoint v4\n")
+    for i in (1, 2, 3, 4):
+        assert_same(load_checkpoint(tmp_path / f"v{i}.ckpt"), params)
+    legacy, v2 = per_head(params), load_checkpoint(tmp_path / "v2.ckpt")
+    L = params.config.n_layers
+    for l in range(L):
         heads = [legacy.values[f"layers.{l}.attn.{kind}.{h}"] for kind in ("q", "k", "v")
                  for h in range(params.config.n_heads)]
         assert np.array_equal(v2.values[f"layers.{l}.attn.qkv.w"], np.concatenate(heads, axis=1))
+        # Row l compresses layer l's keys, row L + l its values.
+        assert np.array_equal(v2.values["compressor.w"][l], legacy.values[f"compressor.{l}.key.w"])
+        assert np.array_equal(v2.values["compressor.b"][L + l], legacy.values[f"compressor.{l}.val.b"])
 
 
-@pytest.mark.parametrize("damage", ["missing", "misshaped"])
+@pytest.mark.parametrize("damage", ["missing", "misshaped", "v3_missing_compressor", "v3_misshaped_compressor"])
 def test_v2_checkpoint_with_a_damaged_head_rejected(tmp_path, capsys, damage):
-    legacy = per_head(init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6))
-    if damage == "missing":
-        del legacy.values["layers.1.attn.k.0"]
+    # A damaged part of a tensor that older versions split (a v2 head, a v3
+    # per-layer compressor) is reported by its own name.
+    params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6)
+    if damage.startswith("v3"):
+        legacy, part, write = per_layer(params), "compressor.1.val.w", write_v3
     else:
-        legacy.values["layers.1.attn.k.0"] = np.zeros((16, 7))
-    write_v2(tmp_path / "v2.ckpt", legacy)
-    with pytest.raises(FormatError, match="layers.1.attn.k.0"):
-        load_checkpoint(tmp_path / "v2.ckpt")
-    assert main(["generate", "--ckpt", str(tmp_path / "v2.ckpt"), "--out", str(tmp_path / "gen"),
+        legacy, part, write = per_head(params), "layers.1.attn.k.0", write_v2
+    if "missing" in damage:
+        del legacy.values[part]
+    else:
+        legacy.values[part] = np.zeros(legacy.values[part].shape[:-1] + (7,))
+    write(tmp_path / "old.ckpt", legacy)
+    with pytest.raises(FormatError, match=part):
+        load_checkpoint(tmp_path / "old.ckpt")
+    assert main(["generate", "--ckpt", str(tmp_path / "old.ckpt"), "--out", str(tmp_path / "gen"),
                  "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_layers=st.integers(1, 3), n_heads=st.sampled_from([1, 2, 4]), ratio=st.integers(2, 5),
+       dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 1000))
+def test_checkpoint_round_trips_as_v4_and_as_v3(tmp_path_factory, n_layers, n_heads, ratio, dtype, seed):
+    config = replace(TINY, n_layers=n_layers, n_heads=n_heads, compress_ratio=ratio)
+    params = init_params(config, seed=seed, meta={"stage": "2"})
+    rng = np.random.default_rng(seed)
+    for name in params.values:
+        params.values[name] = params.values[name] + rng.standard_normal(params.values[name].shape)
+    params = params.astype(dtype)
+    path = tmp_path_factory.getbasetemp() / "round_trip.ckpt"
+    save_checkpoint(path, params)
+    assert_same(load_checkpoint(path), params)
+    write_v3(path, per_layer(params))
+    assert_same(load_checkpoint(path), params)
 
 
 def test_v1_checkpoint_with_rope_on_values_rejected(tmp_path):
