@@ -95,6 +95,10 @@ def cmd_train(args) -> int:
         config = DenoiserConfig(d_latent=dataset.sequences.shape[2],
                                 d_cond=2 * dataset.sequences.shape[2])
         init = init_params(config, seed=args.seed)
+    if dataset.sequences.shape[0] == 0:  # refused before --out is made
+        raise ValueError(f"{args.data} holds no sequences")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before the work, so a bad --out fails at once
     try:
         if args.stage == 1:
             params, history = train_stage1(tc, dataset, init)
@@ -103,8 +107,6 @@ def cmd_train(args) -> int:
     except TrainingDiverged as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ABORTED
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     io.save_checkpoint(out / "model.ckpt", params)
     with open(out / "loss.csv", "w", encoding="utf-8") as fh:
         fh.write("step,loss,t_mean\n")
@@ -126,16 +128,15 @@ def cmd_generate(args) -> int:
                                 latent_dim=params.config.d_latent)
     x_ref, cond = _reference_inputs(dyn, args.seed, max(plan.total_chunks, 2))
     dtype = np.float32 if args.dtype == "f32" else np.float64
+    params = params.astype(dtype)  # generation runs in the dtype of its weights
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before the work, so a bad --out fails at once
     try:
-        seq, report = generate_stream(
-            params, x_ref, cond, plan, sampler,
-            use_convkv=(args.convkv == "on"), seed=args.seed, dtype=dtype,
-        )
+        seq, report = generate_stream(params, x_ref, cond, plan, sampler,
+                                      use_convkv=(args.convkv == "on"), seed=args.seed)
     except GenerationAborted as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ABORTED
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     io.write_latents(out / "latents.bin", seq.values.astype(dtype))
     with open(out / "report.csv", "w", encoding="utf-8") as fh:
         fh.write("block,seconds,context_chunks,context_floats,roll_seconds\n")
@@ -179,10 +180,10 @@ def cmd_bench(args) -> int:
     sampler = SamplerConfig.uniform(args.steps)
     dyn = LatentDynamics.create(seed=args.seed, latent_dim=params.config.d_latent)
     x_ref, cond = _reference_inputs(dyn, args.seed, max(plan.total_chunks, 2))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before the work, so a bad --out fails at once
     result = bench_overhead(params, x_ref, cond, plan, sampler,
                             repetitions=args.reps, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "bench.csv", "w", encoding="utf-8") as fh:
         fh.write("block,mode,median_seconds\n")
         for b in range(plan.n_blocks):

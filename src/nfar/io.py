@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -68,34 +69,43 @@ _CONFIG_FIELDS = (
 # Version 1 also stored the single-key cross-attention's query/key side,
 # which never affected the output, and a rope-on-values flag.
 _V1_DEAD = re.compile(r"layers\.\d+\.(ln2\.[gb]|cross\.[qk])")
-_VERSIONS = (b"checkpoint v1\n", b"checkpoint v2\n", b"checkpoint v3\n", b"checkpoint v4\n")
+_VERSIONS = tuple(f"checkpoint v{v}\n".encode() for v in range(1, 6))
 _TENSOR_DTYPES = {name: np.dtype(name) for name in ("float64", "float32")}
 
 
-def _legacy_tensors(config: DenoiserConfig, version: int) -> dict[str, tuple[list[str], tuple, Callable]]:
-    """Tensors that a file of `version` stores in parts: name -> (part names, part shape, join).
+def _legacy_tensors(config: DenoiserConfig, version: int) -> dict[str, tuple[dict[str, tuple], Callable]]:
+    """Tensors that a file of `version` stores in parts: name -> ({part name: part shape}, join).
 
+    Versions 1 to 4 stored each adaLN head as its own linear map: the column
+    blocks of adaln.w and adaln.b, in the order `param_layout` documents.
     Versions 1 and 2 stored one (d_model, head_dim) matrix per layer, q/k/v
     and head: the column blocks of each layer's attn.qkv.w. Versions 1 to 3
     stored a compressor per layer and K/V: the rows of compressor.w and
     compressor.b, every key layer, then every value layer.
     """
     h, dm = config.n_heads, config.d_model
+    by_columns = partial(np.concatenate, axis=-1)
     out = {}
     if version < 3:
         for l in range(config.n_layers):
-            out[f"layers.{l}.attn.qkv.w"] = ([f"layers.{l}.attn.{'qkv'[i // h]}.{i % h}" for i in range(3 * h)],
-                                             (dm, config.head_dim), lambda parts: np.concatenate(parts, axis=1))
+            parts = [f"layers.{l}.attn.{'qkv'[i // h]}.{i % h}" for i in range(3 * h)]
+            out[f"layers.{l}.attn.qkv.w"] = (dict.fromkeys(parts, (dm, config.head_dim)), by_columns)
     if version < 4:
         rows = [f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(config.n_layers)]
-        out["compressor.w"] = ([f"{r}.w" for r in rows], (config.compress_ratio, dm, dm), np.stack)
-        out["compressor.b"] = ([f"{r}.b" for r in rows], (dm,), np.stack)
+        out["compressor.w"] = ({f"{r}.w": (config.compress_ratio, dm, dm) for r in rows}, np.stack)
+        out["compressor.b"] = ({f"{r}.b": (dm,) for r in rows}, np.stack)
+    if version < 5:
+        heads = [(f"layers.{l}.{head}", width) for l in range(config.n_layers)
+                 for head, width in (("mod1", 2), ("gate1", 1), ("gate2", 1), ("mod3", 2), ("gate3", 1))]
+        heads.append(("final.mod", 2))
+        out["adaln.w"] = ({f"{head}.w": (dm, width * dm) for head, width in heads}, by_columns)
+        out["adaln.b"] = ({f"{head}.b": (width * dm,) for head, width in heads}, by_columns)
     return out
 
 
 def save_checkpoint(path, params: DenoiserParams) -> None:
     """Text manifest (config, meta, tensor table) + the payloads, back to back in name order."""
-    lines = ["checkpoint v4"]
+    lines = ["checkpoint v5"]
     for f in _CONFIG_FIELDS:
         lines.append(f"config.{f} = {getattr(params.config, f)}")
     for k in sorted(params.meta):
@@ -119,7 +129,7 @@ def save_checkpoint(path, params: DenoiserParams) -> None:
 
 
 def load_checkpoint(path) -> DenoiserParams:
-    """Read a v4 checkpoint, or an older one with its parts joined (see `_legacy_tensors`)
+    """Read a v5 checkpoint, or an older one with its parts joined (see `_legacy_tensors`)
     and v1's dead tensors dropped; validate the layout and the tiling."""
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
@@ -173,9 +183,9 @@ def load_checkpoint(path) -> DenoiserParams:
         raise FormatError(f"{path}: bad config: {err}") from err
     layout = {name: shape for name, (shape, _) in param_layout(config).items()}
     legacy = _legacy_tensors(config, version)
-    for fused, (parts, shape, _) in legacy.items():
+    for fused, (parts, _) in legacy.items():
         del layout[fused]
-        layout.update(dict.fromkeys(parts, shape))
+        layout.update(parts)
     found = {name: shape for name, _, _, shape in tensors}
     if len(found) != len(tensors):
         raise FormatError(f"{path}: a tensor name appears twice")
@@ -189,7 +199,7 @@ def load_checkpoint(path) -> DenoiserParams:
     for name, dt, offset, shape in tensors:
         raw = payload[offset:offset + math.prod(shape) * dt.itemsize]
         values[name] = np.frombuffer(raw, dtype=dt.newbyteorder("<")).astype(dt).reshape(shape)
-    for fused, (parts, _, join) in legacy.items():
+    for fused, (parts, join) in legacy.items():
         values[fused] = join([values.pop(part) for part in parts])
     return DenoiserParams(config=config, values=values, meta=meta)
 

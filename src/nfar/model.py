@@ -206,8 +206,11 @@ def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], int
     out: dict[str, tuple[tuple[int, ...], int | str]] = {
         "input.w": ((dl, dm), dl),
         "input.b": ((dm,), "zeros"),
-        "final.mod.w": ((dm, 2 * dm), "zeros"),
-        "final.mod.b": ((2 * dm,), "zeros"),
+        # Every adaLN head, as d_model-wide column blocks: layer l's seven start at
+        # block 7*l, [mod1 scale | mod1 shift | gate1 | gate2 | mod3 scale | mod3 shift | gate3],
+        # and the last two are [final scale | final shift].
+        "adaln.w": ((dm, (7 * config.n_layers + 2) * dm), "zeros"),
+        "adaln.b": (((7 * config.n_layers + 2) * dm,), "zeros"),
         "output.w": ((dm, dl), "zeros"),  # zero-init head: untrained model predicts zero velocity
         "output.b": ((dl,), "zeros"),
     }
@@ -215,28 +218,18 @@ def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], int
         p = f"layers.{l}"
         out[f"{p}.ln1.g"] = ((dm,), "ones")
         out[f"{p}.ln1.b"] = ((dm,), "zeros")
-        out[f"{p}.mod1.w"] = ((dm, 2 * dm), "zeros")
-        out[f"{p}.mod1.b"] = ((2 * dm,), "zeros")
         out[f"{p}.attn.qkv.w"] = ((dm, 3 * dm), dm)  # columns: [q heads | k heads | v heads]
         out[f"{p}.attn.o.w"] = ((dm, dm), dm)
         out[f"{p}.attn.o.b"] = ((dm,), "zeros")
-        out[f"{p}.gate1.w"] = ((dm, dm), "zeros")
-        out[f"{p}.gate1.b"] = ((dm,), "zeros")
         out[f"{p}.cross.v"] = ((dc, dm), dc)
         out[f"{p}.cross.o.w"] = ((dm, dm), dm)
         out[f"{p}.cross.o.b"] = ((dm,), "zeros")
-        out[f"{p}.gate2.w"] = ((dm, dm), "zeros")
-        out[f"{p}.gate2.b"] = ((dm,), "zeros")
         out[f"{p}.ln3.g"] = ((dm,), "ones")
         out[f"{p}.ln3.b"] = ((dm,), "zeros")
-        out[f"{p}.mod3.w"] = ((dm, 2 * dm), "zeros")
-        out[f"{p}.mod3.b"] = ((2 * dm,), "zeros")
         out[f"{p}.ffn.w1"] = ((dm, dff), dm)
         out[f"{p}.ffn.b1"] = ((dff,), "zeros")
         out[f"{p}.ffn.w2"] = ((dff, dm), dff)
         out[f"{p}.ffn.b2"] = ((dm,), "zeros")
-        out[f"{p}.gate3.w"] = ((dm, dm), "zeros")
-        out[f"{p}.gate3.b"] = ((dm,), "zeros")
     rows = 2 * config.n_layers  # every layer's key compressor, then every layer's value compressor
     out["compressor.w"] = ((rows, config.compress_ratio, dm, dm), "average")
     out["compressor.b"] = ((rows, dm), "zeros")
@@ -340,7 +333,7 @@ class StepConditioning:
 
     Per layer, in `layers`: "mod1" and "mod3" as (1 + gamma, beta) pairs,
     the gates "gate1" and "gate3", and "cond", the gated condition row
-    cross * gate2. `final` is final.mod's (1 + gamma, beta) pair. Each is a
+    cross * gate2. `final` is the output's (1 + gamma, beta) pair. Each is a
     (1, d) row for one step, or (B, 1, d) rows for a batch of B steps. These
     are bare arrays from bare weights and tape nodes from Tensor weights.
     """
@@ -374,27 +367,23 @@ def step_conditioning(ptensors: dict, config: DenoiserConfig, t, cond) -> StepCo
     if cond_row.size != phi.size // config.d_model * config.d_cond:
         raise ShapeError(f"cond shape {cond_row.shape} does not give {config.d_cond} values per step {lead}")
     cond_row = cond_row.reshape(*lead, 1, config.d_cond)
-    one = np.ones((1, config.d_model), dtype=dtype)
     dm = config.d_model
-
-    def linear(name: str):
-        return add(matmul(phi, ptensors[f"{name}.w"]), ptensors[f"{name}.b"])
-
-    def modulation(name: str) -> tuple:
-        m = linear(name)
-        return add(one, slice2d(m, cols=slice(0, dm))), slice2d(m, cols=slice(dm, 2 * dm))
-
+    one = np.ones((1, dm), dtype=dtype)
+    # One projection for every head; its column blocks are laid out as `param_layout` documents.
+    heads = add(matmul(phi, ptensors["adaln.w"]), ptensors["adaln.b"])
+    blocks = [slice2d(heads, cols=slice(i * dm, (i + 1) * dm)) for i in range(7 * config.n_layers + 2)]
     layers = []
     for l in range(config.n_layers):
         p = f"layers.{l}"
+        mod1_scale, mod1_shift, gate1, gate2, mod3_scale, mod3_shift, gate3 = blocks[7 * l:7 * l + 7]
         # The condition is one token, so attention over it has weight 1 for
         # every query: it enters as a single gated row broadcast over tokens.
         cross = add(matmul(matmul(cond_row, ptensors[f"{p}.cross.v"]), ptensors[f"{p}.cross.o.w"]),
                     ptensors[f"{p}.cross.o.b"])
-        layers.append({"mod1": modulation(f"{p}.mod1"), "gate1": linear(f"{p}.gate1"),
-                       "cond": mul(cross, linear(f"{p}.gate2")),
-                       "mod3": modulation(f"{p}.mod3"), "gate3": linear(f"{p}.gate3")})
-    return StepConditioning(t, tuple(layers), modulation("final.mod"),
+        layers.append({"mod1": (add(one, mod1_scale), mod1_shift), "gate1": gate1, "cond": mul(cross, gate2),
+                       "mod3": (add(one, mod3_scale), mod3_shift), "gate3": gate3})
+    final_scale, final_shift = blocks[-2:]
+    return StepConditioning(t, tuple(layers), (add(one, final_scale), final_shift),
                             RopeFrequencies.create(config.head_dim, config.rope_base))
 
 

@@ -105,17 +105,15 @@ def generate_stream(
     sampler: SamplerConfig,
     use_convkv: bool = True,
     seed: int = 0,
-    dtype=np.float64,
     compression_mode: str = "conv",
 ) -> tuple[LatentSequence, GenerationReport]:
-    """Generate plan.total_chunks latent chunks block by block.
+    """Generate plan.total_chunks latent chunks block by block, in the dtype of the weights.
 
     Deterministic in (params, x_ref, cond, plan, sampler, flags, seed).
     """
     start = time.monotonic()
-    if params.values["input.w"].dtype != np.dtype(dtype):
-        params = params.astype(dtype)
     config, weights = params.config, params.values
+    dtype = weights["input.w"].dtype
     grid = sampler.grid
     batch, steps = _step_conditionings(params, cond, sampler)
     caches = [
@@ -167,17 +165,15 @@ def generate_full_recompute(
     plan: BlockPlan,
     sampler: SamplerConfig,
     seed: int = 0,
-    dtype=np.float64,
 ) -> LatentSequence:
     """Equivalence oracle: no cache, full attention over uncompressed history.
 
     At block b, step t_k, the keys of every earlier block are recomputed
     from that block's own intermediate state at step t_k — the same values
-    the cached path stored. Same noise stream discipline as generate_stream.
+    the cached path stored. Same noise stream discipline and dtype as generate_stream.
     """
-    if params.values["input.w"].dtype != np.dtype(dtype):
-        params = params.astype(dtype)
     config, weights = params.config, params.values
+    dtype = weights["input.w"].dtype
     grid = sampler.grid
     batch, steps = _step_conditionings(params, cond, sampler)
     n_ref = x_ref.shape[0]
@@ -311,7 +307,6 @@ def bench_overhead(
     sampler: SamplerConfig,
     repetitions: int = 5,
     seed: int = 0,
-    dtype=np.float64,
 ) -> dict:
     """Isolate the compressor's latency cost from its context-size savings.
 
@@ -333,7 +328,7 @@ def bench_overhead(
 
     def run(mode: str, bounded: bool) -> GenerationReport:
         return generate_stream(params, x_ref, cond, plan, sampler, use_convkv=bounded,
-                               seed=seed, dtype=dtype, compression_mode=mode)[1]
+                               seed=seed, compression_mode=mode)[1]
 
     conv, base, unbounded_reports = [], [], []
     for rep in range(repetitions + 1):

@@ -40,10 +40,9 @@ T_RANGE = (0.02, 0.98)  # training steps t are drawn from this range, stratified
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step: int, last_good: DenoiserParams, history: list):
+    def __init__(self, step: int, history: list):
         super().__init__(f"loss became non-finite at step {step}")
         self.step = step
-        self.last_good = last_good
         self.history = history
 
 
@@ -81,8 +80,11 @@ class CompressSpec:
 def default_compress_spec(plan: BlockPlan, ratio: int = 5) -> CompressSpec | None:
     """Summarize everything older than the last block's short-term window.
 
-    The span is floored to whole windows; the (< ratio) remainder stays a
-    raw, attendable chunk, mirroring the inference-side pending buffer.
+    The span is floored to whole windows, and the last block attends the
+    (< ratio) remainder as raw chunks. At inference those chunks wait in the
+    cache's `pending` buffer, which attention never sees, so training shows
+    the last block chunks that the bounded cache hides. This mismatch is open
+    (ROADMAP direction 1).
     """
     last = plan.n_blocks - 1
     start_last = plan.starts[last]
@@ -299,12 +301,6 @@ def _run_training(
     opt = Adam(_flat_views(params.values, trainable), config.learning_rate, ADAM_BETAS, ADAM_EPS)
     n_seq, F, d = dataset.sequences.shape
     history: list[tuple[int, float, float]] = []
-
-    def snapshot() -> DenoiserParams:  # the frozen weights never change, so they are shared, not copied
-        return DenoiserParams(params.config, {k: a.copy() if k in trained else a for k, a in params.values.items()},
-                              dict(params.meta))
-
-    last_good = snapshot()
     for step in range(config.total_steps):
         idx = rng.integers(0, n_seq, size=config.batch_size)
         t_shared = _stratified_t(rng, config.batch_size, *T_RANGE)
@@ -328,13 +324,11 @@ def _run_training(
         loss_val = loss.item()
         history.append((step, loss_val, float(t_shared.mean())))
         if not np.isfinite(loss_val):
-            raise TrainingDiverged(step, last_good, history)
+            raise TrainingDiverged(step, history)
         grads = grad_of(loss, tape_leaves(ptensors, trainable))
         if config.lr_schedule == "cosine":
             opt.lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.total_steps))
         opt.step(grads)
-        if step % 200 == 0:
-            last_good = snapshot()
     return params, history
 
 

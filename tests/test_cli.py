@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from nfar import cli
 from nfar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from nfar.io import load_checkpoint, read_latents, save_checkpoint
 from nfar.model import DenoiserConfig, init_params
@@ -230,20 +231,29 @@ def test_required_flag_missing_from_flags_and_config_is_usage_error(tmp_path, ca
 
 
 @pytest.mark.parametrize("case", ["ckpt_is_a_directory", "data_is_a_file", "config_is_a_directory",
-                                  "out_under_a_file", "out_is_a_file"])
-def test_path_of_the_wrong_kind_is_usage_error(tmp_path, capsys, case):
-    ds, a_file = tmp_path / "ds", tmp_path / "a_file"
+                                  "out_under_a_file", "out_is_a_file", "train_out_is_a_file",
+                                  "bench_out_is_a_file"])
+def test_path_of_the_wrong_kind_is_usage_error(tmp_path, capsys, monkeypatch, case):
+    ds, a_file, ckpt = tmp_path / "ds", tmp_path / "a_file", str(tmp_path / "m.ckpt")
     run(["data", "--out", str(ds), "--seed", "1", "--sequences", "1", "--frames", "22"])
     a_file.write_text("not a directory\n")
-    save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+    save_checkpoint(ckpt, init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
     generate = ["generate", "--blocks", "1", "--steps", "1"]
     argv = {
         "ckpt_is_a_directory": [*generate, "--ckpt", str(ds), "--out", str(tmp_path / "gen")],
         "data_is_a_file": ["train", "--data", str(a_file), "--out", str(tmp_path / "run"), "--steps", "1"],
         "config_is_a_directory": ["--config", str(ds), "data", "--out", str(tmp_path / "d")],
         "out_under_a_file": ["data", "--out", str(a_file / "x"), "--sequences", "1"],
-        "out_is_a_file": [*generate, "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(a_file)],
+        "out_is_a_file": [*generate, "--ckpt", ckpt, "--out", str(a_file)],
+        "train_out_is_a_file": ["train", "--data", str(ds), "--out", str(a_file), "--steps", "1"],
+        "bench_out_is_a_file": ["bench", "--ckpt", ckpt, "--out", str(a_file), "--blocks", "4", "--reps", "1"],
     }[case]
+
+    def never(*args, **kwargs):  # a bad path must fail before the command's work starts
+        raise AssertionError(f"{case}: the work ran before the paths were checked")
+
+    for work in ("train_stage1", "generate_stream", "bench_overhead"):
+        monkeypatch.setattr(cli, work, never)
     capsys.readouterr()
     assert exit_code(argv) == EXIT_USAGE
     err = capsys.readouterr().err

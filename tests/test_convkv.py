@@ -431,11 +431,11 @@ def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, 
             mock.patch.object(streaming, "cache_append", recording_append), \
             mock.patch.object(streaming, "cache_context_view", checking_view), \
             mock.patch.object(streaming, "cache_roll", checking_roll):
-        seq, _ = streaming.generate_stream(params, x_ref, cond, plan, sampler, use_convkv=bounded,
-                                           seed=seed, dtype=dtype)
+        seq, _ = streaming.generate_stream(params.astype(dtype), x_ref, cond, plan, sampler,
+                                           use_convkv=bounded, seed=seed)
     assert len(views) == plan.n_blocks * n_steps
     if not bounded:
-        oracle = streaming.generate_full_recompute(params, x_ref, cond, plan, sampler, seed=seed, dtype=dtype)
+        oracle = streaming.generate_full_recompute(params.astype(dtype), x_ref, cond, plan, sampler, seed=seed)
         assert np.abs(seq.values - oracle.values).max() <= (1e-10 if dtype == np.float64 else 1e-5)
 
 

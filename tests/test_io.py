@@ -84,10 +84,26 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def per_adaln_head(params):
+    """`params` as versions 1 to 4 stored the adaLN heads: one w and one b per head, each a run of
+    adaln's d_model-wide column blocks (layer l's seven start at block 7*l, the final pair last)."""
+    L, dm = params.config.n_layers, params.config.d_model
+    blocks = {"final.mod": (7 * L, 7 * L + 2)}
+    for l in range(L):
+        blocks.update({f"layers.{l}.mod1": (7 * l, 7 * l + 2), f"layers.{l}.gate1": (7 * l + 2, 7 * l + 3),
+                       f"layers.{l}.gate2": (7 * l + 3, 7 * l + 4), f"layers.{l}.mod3": (7 * l + 4, 7 * l + 6),
+                       f"layers.{l}.gate3": (7 * l + 6, 7 * l + 7)})
+    values = {k: v for k, v in params.values.items() if not k.startswith("adaln.")}
+    for head, (a, b) in blocks.items():
+        values[f"{head}.w"] = params.values["adaln.w"][:, a * dm:b * dm]
+        values[f"{head}.b"] = params.values["adaln.b"][a * dm:b * dm]
+    return DenoiserParams(params.config, values, params.meta)
+
+
 def per_layer(params):
-    """`params` as versions 1 to 3 stored the compressor: one w and one b per layer and K/V."""
+    """`params` as version 3 stored them: per-head adaLN, and one compressor w and b per layer and K/V."""
     L = params.config.n_layers
-    values = {k: v for k, v in params.values.items() if not k.startswith("compressor.")}
+    values = {k: v for k, v in per_adaln_head(params).values.items() if not k.startswith("compressor.")}
     for i, part in enumerate(f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(L)):
         values[f"{part}.w"], values[f"{part}.b"] = params.values["compressor.w"][i], params.values["compressor.b"][i]
     return DenoiserParams(params.config, values, params.meta)
@@ -110,7 +126,12 @@ def per_head(params):
 def write_legacy(path, legacy, header: bytes):
     """A file of `legacy` params whose first line is `header` instead of the current version's."""
     save_checkpoint(path, legacy)
-    path.write_bytes(path.read_bytes().replace(b"checkpoint v4\n", header, 1))
+    path.write_bytes(path.read_bytes().replace(b"checkpoint v5\n", header, 1))
+
+
+def write_v4(path, legacy):
+    """A version-4 file of per-head adaLN `legacy` params."""
+    write_legacy(path, legacy, b"checkpoint v4\n")
 
 
 def write_v3(path, legacy):
@@ -141,7 +162,7 @@ def assert_same(loaded, params):
 
 
 def test_v1_checkpoint_reads_as_its_v2_counterpart(tmp_path):
-    # Every legacy version loads bit-equal to the v4 save of the same params.
+    # Every legacy version loads bit-equal to the v5 save of the same params.
     params = randomized_params(DenoiserConfig(d_model=16, d_ff=16), seed=6)
     params.values["compressor.w"] = params.values["compressor.w"] + RNG.standard_normal(params.values["compressor.w"].shape)
     params.values["compressor.b"] = params.values["compressor.b"] + RNG.standard_normal(params.values["compressor.b"].shape)
@@ -149,12 +170,13 @@ def test_v1_checkpoint_reads_as_its_v2_counterpart(tmp_path):
     write_v1(tmp_path / "v1.ckpt", params)
     write_v2(tmp_path / "v2.ckpt", per_head(params))
     write_v3(tmp_path / "v3.ckpt", per_layer(params))
-    save_checkpoint(tmp_path / "v4.ckpt", params)
-    assert (tmp_path / "v4.ckpt").read_bytes().startswith(b"checkpoint v4\n")
-    for i in (1, 2, 3, 4):
+    write_v4(tmp_path / "v4.ckpt", per_adaln_head(params))
+    save_checkpoint(tmp_path / "v5.ckpt", params)
+    assert (tmp_path / "v5.ckpt").read_bytes().startswith(b"checkpoint v5\n")
+    for i in (1, 2, 3, 4, 5):
         assert_same(load_checkpoint(tmp_path / f"v{i}.ckpt"), params)
     legacy, v2 = per_head(params), load_checkpoint(tmp_path / "v2.ckpt")
-    L = params.config.n_layers
+    L, dm = params.config.n_layers, params.config.d_model
     for l in range(L):
         heads = [legacy.values[f"layers.{l}.attn.{kind}.{h}"] for kind in ("q", "k", "v")
                  for h in range(params.config.n_heads)]
@@ -162,17 +184,24 @@ def test_v1_checkpoint_reads_as_its_v2_counterpart(tmp_path):
         # Row l compresses layer l's keys, row L + l its values.
         assert np.array_equal(v2.values["compressor.w"][l], legacy.values[f"compressor.{l}.key.w"])
         assert np.array_equal(v2.values["compressor.b"][L + l], legacy.values[f"compressor.{l}.val.b"])
+        # Layer l's gate2 is column block 7*l + 3 of adaln.
+        assert np.array_equal(v2.values["adaln.w"][:, (7 * l + 3) * dm:(7 * l + 4) * dm],
+                              legacy.values[f"layers.{l}.gate2.w"])
+    assert np.array_equal(v2.values["adaln.b"][-2 * dm:], legacy.values["final.mod.b"])
 
 
-@pytest.mark.parametrize("damage", ["missing", "misshaped", "v3_missing_compressor", "v3_misshaped_compressor"])
+@pytest.mark.parametrize("damage", ["missing", "misshaped", "v3_missing_compressor", "v3_misshaped_compressor",
+                                    "v4_missing_adaln_head", "v4_misshaped_adaln_head"])
 def test_v2_checkpoint_with_a_damaged_head_rejected(tmp_path, capsys, damage):
-    # A damaged part of a tensor that older versions split (a v2 head, a v3
-    # per-layer compressor) is reported by its own name.
+    # A damaged part of a tensor that older versions split (a v2 attention
+    # head, a v3 per-layer compressor, a v4 adaLN head) is reported by its own name.
     params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6)
-    if damage.startswith("v3"):
-        legacy, part, write = per_layer(params), "compressor.1.val.w", write_v3
-    else:
-        legacy, part, write = per_head(params), "layers.1.attn.k.0", write_v2
+    legacy, part, write = {
+        "v3_missing_compressor": (per_layer(params), "compressor.1.val.w", write_v3),
+        "v3_misshaped_compressor": (per_layer(params), "compressor.1.val.w", write_v3),
+        "v4_missing_adaln_head": (per_adaln_head(params), "layers.1.gate2.w", write_v4),
+        "v4_misshaped_adaln_head": (per_adaln_head(params), "final.mod.b", write_v4),
+    }.get(damage, (per_head(params), "layers.1.attn.k.0", write_v2))
     if "missing" in damage:
         del legacy.values[part]
     else:
@@ -188,7 +217,7 @@ def test_v2_checkpoint_with_a_damaged_head_rejected(tmp_path, capsys, damage):
 @settings(max_examples=30, deadline=None)
 @given(n_layers=st.integers(1, 3), n_heads=st.sampled_from([1, 2, 4]), ratio=st.integers(2, 5),
        dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 1000))
-def test_checkpoint_round_trips_as_v4_and_as_v3(tmp_path_factory, n_layers, n_heads, ratio, dtype, seed):
+def test_checkpoint_round_trips_as_v5_v4_and_v3(tmp_path_factory, n_layers, n_heads, ratio, dtype, seed):
     config = replace(TINY, n_layers=n_layers, n_heads=n_heads, compress_ratio=ratio)
     params = init_params(config, seed=seed, meta={"stage": "2"})
     rng = np.random.default_rng(seed)
@@ -197,6 +226,8 @@ def test_checkpoint_round_trips_as_v4_and_as_v3(tmp_path_factory, n_layers, n_he
     params = params.astype(dtype)
     path = tmp_path_factory.getbasetemp() / "round_trip.ckpt"
     save_checkpoint(path, params)
+    assert_same(load_checkpoint(path), params)
+    write_v4(path, per_adaln_head(params))
     assert_same(load_checkpoint(path), params)
     write_v3(path, per_layer(params))
     assert_same(load_checkpoint(path), params)

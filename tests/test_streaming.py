@@ -55,10 +55,9 @@ def test_cached_equals_recompute_n3():
 def test_cached_equals_recompute_float32():
     params, x_ref, cond = toy_setup()
     plan = BlockPlan.default(3)
-    seq, _ = generate_stream(params, x_ref, cond, plan, SAMPLER, use_convkv=False,
-                             seed=5, dtype=np.float32)
-    oracle = generate_full_recompute(params, x_ref, cond, plan, SAMPLER, seed=5,
-                                     dtype=np.float32)
+    params = params.astype(np.float32)
+    seq, _ = generate_stream(params, x_ref, cond, plan, SAMPLER, use_convkv=False, seed=5)
+    oracle = generate_full_recompute(params, x_ref, cond, plan, SAMPLER, seed=5)
     assert np.abs(seq.values - oracle.values).max() <= 1e-4
 
 

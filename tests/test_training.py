@@ -4,12 +4,15 @@ import pytest
 from nfar import checks
 from nfar.blocks import BlockPlan
 from nfar.checks import randomized_params
+from nfar.cli import EXIT_ABORTED, main
+from nfar.io import save_dataset
 from nfar.model import DenoiserConfig, block_causal_mask, init_params, tape_leaves, wrap_params
 from nfar.numerics import ShapeError, Tensor, finite_difference_grad, grad_of
 from nfar.synthdata import Dataset, LatentDynamics, condition_vector, make_dataset
 from nfar.training import (
     CompressSpec,
     TrainConfig,
+    TrainingDiverged,
     build_stage2_mask,
     default_compress_spec,
     evaluate_loss,
@@ -38,6 +41,22 @@ def test_zero_lr_single_step_leaves_params_unchanged():
     out, hist = train_stage1(tc, ds, init)
     assert out.equal(init)
     assert len(hist) == 1
+
+
+def test_diverging_run_raises_with_its_history(tmp_path, capsys):
+    ds = tiny_dataset(n=4)
+    tc = TrainConfig(total_steps=5, plan=PLAN3, learning_rate=1e300, batch_size=4)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:  # the weights overflow
+        train_stage1(tc, ds, init_params(tiny_config(), seed=3))
+    assert err.value.step == 1
+    assert len(err.value.history) == 2 and np.isfinite(err.value.history[0][1])
+    save_dataset(tmp_path / "ds", ds, seed=2)
+    with np.errstate(all="ignore"):
+        code = main(["train", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "run"),
+                     "--steps", "5", "--lr", "1e300"])
+    assert code == EXIT_ABORTED
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
 
 
 def test_training_deterministic_in_seed():
@@ -80,7 +99,7 @@ def test_loss_gradients_match_finite_differences():
         pt = {k: Tensor(v) for k, v in values.items()}
         return neighbor_forcing_loss(pt, config, seqs, conds, t, eps, plan)
 
-    for name in ("input.w", "layers.0.mod1.w", "layers.1.attn.qkv.w", "output.b"):
+    for name in ("input.w", "adaln.w", "layers.1.attn.qkv.w", "output.b"):
         pt = {k: Tensor(v) for k, v in params.values.items()}
         (g,) = grad_of(neighbor_forcing_loss(pt, config, seqs, conds, t, eps, plan), [pt[name]])
 
