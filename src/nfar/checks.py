@@ -115,7 +115,8 @@ def cache_equivalence(seed: int = 0) -> tuple[bool, str]:
 
 
 def constant_memory(seed: int = 0) -> tuple[bool, str]:
-    """Over 200 blocks the bounded context stays at 6 chunks; the unbounded one grows by each block."""
+    """Over 200 blocks the bounded context stays at 6 chunks and its caches' K/V bytes at their size
+    when made; the unbounded context grows by each block, and its slabs with it."""
     params = randomized_params(SMALL, seed=4 + seed)
     rng = np.random.default_rng(4 + seed)
     x_ref = rng.standard_normal((2, SMALL.d_latent))
@@ -130,7 +131,11 @@ def constant_memory(seed: int = 0) -> tuple[bool, str]:
     expected = [2] + [2 + 6 + 8 * (b - 1) for b in range(1, 200)]
     ok &= grow == expected
     ok &= all(b > a for a, b in zip(grow, grow[1:]))
-    return ok, f"bounded context==6 for blocks 3..200; unbounded strictly grows to {grow[-1]}"
+    # K/V bytes the caches own when made (entering block 1) bound every later count, the last roll's too.
+    ok &= max(bounded.kv_bytes) == bounded.kv_bytes[0] and unbounded.kv_bytes[-1] > unbounded.kv_bytes[0]
+    return ok, (f"bounded context==6 for blocks 3..200, K/V bytes {max(bounded.kv_bytes)} <= "
+                f"{bounded.kv_bytes[0]} as made; unbounded strictly grows to {grow[-1]} chunks, "
+                f"{unbounded.kv_bytes[0]} -> {unbounded.kv_bytes[-1]} bytes")
 
 
 def coverage_ledger(seed: int = 0) -> tuple[bool, str]:

@@ -8,7 +8,9 @@ Verification results are emitted as machine-readable lines
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,36 @@ EXIT_ABORTED = 3
 def _echo_config(out_dir: Path, args: argparse.Namespace, keys: list[str]) -> None:
     resolved = {k: str(getattr(args, k)) for k in keys}
     (out_dir / "config.txt").write_text(io.dump_config_text(resolved), encoding="utf-8")
+
+
+@contextmanager
+def _output_dir(path: str):
+    """`path` as a directory for a command's output, made before the work so a bad path fails at once.
+
+    If the command fails, what it made of the path is removed again; a
+    directory that existed before is left as it was.
+    """
+    out = Path(path)
+    made = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+
+
+def _at_least(low: int):
+    """An argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _plan(n_blocks: int) -> BlockPlan:
@@ -97,22 +129,15 @@ def cmd_train(args) -> int:
         init = init_params(config, seed=args.seed)
     if dataset.sequences.shape[0] == 0:  # refused before --out is made
         raise ValueError(f"{args.data} holds no sequences")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # before the work, so a bad --out fails at once
-    try:
-        if args.stage == 1:
-            params, history = train_stage1(tc, dataset, init)
-        else:
-            params, history = train_stage2_convkv(tc, dataset, init)
-    except TrainingDiverged as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ABORTED
-    io.save_checkpoint(out / "model.ckpt", params)
-    with open(out / "loss.csv", "w", encoding="utf-8") as fh:
-        fh.write("step,loss,t_mean\n")
-        for step, loss, t_mean in history:
-            fh.write(f"{step},{loss!r},{t_mean!r}\n")
-    _echo_config(out, args, ["data", "stage", "steps", "seed", "batch", "lr", "mask"])
+    with _output_dir(args.out) as out:
+        train = train_stage1 if args.stage == 1 else train_stage2_convkv
+        params, history = train(tc, dataset, init)
+        io.save_checkpoint(out / "model.ckpt", params)
+        with open(out / "loss.csv", "w", encoding="utf-8") as fh:
+            fh.write("step,loss,t_mean\n")
+            for step, loss, t_mean in history:
+                fh.write(f"{step},{loss!r},{t_mean!r}\n")
+        _echo_config(out, args, ["data", "stage", "steps", "seed", "batch", "lr", "mask"])
     final = history[-1][1] if history else 0.0
     print(f"stage {args.stage} done: {len(history)} steps, final loss {final:.6f}")
     return EXIT_OK if np.isfinite(final) else EXIT_ABORTED
@@ -129,21 +154,16 @@ def cmd_generate(args) -> int:
     x_ref, cond = _reference_inputs(dyn, args.seed, max(plan.total_chunks, 2))
     dtype = np.float32 if args.dtype == "f32" else np.float64
     params = params.astype(dtype)  # generation runs in the dtype of its weights
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # before the work, so a bad --out fails at once
-    try:
+    with _output_dir(args.out) as out:
         seq, report = generate_stream(params, x_ref, cond, plan, sampler,
                                       use_convkv=(args.convkv == "on"), seed=args.seed)
-    except GenerationAborted as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ABORTED
-    io.write_latents(out / "latents.bin", seq.values.astype(dtype))
-    with open(out / "report.csv", "w", encoding="utf-8") as fh:
-        fh.write("block,seconds,context_chunks,context_floats,roll_seconds\n")
-        for b in range(plan.n_blocks):
-            fh.write(f"{b},{report.block_times[b]!r},{report.context_chunks[b]},"
-                     f"{report.context_floats[b]},{report.roll_times[b]!r}\n")
-    _echo_config(out, args, ["ckpt", "blocks", "steps", "convkv", "seed", "dtype"])
+        io.write_latents(out / "latents.bin", seq.values.astype(dtype))
+        with open(out / "report.csv", "w", encoding="utf-8") as fh:
+            fh.write("block,seconds,context_chunks,context_floats,roll_seconds\n")
+            for b in range(plan.n_blocks):
+                fh.write(f"{b},{report.block_times[b]!r},{report.context_chunks[b]},"
+                         f"{report.context_floats[b]},{report.roll_times[b]!r}\n")
+        _echo_config(out, args, ["ckpt", "blocks", "steps", "convkv", "seed", "dtype"])
     print("context chunks per block:", report.context_chunks)
     print(report.summary())
     return EXIT_OK
@@ -180,16 +200,15 @@ def cmd_bench(args) -> int:
     sampler = SamplerConfig.uniform(args.steps)
     dyn = LatentDynamics.create(seed=args.seed, latent_dim=params.config.d_latent)
     x_ref, cond = _reference_inputs(dyn, args.seed, max(plan.total_chunks, 2))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # before the work, so a bad --out fails at once
-    result = bench_overhead(params, x_ref, cond, plan, sampler,
-                            repetitions=args.reps, seed=args.seed)
-    with open(out / "bench.csv", "w", encoding="utf-8") as fh:
-        fh.write("block,mode,median_seconds\n")
-        for b in range(plan.n_blocks):
-            fh.write(f"{b},convkv,{result['per_block_with'][b]!r}\n")
-            fh.write(f"{b},no-compression-ops,{result['per_block_without'][b]!r}\n")
-            fh.write(f"{b},unbounded,{result['per_block_unbounded'][b]!r}\n")
+    with _output_dir(args.out) as out:
+        result = bench_overhead(params, x_ref, cond, plan, sampler,
+                                repetitions=args.reps, seed=args.seed)
+        with open(out / "bench.csv", "w", encoding="utf-8") as fh:
+            fh.write("block,mode,median_seconds\n")
+            for b in range(plan.n_blocks):
+                fh.write(f"{b},convkv,{result['per_block_with'][b]!r}\n")
+                fh.write(f"{b},no-compression-ops,{result['per_block_without'][b]!r}\n")
+                fh.write(f"{b},unbounded,{result['per_block_unbounded'][b]!r}\n")
     print(f"compression overhead fraction: {result['overhead_fraction']:.4f}")
     print(f"conv roll cost over subsample: {result['roll_overhead'] * 1e6:.1f}us per block")
     print(f"bounded last-block latency:   {result['bounded_last_block']:.4f}s")
@@ -270,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compression-overhead benchmark")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--blocks", type=int, default=50)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--blocks", type=_at_least(4), default=50, help="at least 4: blocks 4 on are timed")
+    p.add_argument("--reps", type=_at_least(1), default=5)
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

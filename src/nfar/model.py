@@ -33,6 +33,7 @@ from .numerics import (
     mul,
     slice2d,
     tanh,
+    write_rows,
 )
 from .rng import STREAM_INIT, make_rng
 
@@ -85,24 +86,28 @@ class RopeFrequencies:
 _PAIR_SIGN = np.array([[-1.0], [1.0]])
 
 
-def rope_apply(x, positions, freqs: RopeFrequencies) -> Tensor | np.ndarray:
+def rope_angles(positions, freqs: RopeFrequencies, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The (cos, [-sin | sin]) tables, (n, 1, 1 | 2, half) in `dtype`, of positions[i] * frequency."""
+    # (n, 1, 1, half): one angle per row and pair, broadcast over heads and the pair axis.
+    angles = np.multiply.outer(np.asarray(positions, dtype=np.float64), freqs.freqs)[:, None, None, :]
+    return np.cos(angles).astype(dtype, copy=False), (np.sin(angles) * _PAIR_SIGN).astype(dtype, copy=False)
+
+
+def rope_apply(x, positions, freqs: RopeFrequencies, angles: tuple | None = None) -> Tensor | np.ndarray:
     """Rotate the dimension pairs of each head_dim column group of (..., n, H*head_dim) rows.
 
     Row i of every leading index turns by positions[i] * frequency in every
-    head's group. Like the `numerics` ops, a bare array in gives a bare
+    head's group. `angles`, from `rope_angles` with the same positions, saves
+    recomputing them. Like the `numerics` ops, a bare array in gives a bare
     array out; a Tensor goes on the tape.
     """
     a = data_of(x)
     half = freqs.freqs.size
     if a.ndim < 2 or a.shape[-1] % (2 * half) != 0:
         raise ShapeError(f"rope input shape {a.shape} does not split into groups of {half} pairs")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (a.shape[-2],):
-        raise ShapeError(f"positions shape {pos.shape} != ({a.shape[-2]},)")
-    # (n, 1, 1, half): one angle per row and pair, broadcast over heads and the pair axis.
-    angles = np.multiply.outer(pos, freqs.freqs)[:, None, None, :]
-    c = np.cos(angles).astype(a.dtype, copy=False)
-    s = (np.sin(angles) * _PAIR_SIGN).astype(a.dtype, copy=False)  # [-sin | sin]
+    if np.shape(positions) != (a.shape[-2],):
+        raise ShapeError(f"positions shape {np.shape(positions)} != ({a.shape[-2]},)")
+    c, s = rope_angles(positions, freqs, a.dtype) if angles is None else angles
     pairs = a.shape[:-1] + (a.shape[-1] // (2 * half), 2, half)  # each group: [first half | second half]
 
     # Each group [r1 | r2] becomes [r1 c - r2 sin | r2 c + r1 sin] = r c + [r2 | r1] [-sin | sin].
@@ -288,21 +293,38 @@ class BlockKV(NamedTuple):
 
 @dataclass
 class ContextKV:
-    """Cached K/V consumed by an incremental forward, (n_layers, n_ctx, d_model) as in a BlockKV.
+    """Cached K/V consumed by an incremental forward, held in slabs with room for the forward's block.
 
-    Keys arrive rotated by `positions` (each once, where it was computed), so
-    a forward rotates only the keys of the block it computes and attends over
-    them after these.
+    `slab_keys` (rotated) and `slab_vals` are (n_layers, rows, d_model); their
+    first n_tokens = len(positions) rows are the context, each key rotated
+    once, where it was computed, by its position. A forward writes its own
+    block's rotated keys and values into the rows after them and attends over
+    `slab[l, :n_tokens + n]`, so the context is never copied. `keys` and
+    `vals` are read-only views of the context rows.
     """
 
-    keys: np.ndarray       # rotated
-    vals: np.ndarray
-    positions: np.ndarray  # (n_ctx,)
+    slab_keys: np.ndarray
+    slab_vals: np.ndarray
+    positions: np.ndarray  # (n_tokens,)
     step_tag: float | None = None
 
     @property
     def n_tokens(self) -> int:
-        return self.keys.shape[-2]
+        return self.positions.shape[0]
+
+    @property
+    def keys(self) -> np.ndarray:
+        return _read_only_rows(self.slab_keys, self.n_tokens)
+
+    @property
+    def vals(self) -> np.ndarray:
+        return _read_only_rows(self.slab_vals, self.n_tokens)
+
+
+def _read_only_rows(slab: np.ndarray, n: int) -> np.ndarray:
+    rows = slab[:, :n]
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -409,8 +431,10 @@ def denoiser_forward(
     `mask` must cover (n_tokens, n_keys) where the key axis is
     [ctx || tokens] when a context is supplied, [tokens || memory] when an
     inline memory spec is supplied, and [tokens] otherwise. A context's keys
-    come rotated; the forward rotates only the keys it computes and returns
-    its tokens' keys, un-rotated and rotated, in the BlockKV.
+    come rotated; the forward rotates only the keys it computes, writes them
+    and its values into the context slabs' rows after the context (an
+    unbatched forward, in the slabs' dtype), and returns its tokens' keys,
+    un-rotated and rotated, in the BlockKV.
     `conditioning`, from `step_conditioning` with the same weights, step
     and cond, saves recomputing it; it is built here when omitted.
     """
@@ -428,6 +452,9 @@ def denoiser_forward(
         if ctx.step_tag is not None and ctx.step_tag != t:
             raise StepTagError(f"cache step tag {ctx.step_tag} != forward step {t}")
         n_keys += ctx.n_tokens
+        if ctx.slab_keys.dtype != dtype or x.ndim != 2 or ctx.slab_keys.shape[-2] < n_keys:
+            raise ShapeError(f"context slabs {ctx.slab_keys.shape} of {ctx.slab_keys.dtype} have no room for "
+                             f"{x.shape[:-1]} {dtype} tokens after {ctx.n_tokens} context rows")
     elif memory is not None:
         n_keys += memory.n_mem
         key_pos = np.concatenate([pos, np.asarray(memory.mem_positions, dtype=np.float64)])
@@ -438,6 +465,8 @@ def denoiser_forward(
     elif conditioning.t != t if isinstance(t, float) else not np.array_equal(conditioning.t, t):
         raise StepTagError(f"conditioning step {conditioning.t} != forward step {t}")
     freqs = conditioning.freqs
+    angles = rope_angles(pos, freqs, dtype)  # every layer's queries, and its keys unless memory joins them
+    key_angles = angles if memory is None else rope_angles(key_pos, freqs, dtype)
     dm = config.d_model
 
     def modulate(u, scale_shift: tuple):
@@ -463,13 +492,13 @@ def denoiser_forward(
                 mem_ks.append(conv1d_strided(slice2d(k, rows=slice(s, e)), w[l], b[l]))
                 mem_vs.append(conv1d_strided(slice2d(v, rows=slice(s, e)), w[lv], b[lv]))
             k, v = concat([k] + mem_ks), concat([v] + mem_vs)
-        k = rope_apply(k, key_pos, freqs)
+        k = rope_apply(k, key_pos, freqs, key_angles)
         rotated.append(data_of(k)[..., :n, :])
         if ctx is not None:
-            k = concat([ctx.keys[l].astype(dtype, copy=False), k])
-            v = concat([ctx.vals[l].astype(dtype, copy=False), v])
+            k = write_rows(ctx.slab_keys[l], ctx.n_tokens, k)
+            v = write_rows(ctx.slab_vals[l], ctx.n_tokens, v)
 
-        heads = attention(rope_apply(q, pos, freqs), k, v, mask, config.n_heads)
+        heads = attention(rope_apply(q, pos, freqs, angles), k, v, mask, config.n_heads)
         attn = add(matmul(heads, ptensors[f"{p}.attn.o.w"]), ptensors[f"{p}.attn.o.b"])
         h = add(h, mul(attn, step["gate1"]))
         h = add(h, step["cond"])

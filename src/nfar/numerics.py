@@ -213,6 +213,21 @@ def concat(tensors: Sequence, axis: int = -2) -> Tensor | np.ndarray:
     return _node(out, tuple(tensors), vjp)
 
 
+def write_rows(buffer: np.ndarray, start: int, a) -> Tensor | np.ndarray:
+    """Write (n, d) rows `a` into `buffer` at row `start`; return buffer's rows [:start + n] as a view.
+
+    The rows before `start` are not copied, and the view changes when they
+    do. On the tape only `a` gets a gradient: the view's last n rows.
+    """
+    x = _array(a)
+    stop = start + x.shape[-2]
+    buffer[start:stop] = x
+    out = buffer[:stop]
+    if not isinstance(a, Tensor):
+        return out
+    return _node(out, (a,), lambda g: (g[start:],))
+
+
 def slice2d(a, rows: slice | None = None, cols: slice | None = None) -> Tensor | np.ndarray:
     """Rows and columns of the last two axes of a (..., n, d) operand."""
     x = _array(a)

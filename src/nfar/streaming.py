@@ -51,6 +51,7 @@ class GenerationReport:
     roll_times: list[float] = field(default_factory=list)    # per block, its per-step cache rolls
     context_chunks: list[int] = field(default_factory=list)   # visible context per block
     context_floats: list[int] = field(default_factory=list)
+    kv_bytes: list[int] = field(default_factory=list)  # the caches' K/V bytes entering each block, then at the end
     dropped_spans: list[tuple[int, int]] = field(default_factory=list)
     total_chunks: int = 0
     use_convkv: bool = True
@@ -118,7 +119,7 @@ def generate_stream(
     batch, steps = _step_conditionings(params, cond, sampler)
     caches = [
         new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=batch.freqs,
-                  lam=config.compress_ratio, bounded=use_convkv, dtype=dtype)
+                  lam=config.compress_ratio, bounded=use_convkv, dtype=dtype, block_rows=max(plan.sizes))
         for t in grid[:-1]
     ]
     _prefill_reference(weights, config, np.asarray(x_ref, dtype=dtype), cond, caches, batch)
@@ -135,6 +136,7 @@ def generate_stream(
         x = rng.standard_normal((n, config.d_latent)).astype(dtype)
         report.context_chunks.append(caches[0].context_chunks)
         report.context_floats.append(caches[0].context_floats())
+        report.kv_bytes.append(sum(cache.kv_bytes for cache in caches))
         t0 = time.monotonic()
 
         def velocity(x, k):
@@ -153,6 +155,7 @@ def generate_stream(
         t2 = time.monotonic()
         report.roll_times.append(t2 - t1)
         report.block_times.append(t2 - t0)
+    report.kv_bytes.append(sum(cache.kv_bytes for cache in caches))
     report.total_chunks = plan.total_chunks
     report.dropped_spans = list(caches[0].dropped_spans)
     return LatentSequence(out.astype(np.float64)), report
@@ -180,8 +183,9 @@ def generate_full_recompute(
     x_ref = np.asarray(x_ref, dtype=dtype)
     # Reference chunks are inputs, not generated history: process them the
     # same way the streaming path does, once per step.
-    ref_caches = [new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=batch.freqs, dtype=dtype)
-                  for t in grid[:-1]]
+    # Their slabs have room for the longest forward, all plan.total_chunks tokens.
+    ref_caches = [new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=batch.freqs, dtype=dtype,
+                            block_rows=plan.total_chunks) for t in grid[:-1]]
     _prefill_reference(weights, config, x_ref, cond, ref_caches, batch)
     ref_ctx = [cache_context_view(c)[0] for c in ref_caches]
 

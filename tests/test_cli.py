@@ -100,8 +100,10 @@ def test_generate_rejects_a_damaged_checkpoint(tmp_path, capsys, damage):
 @pytest.mark.parametrize("flags", [["--reps", "0"], ["--reps", "-2"], ["--blocks", "3"]])
 def test_bench_rejects_runs_it_cannot_measure(tmp_path, capsys, flags):
     save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
-    assert run(["bench", "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "b"), *flags]) == EXIT_USAGE
+    out = tmp_path / "new" / "b"
+    assert exit_code(["bench", "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(out), *flags]) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()  # refused before any directory is made
 
 
 def test_bench_writes_every_mode_and_the_roll_cost(tmp_path, capsys):
@@ -273,4 +275,18 @@ def test_train_rejects_bad_arguments(tmp_path, capsys, case):
     assert run(["train", "--data", str(ds), "--out", str(out), "--steps", "1", *flags]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert re.search(message, err) and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_aborted_generate_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+
+    def aborting(*args, **kwargs):
+        raise cli.GenerationAborted(1, "denoiser produced non-finite velocities")
+
+    monkeypatch.setattr(cli, "generate_stream", aborting)
+    out = tmp_path / "gen"
+    assert run(["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(out), "--blocks", "2"]) == cli.EXIT_ABORTED
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: generation aborted at block 1") and "Traceback" not in stderr
     assert not out.exists()

@@ -334,12 +334,12 @@ def test_context_views_are_read_only_and_outlive_later_rolls():
     run_blocks(cache, None, [6])
     early, _ = cache_context_view(cache)
     kept = (early.keys.copy(), early.vals.copy())
-    capacity = cache.buffer.positions.size
+    capacity = cache.positions.size
     for arr in (early.keys, early.vals, early.positions):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     run_blocks(cache, None, [8] * (capacity // 8 + 2))  # enough rows to double the capacity
-    assert cache.buffer.positions.size > capacity
+    assert cache.positions.size > capacity
     late, _ = cache_context_view(cache)
     for a, a1, a0 in zip((early.keys, early.vals), (late.keys, late.vals), kept):
         assert np.array_equal(a, a0)
@@ -437,6 +437,57 @@ def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, 
     if not bounded:
         oracle = streaming.generate_full_recompute(params.astype(dtype), x_ref, cond, plan, sampler, seed=seed)
         assert np.abs(seq.values - oracle.values).max() <= (1e-10 if dtype == np.float64 else 1e-5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12), bounded=st.booleans(),
+       dtype=st.sampled_from([np.float64, np.float32]), n_steps=st.sampled_from([2, 3]),
+       seed=st.integers(0, 1000), n_layers=st.sampled_from([1, 2, 3]), n_heads=st.sampled_from([1, 2, 4]))
+@example(sizes=[8] * 12, bounded=False, dtype=np.float64, n_steps=2, seed=0, n_layers=2, n_heads=2)
+def test_slab_views_show_only_filled_rows_and_keep_them(sizes, bounded, dtype, n_steps, seed, n_layers, n_heads):
+    # Every context view shows exactly the cache's context rows, read-only. An
+    # unbounded view keeps its values for as long as it is held, through later
+    # blocks and slab doublings; a bounded view lives until the next roll, and
+    # a bounded cache never re-allocates its slabs or pending.
+    config = replace(TINY, n_layers=n_layers, n_heads=n_heads)
+    params = randomized_params(config, seed=seed).astype(dtype)
+    rng = np.random.default_rng(seed)
+    x_ref = rng.standard_normal((2, config.d_latent))
+    cond = rng.standard_normal(config.d_cond)
+    plan, sampler = BlockPlan(tuple(sizes)), SamplerConfig.uniform(n_steps)
+    held = []  # unbounded: every view with copies of what it showed
+    storage = {}  # bounded: each cache's slab and pending data pointers and K/V bytes
+
+    def pointers(cache):
+        return [a.__array_interface__["data"][0] for a in (*cache.slabs, cache.pending_kv)] + [cache.kv_bytes]
+
+    def checking_view(cache):
+        ctx, labels = cache_context_view(cache)
+        assert ctx.n_tokens == cache.context_chunks == len(labels)
+        assert ctx.keys.shape == ctx.vals.shape == (n_layers, ctx.n_tokens, config.d_model)
+        assert ctx.slab_keys.shape[1] >= ctx.n_tokens + max(sizes)  # room for the block
+        assert not any(a.flags.writeable for a in (ctx.keys, ctx.vals, ctx.positions))
+        if cache.bounded:
+            assert storage.setdefault(id(cache), pointers(cache)) == pointers(cache)
+        else:
+            held.append((ctx, ctx.keys.copy(), ctx.vals.copy(), ctx.positions.copy()))
+        return ctx, labels
+
+    def checking_roll(cache, compressor=None, mode="conv"):
+        cache_roll(cache, compressor, mode=mode)
+        if cache.bounded:
+            assert storage[id(cache)] == pointers(cache)
+
+    with mock.patch.object(streaming, "cache_context_view", checking_view), \
+            mock.patch.object(streaming, "cache_roll", checking_roll):
+        streaming.generate_stream(params, x_ref, cond, plan, sampler, use_convkv=bounded, seed=seed)
+    assert len(storage) == (n_steps if bounded else 0)
+    for ctx, keys, vals, positions in held:
+        assert np.array_equal(ctx.keys, keys) and np.array_equal(ctx.vals, vals)
+        assert np.array_equal(ctx.positions, positions)
+        assert np.array_equal(positions, np.arange(-2, positions.size - 2))
+    if not bounded and sum(sizes) > 6 + max(sizes):  # more rows than the slabs were made with
+        assert len({id(ctx.slab_keys) for ctx, *_ in held}) > 1  # so they doubled
 
 
 # -- the compressor stack ------------------------------------------------------

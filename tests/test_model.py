@@ -36,6 +36,14 @@ def randomized_params(config, seed=0, scale=0.05):
     return params
 
 
+def slab_context(keys, vals, positions, step_tag, room):
+    """A ContextKV of the given rotated keys and values, in slabs with `room` rows after them."""
+    n_layers, n, d = keys.shape
+    slab = np.zeros((2, n_layers, n + room, d), dtype=keys.dtype)
+    slab[:, :, :n] = keys, vals
+    return ContextKV(slab[0], slab[1], np.asarray(positions), step_tag)
+
+
 # -- blocks / mask -----------------------------------------------------------
 
 def test_block_plan_default_sizes():
@@ -182,7 +190,7 @@ def test_cached_two_pass_equals_single_pass():
     pt = wrap_params(params)
     _, kv1 = denoiser_forward(pt, config, tokens[:3], np.arange(3), t, cond, np.ones((3, 3)))
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
-    ctx = ContextKV(rope_apply(kv1.keys, np.arange(3), freqs), kv1.vals, positions=np.arange(3), step_tag=t)
+    ctx = slab_context(rope_apply(kv1.keys, np.arange(3), freqs), kv1.vals, np.arange(3), t, room=3)
     out2, _ = denoiser_forward(pt, config, tokens[3:], np.arange(3, 6), t, cond,
                                np.ones((3, 6)), ctx=ctx)
     assert np.abs(out2.data - full.data[3:]).max() <= 1e-10
@@ -194,7 +202,7 @@ def test_step_tag_mismatch_rejected():
     pt = wrap_params(params)
     tokens = RNG.standard_normal((2, 4))
     _, kv = denoiser_forward(pt, config, tokens, np.arange(2), 0.5, np.zeros(8), np.ones((2, 2)))
-    ctx = ContextKV(kv.rotated, kv.vals, positions=np.arange(2), step_tag=0.5)
+    ctx = slab_context(kv.rotated, kv.vals, np.arange(2), 0.5, room=2)
     with pytest.raises(StepTagError):
         denoiser_forward(pt, config, tokens, np.arange(2), 0.7, np.zeros(8),
                          np.ones((2, 4)), ctx=ctx)
@@ -213,11 +221,11 @@ def test_bare_weights_give_the_taped_forward_bit_for_bit(dtype):
         params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
     params = params.astype(dtype)
     tokens, pos, cond = _forward_inputs(config, n=12)
-    ctx_k, ctx_v = rng.standard_normal((2, config.n_layers, 3, config.d_model))
+    ctx_k, ctx_v = rng.standard_normal((2, config.n_layers, 3, config.d_model)).astype(dtype)
     lam = config.compress_ratio
     cases = {
         "none": dict(mask=block_causal_mask(BlockPlan((6, 6)))),
-        "ctx": dict(mask=np.ones((12, 15)), ctx=ContextKV(ctx_k, ctx_v, positions=np.arange(-3, 0), step_tag=0.3)),
+        "ctx": dict(mask=np.ones((12, 15)), ctx=slab_context(ctx_k, ctx_v, np.arange(-3, 0), 0.3, room=12)),
         "memory": dict(mask=np.ones((12, 14)),
                        memory=InlineMemorySpec(spans=((0, 2 * lam),), mem_positions=(0.0, float(lam)),
                                                ratio=lam)),

@@ -51,12 +51,17 @@ def test_diverging_run_raises_with_its_history(tmp_path, capsys):
     assert err.value.step == 1
     assert len(err.value.history) == 2 and np.isfinite(err.value.history[0][1])
     save_dataset(tmp_path / "ds", ds, seed=2)
-    with np.errstate(all="ignore"):
-        code = main(["train", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "run"),
-                     "--steps", "5", "--lr", "1e300"])
-    assert code == EXIT_ABORTED
-    stderr = capsys.readouterr().err
-    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine")
+    for out in (tmp_path / "new" / "run", kept):
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", str(tmp_path / "ds"), "--out", str(out), "--steps", "5", "--lr", "1e300"])
+        assert code == EXIT_ABORTED
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert not (tmp_path / "new").exists()  # the aborted run removes the directories it made
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]  # and leaves one that existed alone
 
 
 def test_training_deterministic_in_seed():
