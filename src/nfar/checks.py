@@ -141,7 +141,8 @@ def constant_memory(seed: int = 0) -> tuple[bool, str]:
 def coverage_ledger(seed: int = 0) -> tuple[bool, str]:
     """Over 100 rolls every raw chunk is accounted exactly once and pending stays below a window."""
     config = DenoiserConfig()
-    comp = convkv.compressor_arrays(init_params(config, seed=seed))
+    weights = init_params(config, seed=seed).values
+    comp = weights["compressor.w"], weights["compressor.b"]
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
     cache = convkv.new_cache(config.n_layers, config.d_model, step_tag=0.5, freqs=freqs)
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checks, io
 from .blocks import BlockPlan
-from .model import DenoiserConfig, init_params
+from .model import REF_CAPACITY, DenoiserConfig, init_params
 from .schedule import SamplerConfig
 from .streaming import GenerationAborted, bench_overhead, generate_stream, zero_shot_experiment
 from .synthdata import LatentDynamics, check_prop1, generate_state_path, make_dataset, render_and_encode, condition_vector
@@ -69,10 +69,10 @@ def _plan(n_blocks: int) -> BlockPlan:
 
 
 def _reference_inputs(dyn: LatentDynamics, seed: int, n_frames: int):
-    """Deterministic (x_ref, cond) derived from one synthetic trajectory."""
-    u = generate_state_path(n_frames, dyn.delta_u, seed=seed, state_dim=dyn.state_dim)
+    """Deterministic (x_ref, cond) derived from one synthetic trajectory of at least REF_CAPACITY frames."""
+    u = generate_state_path(max(n_frames, REF_CAPACITY), dyn.delta_u, seed=seed, state_dim=dyn.state_dim)
     _, z0 = render_and_encode(dyn, u, dyn.residual_bound, seed=seed + 500_000)
-    return z0[:2], condition_vector(z0)
+    return z0[:REF_CAPACITY], condition_vector(z0)
 
 
 # -- data ----------------------------------------------------------------------
@@ -151,7 +151,7 @@ def cmd_generate(args) -> int:
     sampler = SamplerConfig.uniform(args.steps)
     dyn = LatentDynamics.create(seed=args.seed,
                                 latent_dim=params.config.d_latent)
-    x_ref, cond = _reference_inputs(dyn, args.seed, max(plan.total_chunks, 2))
+    x_ref, cond = _reference_inputs(dyn, args.seed, plan.total_chunks)
     dtype = np.float32 if args.dtype == "f32" else np.float64
     params = params.astype(dtype)  # generation runs in the dtype of its weights
     with _output_dir(args.out) as out:
@@ -199,7 +199,7 @@ def cmd_bench(args) -> int:
     plan = _plan(args.blocks)
     sampler = SamplerConfig.uniform(args.steps)
     dyn = LatentDynamics.create(seed=args.seed, latent_dim=params.config.d_latent)
-    x_ref, cond = _reference_inputs(dyn, args.seed, max(plan.total_chunks, 2))
+    x_ref, cond = _reference_inputs(dyn, args.seed, plan.total_chunks)
     with _output_dir(args.out) as out:
         result = bench_overhead(params, x_ref, cond, plan, sampler,
                                 repetitions=args.reps, seed=args.seed)
@@ -229,7 +229,7 @@ def cmd_zeroshot(args) -> int:
     dyn = LatentDynamics.create(seed=args.seed, latent_dim=params.config.d_latent)
     per_variant: dict[str, list[float]] = {}
     for s in range(args.seeds):
-        x_ref, cond = _reference_inputs(dyn, args.seed + s, max(plan.total_chunks, 2))
+        x_ref, cond = _reference_inputs(dyn, args.seed + s, plan.total_chunks)
         scores = zero_shot_experiment(params, x_ref, cond, plan, sampler, seed=args.seed + s)
         for k, v in scores.items():
             per_variant.setdefault(k, []).append(v)

@@ -26,6 +26,14 @@ window of pending, all layers and K/V at once, with
 numerics.window_products, the kernel stage-2 training's conv1d_strided
 runs, so a compressed chunk equals its training-time memory token bit for
 bit, and rotates the new long-term chunks at their window starts.
+
+Chunks move FIFO, so raw-chunk ids run dropped | long_term | pending |
+short_term | current (history | current unbounded), and `counts`,
+`next_chunk_id` and the rows' positions are the whole ledger: a raw row at
+position p covers chunk p, a long-term row the window [p, p + lam). After a
+roll with N chunks whose last block had n, short-term holds s = min(2, n),
+W = (N - s) // lam windows have formed, long-term holds min(W, 2) of them,
+pending N - s - lam*W chunks, and lam*(W - min(W, 2)) ids are dropped.
 """
 
 from __future__ import annotations
@@ -35,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockKV, ContextKV, DenoiserParams, RopeFrequencies, rope_angles, rope_apply
+from .model import REF_CAPACITY, BlockKV, ContextKV, RopeFrequencies, rope_apply
 from .numerics import window_products
 
-REF_CAPACITY = 2
 LONG_TERM_CAPACITY = 2
 SHORT_TERM_CAPACITY = 2
 LAYOUT = ("reference", "long_term", "short_term", "history", "current")  # slab segments in row order
+RUNS = ("long_term", "pending", "short_term", "history", "current")  # chunk-id runs in id order, after dropped
 
 
 class CacheStepError(ValueError):
@@ -83,39 +91,43 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
 
 
 class SegmentedKVCache:
-    """One sampler step's K/V: the slabs with per-row positions and spans, and pending.
+    """One sampler step's K/V: the slabs with per-row positions, and pending.
 
     `slabs` holds rotated keys, values and (bounded only) un-rotated keys,
     each (n_layers, rows, d_kv); `counts` holds each LAYOUT segment's rows
-    and `spans` the raw-chunk ids each filled row covers. `pending_kv` stacks
-    un-rotated keys and values, (2, n_layers, rows, d_kv): reshaped, the
-    compressor's input. `cache.<segment>` (a LAYOUT name or "pending")
-    copies the segment's rows into a `Segment`.
+    and pending's chunks. `pending_kv` stacks un-rotated keys and values,
+    (2, n_layers, rows, d_kv): reshaped, the compressor's input.
+    `cache.<segment>` (a LAYOUT name or "pending") copies the segment's rows
+    into a `Segment`, with the spans the ledger derives.
     """
 
     def __init__(self, n_layers: int, d_kv: int, step_tag: float, freqs: RopeFrequencies, lam: int,
                  bounded: bool, dtype, block_rows: int):
         self.n_layers, self.d_kv, self.step_tag, self.freqs = n_layers, d_kv, step_tag, freqs
         self.lam, self.bounded, self.dtype, self.block_rows = lam, bounded, dtype, block_rows
-        self.counts = dict.fromkeys(LAYOUT, 0)
-        self.spans: list[tuple[int, int]] = []
-        self.dropped_spans: list[tuple[int, int]] = []
-        self.next_position = 0  # monotone chunk-position counter
-        self.next_chunk_id = 0
+        self.counts = dict.fromkeys(LAYOUT + ("pending",), 0)
+        self.next_chunk_id = 0  # raw chunk i sits at position i
         rows = REF_CAPACITY + LONG_TERM_CAPACITY + SHORT_TERM_CAPACITY + block_rows
         # One array per slab: stacked, the unbounded slabs raised perfbench's peak RSS by ~3 MB.
         self.slabs = [np.empty((n_layers, rows, d_kv), dtype=dtype) for _ in range(3 if bounded else 2)]
         self.positions = np.empty(rows)
-        # Room for lam - 1 leftovers and a whole slab. Raw chunk i sits at position i, so pending's positions
-        # are its spans' starts.
+        # Room for lam - 1 leftovers and a whole slab.
         self.pending_kv = np.empty((2, n_layers, rows + lam if bounded else 0, d_kv), dtype=dtype)
-        self.pending_spans: list[tuple[int, int]] = []
-        self.window_angles = rope_angles(np.zeros(0), freqs, dtype)  # see `_window_angles`
 
     @property
     def context_chunks(self) -> int:
-        """Non-current chunks visible to attention."""
-        return len(self.spans) - self.counts["current"]
+        """Non-current chunks visible to attention: the filled rows before the current block."""
+        return sum(self.counts[name] for name in LAYOUT[:-1])
+
+    def run_start(self, name: str) -> int:
+        """The first raw-chunk id of `name`'s run (a RUNS name; "dropped" starts at 0)."""
+        later = RUNS[RUNS.index(name):]
+        return self.next_chunk_id - sum(self.counts[n] * (self.lam if n == "long_term" else 1) for n in later)
+
+    @property
+    def dropped_spans(self) -> list[tuple[int, int]]:
+        """The windows evicted from long-term memory, oldest first: every window before the first kept one."""
+        return [(s, s + self.lam) for s in range(0, self.run_start("long_term"), self.lam)]
 
     def context_floats(self) -> int:
         """Floats attention reads from the context: its keys and values, one copy of each."""
@@ -128,16 +140,19 @@ class SegmentedKVCache:
 
     def __getattr__(self, name: str) -> Segment:
         if name == "pending":
-            n = len(self.pending_spans)
+            n, first = self.counts["pending"], self.run_start("pending")
             keys, vals = self.pending_kv[:, :, :n].copy()
-            positions = np.array([s for s, _ in self.pending_spans], dtype=np.float64)
-            return Segment(keys, vals, positions, list(self.pending_spans), None)
+            return Segment(keys, vals, np.arange(first, first + n, dtype=np.float64),
+                           [(i, i + 1) for i in range(first, first + n)], None)
         if name not in LAYOUT:
             raise AttributeError(name)
         start = sum(self.counts[seg] for seg in LAYOUT[:LAYOUT.index(name)])
         rows = slice(start, start + self.counts[name])
         rotated, vals, *keys = (slab[:, rows].copy() for slab in self.slabs)
-        return Segment(keys[0] if keys else None, vals, self.positions[rows].copy(), self.spans[rows], rotated)
+        positions = self.positions[rows].copy()
+        width = self.lam if name == "long_term" else 1
+        spans = [(-1, -1) if name == "reference" else (int(p), int(p) + width) for p in positions]
+        return Segment(keys[0] if keys else None, vals, positions, spans, rotated)
 
     def non_current_digest(self) -> str:
         h = hashlib.sha256()
@@ -155,23 +170,15 @@ class SegmentedKVCache:
         if self.bounded:
             self.pending_kv = _grown(self.pending_kv, rows + self.lam)
 
-    def _write(self, start: int, parts, positions, spans: list) -> None:
-        """Slab rows [start, start + len(spans)) set to chunks of `parts` (rotated keys, values, keys).
+    def _write(self, start: int, parts, positions) -> None:
+        """Slab rows [start, start + len(positions)) set to chunks of `parts` (rotated keys, values, keys).
 
         An unbounded cache ignores the keys.
         """
-        rows = slice(start, start + len(spans))
+        rows = slice(start, start + len(positions))
         for slab, part in zip(self.slabs, parts):
             slab[:, rows] = part
         self.positions[rows] = positions
-        self.spans[rows] = spans
-
-    def _window_angles(self, spans: list) -> tuple[np.ndarray, np.ndarray]:
-        """`rope_angles` of the windows with these spans, as rows k of one table: window k starts at k * lam."""
-        first, stop = (spans[0][0] // self.lam, spans[-1][0] // self.lam + 1) if spans else (0, 0)
-        if stop > len(self.window_angles[0]):
-            self.window_angles = rope_angles(np.arange(2 * stop) * self.lam, self.freqs, self.dtype)
-        return tuple(a[first:stop] for a in self.window_angles)
 
     def _move(self, dst: int, src: int, n: int) -> None:
         """Slab rows [src, src + n) to rows [dst, dst + n)."""
@@ -181,7 +188,6 @@ class SegmentedKVCache:
         for slab in self.slabs:
             slab[:, to] = slab[:, rows]
         self.positions[to] = self.positions[rows]
-        self.spans[to] = self.spans[rows]
 
 
 def new_cache(n_layers: int, d_kv: int, step_tag: float, freqs: RopeFrequencies, lam: int = 5,
@@ -200,7 +206,7 @@ def set_reference(cache: SegmentedKVCache, kv: BlockKV, positions) -> None:
         raise ValueError(f"reference segment holds {REF_CAPACITY} chunks, got {n}")
     if cache.next_chunk_id:
         raise ValueError("a cache takes its reference before any chunk is stored")
-    cache._write(0, (kv.rotated, kv.vals, kv.keys), positions, [(-1, -1)] * n)
+    cache._write(0, (kv.rotated, kv.vals, kv.keys), positions)
     cache.counts["reference"] = n
 
 
@@ -214,37 +220,33 @@ def cache_append(cache: SegmentedKVCache, kv: BlockKV, positions, step: float) -
     """
     if step != cache.step_tag:
         raise CacheStepError(f"append at step {step} into a cache tagged {cache.step_tag}")
-    n = kv.vals.shape[1]
-    if not np.array_equal(positions, np.arange(cache.next_position, cache.next_position + n)):
-        raise ValueError(f"positions {list(positions)} do not continue from {cache.next_position}")
-    start, first = len(cache.spans), cache.next_chunk_id
+    n, first = kv.vals.shape[1], cache.next_chunk_id
+    if not np.array_equal(positions, np.arange(first, first + n)):
+        raise ValueError(f"positions {list(positions)} do not continue from {first}")
+    start = cache.context_chunks + cache.counts["current"]
     cache._reserve(start + n)
-    cache._write(start, (kv.rotated, kv.vals, kv.keys), positions, [(i, i + 1) for i in range(first, first + n)])
+    cache._write(start, (kv.rotated, kv.vals, kv.keys), positions)
     cache.counts["current"] += n
     cache.next_chunk_id += n
-    cache.next_position += n
-
-
-def compressor_arrays(params: DenoiserParams) -> tuple[np.ndarray, np.ndarray]:
-    """The params' own (W (2*n_layers, lam, d, d), b (2*n_layers, d)): key layers, then value layers."""
-    return params.values["compressor.w"], params.values["compressor.b"]
 
 
 def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> None:
     """Finalize the current block and re-establish the bounded layout, in place.
 
-    The last two chunks of the finalized block become short-term memory;
-    displaced short-term chunks and the block's earlier chunks join the
-    pending buffer; every full lam-window in pending is compressed into
-    long-term memory (FIFO-evicted beyond capacity), its keys rotated here,
-    once, at the window start. Unbounded, the whole block joins the
-    history, and the slabs keep room for one more block.
+    `compressor` is (W (2*n_layers, lam, d, d), b (2*n_layers, d)), key
+    layers then value layers, as the params hold them. The last two chunks
+    of the finalized block become short-term memory; displaced short-term
+    chunks and the block's earlier chunks join the pending buffer; every
+    full lam-window in pending is compressed into long-term memory
+    (FIFO-evicted beyond capacity), its keys rotated here, once, at the
+    window start. Unbounded, the whole block joins the history, and the
+    slabs keep room for one more block.
     """
     counts = cache.counts
     if not cache.bounded:
         counts["history"] += counts["current"]
         counts["current"] = 0
-        cache._reserve(len(cache.spans) + cache.block_rows)
+        cache._reserve(cache.context_chunks + cache.block_rows)
         return
     if mode not in ("conv", "subsample"):
         raise ValueError(f"unknown compression mode {mode!r}")
@@ -252,12 +254,12 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
         raise ValueError(f"conv mode requires compressor weights of kernel length {cache.lam}")
     ref, n_long, lam, L = counts["reference"], counts["long_term"], cache.lam, cache.n_layers
     keep = min(SHORT_TERM_CAPACITY, counts["current"])
+    first = cache.run_start("pending")  # a multiple of lam: window k of pending starts at first + k * lam
     # Chronological order: pending < displaced short-term < evicted current, slab rows [start, stop).
-    start, stop = ref + n_long, len(cache.spans) - keep
-    p, q = len(cache.pending_spans), len(cache.pending_spans) + stop - start
+    start, stop = ref + n_long, cache.context_chunks + counts["current"] - keep
+    p, q = counts["pending"], counts["pending"] + stop - start
     cache.pending_kv[0, :, p:q] = cache.slabs[2][:, start:stop]  # un-rotated keys
     cache.pending_kv[1, :, p:q] = cache.slabs[1][:, start:stop]
-    cache.pending_spans += cache.spans[start:stop]
 
     used = q // lam * lam
     pending = cache.pending_kv[:, :, :q].reshape(2 * L, q, cache.d_kv)
@@ -267,42 +269,32 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
         # Free summarizer used by the overhead benchmark: the first chunk of
         # each window stands in for the whole window.
         m = pending[:, :used:lam]
-    pending_spans = cache.pending_spans
-    spans = [(pending_spans[i][0], pending_spans[i + lam - 1][1]) for i in range(0, used, lam)]
-    # Long-term keeps the newest LONG_TERM_CAPACITY windows of old || new.
-    evicted = max(0, n_long + len(spans) - LONG_TERM_CAPACITY)
+    # Long-term keeps the newest LONG_TERM_CAPACITY windows of old || new; the rest are dropped.
+    evicted = max(0, n_long + used // lam - LONG_TERM_CAPACITY)
     old = min(evicted, n_long)
-    cache.dropped_spans += cache.spans[ref:ref + old] + spans[:evicted - old]
     cache._move(ref, ref + old, n_long - old)
-    new, spans = slice(evicted - old, None), spans[evicted - old:]
-    m_k, m_v, starts = m[:L, new], m[L:, new], [s for s, _ in spans]
-    rotated = rope_apply(m_k, starts, cache.freqs, cache._window_angles(spans))
-    cache._write(ref + n_long - old, (rotated, m_v, m_k), starts, spans)
-    n_long = n_long - old + len(spans)
+    new = slice(evicted - old, None)
+    m_k, m_v, starts = m[:L, new], m[L:, new], np.arange(first + (evicted - old) * lam, first + used, lam)
+    cache._write(ref + n_long - old, (rope_apply(m_k, starts, cache.freqs), m_v, m_k), starts)
+    n_long = n_long - old + starts.size
     cache._move(ref + n_long, stop, keep)
-    del cache.spans[ref + n_long + keep:]
-    counts.update(long_term=n_long, short_term=keep, current=0)
+    counts.update(long_term=n_long, short_term=keep, current=0, pending=q - used)
     if used:
         cache.pending_kv[:, :, :q - used] = cache.pending_kv[:, :, used:q]
-        del pending_spans[:used]
 
 
-def cache_context_view(cache: SegmentedKVCache) -> tuple[ContextKV, list[str]]:
+def cache_context_view(cache: SegmentedKVCache) -> ContextKV:
     """The context, reference || long_term || short_term (reference || history unbounded), over the slabs.
 
     Returns a `ContextKV` whose first n_ctx slab rows are the context and
-    whose rows after them are room for the forward's block, plus one segment
-    label per context chunk. Its `keys`, `vals` and `positions` are
-    read-only. A bounded view is valid until the next roll, an unbounded
-    one for as long as it is held.
+    whose rows after them are room for the forward's block; context row i
+    belongs to the LAYOUT segment whose `counts` cover it. Its `keys`,
+    `vals` and `positions` are read-only. A bounded view is valid until the
+    next roll, an unbounded one for as long as it is held.
     """
-    n = cache.context_chunks
-    positions = cache.positions[:n]
+    positions = cache.positions[:cache.context_chunks]
     positions.setflags(write=False)
-    labels: list[str] = []
-    for name in LAYOUT[:-1]:
-        labels += [name] * cache.counts[name]
-    return ContextKV(cache.slabs[0], cache.slabs[1], positions, cache.step_tag), labels
+    return ContextKV(cache.slabs[0], cache.slabs[1], positions, cache.step_tag)
 
 
 def coverage_accounting(cache: SegmentedKVCache) -> dict[str, list[int]]:

@@ -38,6 +38,7 @@ from .numerics import (
 from .rng import STREAM_INIT, make_rng
 
 T_FLOOR = 0.02  # clamp for the reciprocal time feature
+REF_CAPACITY = 2  # reference chunks: training, the cache and the CLI all take exactly this many
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class DenoiserConfig:
     d_cond: int = 32
     d_ff: int = 128
     rope_base: float = 10000.0
-    n_ref_chunks: int = 2
+    n_ref_chunks: int = REF_CAPACITY
     compress_ratio: int = 5
 
     def __post_init__(self):
@@ -61,6 +62,8 @@ class DenoiserConfig:
             raise ValueError(f"head_dim {self.d_model // self.n_heads} must be even for RoPE")
         if self.compress_ratio < 1:
             raise ValueError("compress_ratio must be >= 1")
+        if self.n_ref_chunks != REF_CAPACITY:
+            raise ValueError(f"n_ref_chunks must be {REF_CAPACITY}, got {self.n_ref_chunks}")
 
     @property
     def head_dim(self) -> int:

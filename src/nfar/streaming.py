@@ -22,7 +22,6 @@ from .convkv import (
     cache_append,
     cache_context_view,
     cache_roll,
-    compressor_arrays,
     new_cache,
     set_reference,
 )
@@ -123,7 +122,8 @@ def generate_stream(
         for t in grid[:-1]
     ]
     _prefill_reference(weights, config, np.asarray(x_ref, dtype=dtype), cond, caches, batch)
-    compressor = compressor_arrays(params) if (use_convkv and compression_mode == "conv") else None
+    conv = use_convkv and compression_mode == "conv"
+    compressor = (weights["compressor.w"], weights["compressor.b"]) if conv else None
 
     rng = make_rng(seed, STREAM_GENERATE)
     report = GenerationReport(use_convkv=use_convkv)
@@ -140,7 +140,7 @@ def generate_stream(
         t0 = time.monotonic()
 
         def velocity(x, k):
-            ctx, _ = cache_context_view(caches[k])
+            ctx = cache_context_view(caches[k])
             mask = np.ones((n, ctx.n_tokens + n))
             t = float(grid[k])
             vel, kv = denoiser_forward(weights, config, x, positions, t, cond, mask, ctx=ctx,
@@ -157,7 +157,7 @@ def generate_stream(
         report.block_times.append(t2 - t0)
     report.kv_bytes.append(sum(cache.kv_bytes for cache in caches))
     report.total_chunks = plan.total_chunks
-    report.dropped_spans = list(caches[0].dropped_spans)
+    report.dropped_spans = caches[0].dropped_spans
     return LatentSequence(out.astype(np.float64)), report
 
 
@@ -187,7 +187,7 @@ def generate_full_recompute(
     ref_caches = [new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=batch.freqs, dtype=dtype,
                             block_rows=plan.total_chunks) for t in grid[:-1]]
     _prefill_reference(weights, config, x_ref, cond, ref_caches, batch)
-    ref_ctx = [cache_context_view(c)[0] for c in ref_caches]
+    ref_ctx = [cache_context_view(c) for c in ref_caches]
 
     rng = make_rng(seed, STREAM_GENERATE)
     out = np.zeros((plan.total_chunks, config.d_latent), dtype=dtype)

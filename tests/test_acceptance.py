@@ -13,7 +13,7 @@ import numpy as np
 from nfar import checks
 from nfar.blocks import BlockPlan
 from nfar.checks import randomized_params
-from nfar.convkv import cache_append, cache_roll, compressor_arrays, new_cache
+from nfar.convkv import cache_append, cache_roll, new_cache
 from nfar.model import (
     BlockKV,
     DenoiserConfig,
@@ -112,7 +112,8 @@ def test_07_coverage_ledger():
 def test_08_averaging_fixed_point():
     t0 = time.monotonic()
     config = DenoiserConfig()
-    comp = compressor_arrays(init_params(config, seed=0))
+    weights = init_params(config, seed=0).values
+    comp = weights["compressor.w"], weights["compressor.b"]
     rng = np.random.default_rng(5)
     K = rng.standard_normal((config.n_layers, 14, config.d_model))
     V = rng.standard_normal((config.n_layers, 14, config.d_model))

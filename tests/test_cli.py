@@ -97,6 +97,30 @@ def test_generate_rejects_a_damaged_checkpoint(tmp_path, capsys, damage):
                 "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["generate", "train_init"])
+@pytest.mark.parametrize("n_ref", [3, 0, -1])
+def test_checkpoint_with_another_reference_count_is_refused(tmp_path, capsys, command, n_ref):
+    # Generation streams exactly two reference chunks, so a checkpoint configured for any other count is
+    # a bad config, not a model that trained with one count and streams with another.
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, init_params(DenoiserConfig(), seed=0))
+    line = b"config.n_ref_chunks = 2\n"
+    assert line in ckpt.read_bytes()
+    ckpt.write_bytes(ckpt.read_bytes().replace(line, f"config.n_ref_chunks = {n_ref}\n".encode(), 1))
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--ckpt", str(ckpt), "--out", str(out), "--blocks", "2", "--steps", "1"]
+    else:
+        ds = tmp_path / "ds"
+        run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
+        argv = ["train", "--data", str(ds), "--out", str(out), "--steps", "1", "--init", str(ckpt)]
+    capsys.readouterr()
+    assert exit_code(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad config" in err and "n_ref_chunks" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--reps", "0"], ["--reps", "-2"], ["--blocks", "3"]])
 def test_bench_rejects_runs_it_cannot_measure(tmp_path, capsys, flags):
     save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))

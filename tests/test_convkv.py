@@ -10,13 +10,14 @@ from nfar import model, streaming
 from nfar.blocks import BlockPlan
 from nfar.checks import TINY, randomized_params
 from nfar.convkv import (
-    CacheStepError,
+    LAYOUT,
     LONG_TERM_CAPACITY,
+    SHORT_TERM_CAPACITY,
+    CacheStepError,
     Segment,
     cache_append,
     cache_context_view,
     cache_roll,
-    compressor_arrays,
     coverage_accounting,
     new_cache,
     set_reference,
@@ -55,14 +56,15 @@ def make_ready_cache():
     return cache
 
 
-def averaging_comp():
+def averaging_comp(lam=5):
     config = DenoiserConfig(n_layers=N_LAYERS, d_model=D_KV, n_heads=2,
-                            d_latent=4, d_cond=4, d_ff=8)
-    return compressor_arrays(init_params(config, seed=0))
+                            d_latent=4, d_cond=4, d_ff=8, compress_ratio=lam)
+    weights = init_params(config, seed=0).values
+    return weights["compressor.w"], weights["compressor.b"]
 
 
 def run_blocks(cache, comp, sizes, mode="conv"):
-    pos = cache.next_position
+    pos = cache.next_chunk_id
     for n in sizes:
         positions = list(range(pos, pos + n))
         cache_append(cache, fake_kv(positions), positions, 0.5)
@@ -130,6 +132,28 @@ def test_fifo_eviction_and_coverage_conservation():
     assert cache.long_term.n_chunks == LONG_TERM_CAPACITY
 
 
+def test_bounded_cache_keeps_nothing_that_grows_with_the_stream():
+    # Arrays measured by nbytes and containers by len, everything the cache
+    # holds is as big after 2,000 rolls as after 10.
+    def size(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)):
+            return len(value), [size(v) for v in value]
+        if hasattr(value, "__dict__"):
+            return size(vars(value))
+        return None
+
+    cache, comp = make_ready_cache(), averaging_comp()
+    run_blocks(cache, comp, [6] + [8] * 9)
+    early = {name: size(value) for name, value in vars(cache).items()}
+    run_blocks(cache, comp, [8] * 1990)
+    assert cache.next_chunk_id == 6 + 8 * 1999 and len(cache.dropped_spans) > 3000
+    assert {name: size(value) for name, value in vars(cache).items()} == early
+
+
 def test_compressed_position_is_window_start():
     cache = make_ready_cache()
     run_blocks(cache, averaging_comp(), [6, 8])
@@ -168,8 +192,10 @@ def test_rope_reset_angle_matches_position_s():
 def test_context_view_order_and_labels():
     cache = make_ready_cache()
     run_blocks(cache, averaging_comp(), [6, 8, 8])
-    ctx, labels = cache_context_view(cache)
+    ctx = cache_context_view(cache)
+    labels = [name for name in LAYOUT for _ in range(cache.counts[name])]  # context rows' segments
     assert labels == ["reference"] * 2 + ["long_term"] * 2 + ["short_term"] * 2
+    assert ctx.positions.tolist() == [-2, -1, 10, 15, 20, 21]
     assert ctx.n_tokens == 6
     assert ctx.step_tag == 0.5
 
@@ -216,7 +242,7 @@ def test_float32_cache_stays_float32():
             cache_append(cache, fake_kv(positions, np.float32), positions, 0.5)
             pos += n
             cache_roll(cache, comp)
-        ctx, _ = cache_context_view(cache)
+        ctx = cache_context_view(cache)
         assert ctx.keys.dtype == np.float32 and ctx.vals.dtype == np.float32
 
 
@@ -257,7 +283,7 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
         rolled = {}
         for a, e in ((0, 6), (6, 14), (14, 22)):
             cache_append(cache, BlockKV(*(arr[:, a:e] for arr in kv)), list(range(a, e)), 0.5)
-            cache_roll(cache, compressor_arrays(params))
+            cache_roll(cache, (params.values["compressor.w"], params.values["compressor.b"]))
             for i, span in enumerate(cache.long_term.spans):
                 rolled[span] = (cache.long_term.keys[:, i], cache.long_term.vals[:, i])
         for w in range(n_win):
@@ -267,21 +293,21 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
                 assert np.array_equal(trained[2 * l + 1].data[w], vals[l])
 
 
-def roll_and_check(sizes, mode, dtype):
+def roll_and_check(sizes, mode, dtype, lam=5):
     """Roll blocks of the given sizes, checking the ledger after every roll.
 
     Returns the most windows one roll compressed and the most long-term
     chunks one roll evicted.
     """
-    W, b = averaging_comp()
+    W, b = averaging_comp(lam)
     W = (W + 0.05 * RNG.standard_normal(W.shape)).astype(dtype)
     b = b.astype(dtype)
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, dtype=dtype)
+    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, lam=lam, dtype=dtype)
     raw_k = np.zeros((N_LAYERS, 0, D_KV), dtype=dtype)
     raw_v = np.zeros((N_LAYERS, 0, D_KV), dtype=dtype)
     most_windows = most_evicted = 0
     for n in sizes:
-        positions = list(range(cache.next_position, cache.next_position + n))
+        positions = list(range(cache.next_chunk_id, cache.next_chunk_id + n))
         kv = fake_kv(positions, dtype)
         raw_k = np.concatenate([raw_k, kv.keys], axis=1)
         raw_v = np.concatenate([raw_v, kv.vals], axis=1)
@@ -292,6 +318,14 @@ def roll_and_check(sizes, mode, dtype):
 
         acc = coverage_accounting(cache)
         assert sorted(sum(acc.values(), [])) == list(range(raw_k.shape[1]))
+        # The layout is a closed form of the chunk count and the last block's size.
+        total, short = raw_k.shape[1], min(SHORT_TERM_CAPACITY, n)
+        windows = (total - short) // lam
+        kept = min(windows, LONG_TERM_CAPACITY)
+        assert cache.next_chunk_id == total
+        assert cache.counts == dict(cache.counts, short_term=short, long_term=kept, current=0,
+                                    pending=total - short - lam * windows)
+        assert len(acc["dropped"]) == lam * (windows - kept)
         assert cache.pending.n_chunks < cache.lam
         assert cache.long_term.n_chunks <= LONG_TERM_CAPACITY
         assert cache.long_term.positions.tolist() == [s for s, _ in cache.long_term.spans]
@@ -315,10 +349,10 @@ def roll_and_check(sizes, mode, dtype):
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.integers(1, 20), min_size=1, max_size=12),
        mode=st.sampled_from(["conv", "subsample"]),
-       dtype=st.sampled_from([np.float64, np.float32]))
-@example(sizes=[20, 20, 3, 17], mode="conv", dtype=np.float64)
-def test_roll_ledger_over_random_block_sizes(sizes, mode, dtype):
-    roll_and_check(sizes, mode, dtype)
+       dtype=st.sampled_from([np.float64, np.float32]), lam=st.integers(1, 6))
+@example(sizes=[20, 20, 3, 17], mode="conv", dtype=np.float64, lam=5)
+def test_roll_ledger_over_random_block_sizes(sizes, mode, dtype, lam):
+    roll_and_check(sizes, mode, dtype, lam)
 
 
 def test_roll_ledger_covers_multi_window_rolls():
@@ -332,7 +366,7 @@ def test_context_views_are_read_only_and_outlive_later_rolls():
     cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
     set_reference(cache, fake_kv([-2, -1]), [-2, -1])
     run_blocks(cache, None, [6])
-    early, _ = cache_context_view(cache)
+    early = cache_context_view(cache)
     kept = (early.keys.copy(), early.vals.copy())
     capacity = cache.positions.size
     for arr in (early.keys, early.vals, early.positions):
@@ -340,14 +374,14 @@ def test_context_views_are_read_only_and_outlive_later_rolls():
             arr[0] = 0.0
     run_blocks(cache, None, [8] * (capacity // 8 + 2))  # enough rows to double the capacity
     assert cache.positions.size > capacity
-    late, _ = cache_context_view(cache)
+    late = cache_context_view(cache)
     for a, a1, a0 in zip((early.keys, early.vals), (late.keys, late.vals), kept):
         assert np.array_equal(a, a0)
         assert np.array_equal(a1[:, :a0.shape[1]], a0)
-    assert np.array_equal(late.positions, np.arange(-2, cache.next_position))
+    assert np.array_equal(late.positions, np.arange(-2, cache.next_chunk_id))
     bounded = make_ready_cache()
     run_blocks(bounded, averaging_comp(), [6, 8])
-    ctx, _ = cache_context_view(bounded)
+    ctx = cache_context_view(bounded)
     with pytest.raises(ValueError):
         ctx.keys[0, 0, 0] = 1.0
 
@@ -411,7 +445,7 @@ def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, 
         cache_append(cache, kv, positions, step)
 
     def checking_view(cache):
-        ctx, labels = cache_context_view(cache)
+        ctx = cache_context_view(cache)
         if cache.bounded:
             unrotated = np.concatenate([raw[id(cache)][0], cache.long_term.keys, cache.short_term.keys], axis=1)
         else:
@@ -419,9 +453,9 @@ def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, 
         assert ctx.keys.dtype == np.dtype(dtype)
         assert not any(a.flags.writeable for a in (ctx.keys, ctx.vals))
         assert np.array_equal(ctx.keys, rope_apply(unrotated, ctx.positions, freqs))
-        assert len(labels) == ctx.n_tokens == cache.context_chunks
-        views.append(labels)
-        return ctx, labels
+        assert ctx.n_tokens == cache.context_chunks
+        views.append(ctx)
+        return ctx
 
     def checking_roll(cache, compressor=None, mode="conv"):
         cache_roll(cache, compressor, mode=mode)
@@ -462,8 +496,8 @@ def test_slab_views_show_only_filled_rows_and_keep_them(sizes, bounded, dtype, n
         return [a.__array_interface__["data"][0] for a in (*cache.slabs, cache.pending_kv)] + [cache.kv_bytes]
 
     def checking_view(cache):
-        ctx, labels = cache_context_view(cache)
-        assert ctx.n_tokens == cache.context_chunks == len(labels)
+        ctx = cache_context_view(cache)
+        assert ctx.n_tokens == cache.context_chunks
         assert ctx.keys.shape == ctx.vals.shape == (n_layers, ctx.n_tokens, config.d_model)
         assert ctx.slab_keys.shape[1] >= ctx.n_tokens + max(sizes)  # room for the block
         assert not any(a.flags.writeable for a in (ctx.keys, ctx.vals, ctx.positions))
@@ -471,7 +505,7 @@ def test_slab_views_show_only_filled_rows_and_keep_them(sizes, bounded, dtype, n
             assert storage.setdefault(id(cache), pointers(cache)) == pointers(cache)
         else:
             held.append((ctx, ctx.keys.copy(), ctx.vals.copy(), ctx.positions.copy()))
-        return ctx, labels
+        return ctx
 
     def checking_roll(cache, compressor=None, mode="conv"):
         cache_roll(cache, compressor, mode=mode)
@@ -492,22 +526,26 @@ def test_slab_views_show_only_filled_rows_and_keep_them(sizes, bounded, dtype, n
 
 # -- the compressor stack ------------------------------------------------------
 
-def test_compressor_arrays_hand_out_a_loaded_checkpoint_own_storage(tmp_path):
-    save_checkpoint(tmp_path / "m.ckpt", init_params(TINY, seed=0))
-    params = load_checkpoint(tmp_path / "m.ckpt")
-    w, b = compressor_arrays(params)
-    assert w is params.values["compressor.w"] and b is params.values["compressor.b"]  # no copy per call
-    assert w.shape == (2 * TINY.n_layers, TINY.compress_ratio, TINY.d_model, TINY.d_model)
-    assert b.shape == (2 * TINY.n_layers, TINY.d_model)
+def rolled_long_term(config, compressor):
+    """Long-term keys and values of a bounded cache rolled over blocks (6, 8) of fixed K/V with `compressor`."""
+    rng = np.random.default_rng(7)
+    freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
+    cache = new_cache(config.n_layers, config.d_model, step_tag=0.5, freqs=freqs, lam=config.compress_ratio)
+    for s, n in ((0, 6), (6, 8)):
+        keys, vals = rng.standard_normal((2, config.n_layers, n, config.d_model))
+        positions = np.arange(s, s + n)
+        cache_append(cache, BlockKV(keys, rope_apply(keys, positions, freqs), vals), positions, 0.5)
+        cache_roll(cache, compressor)
+    return cache.long_term.keys, cache.long_term.vals
 
 
 @pytest.mark.parametrize("change", ["in_place", "reassigned", "copy", "astype", "checkpoint",
                                     "checkpoint_mixed_dtypes", "stage2"])
 def test_compressor_arrays_follow_the_current_values(tmp_path, change):
-    # However the compressor changes, a roll reads its current values.
+    # However the compressor changes, a roll given the params' current arrays compresses with them.
     config = replace(TINY, d_latent=8, d_cond=16)
     params = randomized_params(config, seed=0)  # live output heads: stage 2 moves the compressor
-    before = [a.copy() for a in compressor_arrays(params)]
+    before = tuple(params.values[name].copy() for name in ("compressor.w", "compressor.b"))
     if change == "in_place":
         params.values["compressor.w"][3] += 1.0
         params.values["compressor.b"][0] = 3.0
@@ -516,11 +554,13 @@ def test_compressor_arrays_follow_the_current_values(tmp_path, change):
     elif change == "copy":
         original, params = params, params.copy()
         params.values["compressor.w"] *= 2.0
-        assert all(np.array_equal(a, b) for a, b in zip(compressor_arrays(original), before))
+        kept = (original.values["compressor.w"], original.values["compressor.b"])
+        assert all(np.array_equal(a, b) for a, b in zip(rolled_long_term(config, kept),
+                                                        rolled_long_term(config, before)))
     elif change == "astype":
         params = params.astype(np.float32)
         params.values["compressor.b"] += 1.0
-        assert compressor_arrays(params)[0].dtype == np.float32
+        assert params.values["compressor.w"].dtype == np.float32
     elif change == "checkpoint":
         params.values["compressor.b"][2] += 1.0
         save_checkpoint(tmp_path / "m.ckpt", params)
@@ -529,21 +569,22 @@ def test_compressor_arrays_follow_the_current_values(tmp_path, change):
         params.values["compressor.w"] = params.values["compressor.w"].astype(np.float32)
         save_checkpoint(tmp_path / "m.ckpt", params)
         params = load_checkpoint(tmp_path / "m.ckpt")
-        assert [a.dtype for a in compressor_arrays(params)] == [np.float32, np.float64]
+        assert [params.values[name].dtype for name in ("compressor.w", "compressor.b")] == [np.float32, np.float64]
     else:
         dataset = make_dataset(LatentDynamics.create(seed=1, latent_dim=config.d_latent), 4, 22, seed=2)
         params, _ = train_stage2_convkv(TrainConfig(total_steps=2, plan=BlockPlan.default(3), seed=0),
                                         dataset, params)
-    w, b = compressor_arrays(params)
-    assert w is params.values["compressor.w"] and b is params.values["compressor.b"]
-    assert not all(np.array_equal(now, old) for now, old in zip((w, b), before))
+    now = rolled_long_term(config, (params.values["compressor.w"], params.values["compressor.b"]))
+    current = tuple(params.values[name].copy() for name in ("compressor.w", "compressor.b"))
+    assert all(np.array_equal(a, b) for a, b in zip(now, rolled_long_term(config, current)))
+    assert not all(np.array_equal(a, b) for a, b in zip(now, rolled_long_term(config, before)))
 
 
 def test_roll_after_an_in_place_edit_compresses_with_the_edited_weights():
     # Row l of the stack compresses layer l's keys, row N_LAYERS + l its values.
     config = DenoiserConfig(n_layers=N_LAYERS, d_model=D_KV, n_heads=2, d_latent=4, d_cond=4, d_ff=8)
     params = init_params(config, seed=0)
-    averaging = [a.copy() for a in compressor_arrays(params)]
+    averaging = [params.values[name].copy() for name in ("compressor.w", "compressor.b")]
     params.values["compressor.w"][0] *= 2.0
     params.values["compressor.b"][N_LAYERS + 1] += 1.0
     ref, blocks = fake_kv([-2, -1]), [fake_kv(range(s, s + 8)) for s in (0, 8)]
@@ -556,7 +597,8 @@ def test_roll_after_an_in_place_edit_compresses_with_the_edited_weights():
             cache_roll(cache, comp)
         return cache.long_term
 
-    edited, old = long_term(compressor_arrays(params)), long_term(averaging)
+    edited = long_term((params.values["compressor.w"], params.values["compressor.b"]))
+    old = long_term(averaging)
     assert edited.n_chunks > 0
     changed = [[not np.array_equal(e[l], o[l]) for l in range(N_LAYERS)]
                for e, o in ((edited.keys, old.keys), (edited.vals, old.vals))]

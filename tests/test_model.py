@@ -285,3 +285,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DenoiserConfig(d_model=9, n_heads=3)  # odd head_dim breaks rotary pairs
     DenoiserConfig(d_model=12, n_heads=3)  # head_dim 4, fine
+    for n_ref in (3, 1, 0, -1):  # the cache and the CLI stream exactly two reference chunks
+        with pytest.raises(ValueError, match="n_ref_chunks"):
+            DenoiserConfig(n_ref_chunks=n_ref)
