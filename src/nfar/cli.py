@@ -138,7 +138,10 @@ def cmd_train(args) -> int:
             for step, loss, t_mean in history:
                 fh.write(f"{step},{loss!r},{t_mean!r}\n")
         _echo_config(out, args, ["data", "stage", "steps", "seed", "batch", "lr", "mask"])
-    final = history[-1][1] if history else 0.0
+    if not history:
+        print(f"stage {args.stage} done: 0 steps")
+        return EXIT_OK
+    final = history[-1][1]
     print(f"stage {args.stage} done: {len(history)} steps, final loss {final:.6f}")
     return EXIT_OK if np.isfinite(final) else EXIT_ABORTED
 

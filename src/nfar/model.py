@@ -28,11 +28,12 @@ from .numerics import (
     concat,
     conv1d_strided,
     data_of,
+    gated_residual,
     layer_norm,
+    linear_tanh,
     matmul,
     mul,
     slice2d,
-    tanh,
     write_rows,
 )
 from .rng import STREAM_INIT, make_rng
@@ -378,6 +379,13 @@ class StepConditioning:
         return StepConditioning(float(self.t[k]), layers, pick(self.final), self.freqs)
 
 
+def _scale_offsets(config: DenoiserConfig, dtype) -> np.ndarray:
+    """1 on every adaLN scale block of the heads (mod1 and mod3 of each layer, and final), 0 elsewhere."""
+    blocks = np.zeros((7 * config.n_layers + 2, config.d_model), dtype=dtype)
+    blocks[[*range(0, 7 * config.n_layers, 7), *range(4, 7 * config.n_layers, 7), -2]] = 1.0
+    return blocks.reshape(-1)
+
+
 def step_conditioning(ptensors: dict, config: DenoiserConfig, t, cond) -> StepConditioning:
     """Every modulation, gate and condition row of a forward at step `t`, tagged with `t`.
 
@@ -393,9 +401,9 @@ def step_conditioning(ptensors: dict, config: DenoiserConfig, t, cond) -> StepCo
         raise ShapeError(f"cond shape {cond_row.shape} does not give {config.d_cond} values per step {lead}")
     cond_row = cond_row.reshape(*lead, 1, config.d_cond)
     dm = config.d_model
-    one = np.ones((1, dm), dtype=dtype)
     # One projection for every head; its column blocks are laid out as `param_layout` documents.
-    heads = add(matmul(phi, ptensors["adaln.w"]), ptensors["adaln.b"])
+    # A scale enters as the multiplier 1 + gamma: one add of 1 on every scale block.
+    heads = add(add(matmul(phi, ptensors["adaln.w"]), ptensors["adaln.b"]), _scale_offsets(config, dtype))
     blocks = [slice2d(heads, cols=slice(i * dm, (i + 1) * dm)) for i in range(7 * config.n_layers + 2)]
     layers = []
     for l in range(config.n_layers):
@@ -405,10 +413,10 @@ def step_conditioning(ptensors: dict, config: DenoiserConfig, t, cond) -> StepCo
         # every query: it enters as a single gated row broadcast over tokens.
         cross = add(matmul(matmul(cond_row, ptensors[f"{p}.cross.v"]), ptensors[f"{p}.cross.o.w"]),
                     ptensors[f"{p}.cross.o.b"])
-        layers.append({"mod1": (add(one, mod1_scale), mod1_shift), "gate1": gate1, "cond": mul(cross, gate2),
-                       "mod3": (add(one, mod3_scale), mod3_shift), "gate3": gate3})
+        layers.append({"mod1": (mod1_scale, mod1_shift), "gate1": gate1, "cond": mul(cross, gate2),
+                       "mod3": (mod3_scale, mod3_shift), "gate3": gate3})
     final_scale, final_shift = blocks[-2:]
-    return StepConditioning(t, tuple(layers), (add(one, final_scale), final_shift),
+    return StepConditioning(t, tuple(layers), (final_scale, final_shift),
                             RopeFrequencies.create(config.head_dim, config.rope_base))
 
 
@@ -472,17 +480,13 @@ def denoiser_forward(
     key_angles = angles if memory is None else rope_angles(key_pos, freqs, dtype)
     dm = config.d_model
 
-    def modulate(u, scale_shift: tuple):
-        scale, shift = scale_shift
-        return add(mul(u, scale), shift)
-
     h = add(matmul(x, ptensors["input.w"]), ptensors["input.b"])
     keys, rotated, vals = [], [], []
 
     for l in range(config.n_layers):
         p = f"layers.{l}"
         step = conditioning.layers[l]
-        u = modulate(layer_norm(h, ptensors[f"{p}.ln1.g"], ptensors[f"{p}.ln1.b"]), step["mod1"])
+        u = layer_norm(h, ptensors[f"{p}.ln1.g"], ptensors[f"{p}.ln1.b"], *step["mod1"])
         qkv = matmul(u, ptensors[f"{p}.attn.qkv.w"])
         q, k, v = (slice2d(qkv, cols=slice(i * dm, (i + 1) * dm)) for i in range(3))
         keys.append(data_of(k))
@@ -502,16 +506,15 @@ def denoiser_forward(
             v = write_rows(ctx.slab_vals[l], ctx.n_tokens, v)
 
         heads = attention(rope_apply(q, pos, freqs, angles), k, v, mask, config.n_heads)
-        attn = add(matmul(heads, ptensors[f"{p}.attn.o.w"]), ptensors[f"{p}.attn.o.b"])
-        h = add(h, mul(attn, step["gate1"]))
+        h = gated_residual(h, heads, ptensors[f"{p}.attn.o.w"], ptensors[f"{p}.attn.o.b"], step["gate1"])
         h = add(h, step["cond"])
 
-        u3 = modulate(layer_norm(h, ptensors[f"{p}.ln3.g"], ptensors[f"{p}.ln3.b"]), step["mod3"])
-        f1 = tanh(add(matmul(u3, ptensors[f"{p}.ffn.w1"]), ptensors[f"{p}.ffn.b1"]))
-        f2 = add(matmul(f1, ptensors[f"{p}.ffn.w2"]), ptensors[f"{p}.ffn.b2"])
-        h = add(h, mul(f2, step["gate3"]))
+        u3 = layer_norm(h, ptensors[f"{p}.ln3.g"], ptensors[f"{p}.ln3.b"], *step["mod3"])
+        f1 = linear_tanh(u3, ptensors[f"{p}.ffn.w1"], ptensors[f"{p}.ffn.b1"])
+        h = gated_residual(h, f1, ptensors[f"{p}.ffn.w2"], ptensors[f"{p}.ffn.b2"], step["gate3"])
 
-    out = modulate(h, conditioning.final)
+    scale, shift = conditioning.final
+    out = add(mul(h, scale), shift)
     vel = add(matmul(out, ptensors["output.w"]), ptensors["output.b"])
     if not np.isfinite(data_of(vel)).all():
         raise FloatingPointError("denoiser produced non-finite velocities")

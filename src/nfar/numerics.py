@@ -17,6 +17,11 @@ shares the weights, and a matrix is the case with none. Each slice of a
 batched forward has the bits of its own 2-D call; a weight's gradient is
 one product over the rows of every slice.
 
+A transformer sublayer is one tape node: ``layer_norm`` (with adaLN
+modulation), ``gated_residual`` and ``linear_tanh`` compute the NumPy
+expressions of the elementary-op chain they stand for, in its order, so
+their bits, forward and backward, are that chain's.
+
 Default precision is float64; float32 is an explicit opt-in for the
 streaming benchmarks.
 """
@@ -184,18 +189,6 @@ def mul(a, b) -> Tensor | np.ndarray:
     return _node(out, (a, b), vjp)
 
 
-def tanh(a) -> Tensor | np.ndarray:
-    x = _array(a)
-    out = np.tanh(x)
-    if not isinstance(a, Tensor):
-        return out
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return _node(out, (a,), vjp)
-
-
 # -- structural ops -------------------------------------------------------
 
 def concat(tensors: Sequence, axis: int = -2) -> Tensor | np.ndarray:
@@ -239,12 +232,9 @@ def slice2d(a, rows: slice | None = None, cols: slice | None = None) -> Tensor |
     if not isinstance(a, Tensor):
         return out
 
-    def vjp(g):
-        full = np.zeros_like(x)
-        full[..., r, c] = g
-        return (full,)
-
-    return _node(out, (a,), vjp)
+    index = (Ellipsis, r, c)
+    # A sparse gradient: the walk adds g into its own zero buffer at `index`.
+    return _node(out, (a,), lambda g: ((index, g),))
 
 
 def sum_all(a) -> Tensor | np.ndarray:
@@ -274,6 +264,19 @@ def mean_all(a) -> Tensor | np.ndarray:
 
 # -- linear algebra -------------------------------------------------------
 
+def _check_matmul(x: np.ndarray, w: np.ndarray) -> None:
+    if x.ndim < 2 or w.ndim != 2:
+        raise ShapeError(f"matmul expects (..., n, d) rows and a matrix, got shapes {x.shape} and {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul inner extents differ: {x.shape} x {w.shape}")
+
+
+def _matmul_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, tx: bool, tw: bool) -> tuple:
+    """Gradients of x @ w for its Tensor operands: the matrix's is one GEMM over all rows."""
+    gx = (_rows(g) @ w.T).reshape(x.shape) if tx else None
+    return gx, _rows(x).T @ _rows(g) if tw else None
+
+
 def matmul(a, b) -> Tensor | np.ndarray:
     """(..., n, d) rows times a (d, e) matrix.
 
@@ -281,37 +284,87 @@ def matmul(a, b) -> Tensor | np.ndarray:
     its own 2-D call; the matrix's gradient is one GEMM over all rows.
     """
     x, y = _array(a), _array(b)
-    if x.ndim < 2 or y.ndim != 2:
-        raise ShapeError(f"matmul expects (..., n, d) rows and a matrix, got shapes {x.shape} and {y.shape}")
-    if x.shape[-1] != y.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {x.shape} x {y.shape}")
+    _check_matmul(x, y)
     out = x @ y
     ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
     if not (ta or tb):
         return out
+    return _node(out, (a, b), lambda g: _matmul_grads(g, x, y, ta, tb))
+
+
+def linear_tanh(x, w, b) -> Tensor | np.ndarray:
+    """tanh(x @ w + b) for (..., n, d) rows x, a (d, e) matrix w and an (e,) bias: one tape node."""
+    xa, wa, ba = _array(x), _array(w), _array(b)
+    _check_matmul(xa, wa)
+    out = np.tanh(xa @ wa + ba)
+    tx, tw, tb = isinstance(x, Tensor), isinstance(w, Tensor), isinstance(b, Tensor)
+    if not (tx or tw or tb):
+        return out
 
     def vjp(g):
-        gx = (_rows(g) @ y.T).reshape(x.shape) if ta else None
-        return gx, _rows(x).T @ _rows(g) if tb else None
+        gz = g * (1.0 - out * out)
+        return (*_matmul_grads(gz, xa, wa, tx, tw), _unbroadcast(gz, ba.shape) if tb else None)
 
-    return _node(out, (a, b), vjp)
+    return _node(out, (x, w, b), vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor | np.ndarray:
-    """Layer norm over the last axis of (..., n, d) rows."""
+def gated_residual(h, x, w, b, gate) -> Tensor | np.ndarray:
+    """h + (x @ w + b)·gate: a gated projection of (..., n, d) rows x added to the stream h. One tape node.
+
+    The projection and the gate broadcast against h, e.g. one (..., 1, e)
+    row per leading index; the result has h's shape.
+    """
+    ha, xa, wa, ba, ga = _array(h), _array(x), _array(w), _array(b), _array(gate)
+    _check_matmul(xa, wa)
+    z = xa @ wa + ba
+    r = z * ga
+    out = ha + r
+    if out.shape != ha.shape:
+        raise ShapeError(f"gated projection {r.shape} does not broadcast to the stream's shape {ha.shape}")
+    th, tx, tw = isinstance(h, Tensor), isinstance(x, Tensor), isinstance(w, Tensor)
+    tb, tg = isinstance(b, Tensor), isinstance(gate, Tensor)
+    if not (th or tx or tw or tb or tg):
+        return out
+
+    def vjp(g):
+        gz = gg = None
+        if tx or tw or tb or tg:
+            gr = _unbroadcast(g, r.shape)
+            gz = _unbroadcast(gr * ga, z.shape) if tx or tw or tb else None
+            gg = _unbroadcast(gr * z, ga.shape) if tg else None
+        return (g if th else None, *_matmul_grads(gz, xa, wa, tx, tw), _unbroadcast(gz, ba.shape) if tb else None,
+                gg)
+
+    return _node(out, (h, x, w, b, gate), vjp)
+
+
+def layer_norm(x, gain, bias, scale, shift, eps: float = 1e-6) -> Tensor | np.ndarray:
+    """Layer norm over the last axis of (..., n, d) rows, then adaLN modulation: (x̂·gain + bias)·scale + shift.
+
+    scale and shift broadcast against x, e.g. one (..., 1, d) row per leading index. One tape node.
+    """
     a, g_, b_ = _array(x), _array(gain), _array(bias)
     if a.ndim < 2:
         raise ShapeError(f"layer_norm expects a matrix or a stack of them, got shape {a.shape}")
     mu = a.mean(axis=-1, keepdims=True)
-    var = a.var(axis=-1, keepdims=True)
+    centered = a - mu
+    var = np.square(centered).mean(axis=-1, keepdims=True)  # the ufunc calls of a.var(axis=-1), mean reused
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a - mu) * inv
-    out = xhat * g_ + b_
+    xhat = centered * inv
+    y = xhat * g_ + b_
+    sc, sh = _array(scale), _array(shift)
+    out = y * sc + sh
+    if out.shape != y.shape:
+        raise ShapeError(f"scale {sc.shape} and shift {sh.shape} do not broadcast to the rows' shape {y.shape}")
     tx, tg, tb = isinstance(x, Tensor), isinstance(gain, Tensor), isinstance(bias, Tensor)
-    if not (tx or tg or tb):
+    ts, tt = isinstance(scale, Tensor), isinstance(shift, Tensor)
+    if not (tx or tg or tb or ts or tt):
         return out
 
     def vjp(g):
+        gs = _unbroadcast(g * y, sc.shape) if ts else None
+        gt = _unbroadcast(g, sh.shape) if tt else None
+        g = g * sc  # the gradient of y
         gx = None
         if tx:
             gxhat = g * g_
@@ -321,9 +374,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor | np.ndarray:
                 - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
             )
             gx = gx.astype(a.dtype, copy=False)
-        return (gx, _rows(g * xhat).sum(axis=0) if tg else None, _rows(g).sum(axis=0) if tb else None)
+        return (gx, _rows(g * xhat).sum(axis=0) if tg else None, _rows(g).sum(axis=0) if tb else None, gs, gt)
 
-    return _node(out, (x, gain, bias), vjp)
+    return _node(out, (x, gain, bias, scale, shift), vjp)
 
 
 def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
@@ -466,6 +519,9 @@ class GradientTape:
         grads: dict[int, np.ndarray] = {
             id(self.root): np.ones(self.root.shape, dtype=self.root.data.dtype)
         }
+        # Gradients in buffers this walk allocated, which it may add into in
+        # place. Never an array a VJP returned: `add` hands one g to both parents.
+        owned: set[int] = set()
         for node in reversed(self._order):
             g = grads.get(id(node))
             if g is None or node.vjp is None:
@@ -473,8 +529,21 @@ class GradientTape:
             for parent, pg in zip(node.parents, node.vjp(g)):
                 if pg is None:
                     continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+                key = id(parent)
+                acc = grads.get(key)
+                if type(pg) is tuple:  # (index, grad): the gradient of parent[index]
+                    index, pg = pg
+                    if key not in owned:
+                        acc = grads[key] = np.zeros(parent.shape, parent.dtype) if acc is None else acc.copy()
+                        owned.add(key)
+                    acc[index] += pg
+                elif acc is None:
+                    grads[key] = pg
+                elif key in owned:
+                    acc += pg
+                else:
+                    grads[key] = acc + pg
+                    owned.add(key)
         out = []
         for leaf in leaves:
             g = grads.get(id(leaf))

@@ -183,9 +183,10 @@ def generate_full_recompute(
     x_ref = np.asarray(x_ref, dtype=dtype)
     # Reference chunks are inputs, not generated history: process them the
     # same way the streaming path does, once per step.
-    # Their slabs have room for the longest forward, all plan.total_chunks tokens.
-    ref_caches = [new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=batch.freqs, dtype=dtype,
-                            block_rows=plan.total_chunks) for t in grid[:-1]]
+    # Their slabs have room for the longest forward, all plan.total_chunks tokens. Unbounded: only the
+    # reference is ever read, so no un-rotated keys or pending buffer are kept.
+    ref_caches = [new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=batch.freqs, bounded=False,
+                            dtype=dtype, block_rows=plan.total_chunks) for t in grid[:-1]]
     _prefill_reference(weights, config, x_ref, cond, ref_caches, batch)
     ref_ctx = [cache_context_view(c) for c in ref_caches]
 

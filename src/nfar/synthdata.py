@@ -42,8 +42,9 @@ class LatentDynamics:
             raise ValueError(f"need state dim < latent dim < ambient dim, got {m}, {d}, {D}")
         if self.encoder.shape[1] != D:
             raise ValueError(f"encoder shape {self.encoder.shape} incompatible with ambient dim {D}")
-        if self.delta_u < 0 or self.residual_bound < 0:
-            raise ValueError("delta_u and residual_bound must be non-negative")
+        if not all(np.isfinite(b) and b >= 0 for b in (self.delta_u, self.residual_bound)):
+            raise ValueError(f"delta_u and residual_bound must be finite and non-negative, "
+                             f"got {self.delta_u} and {self.residual_bound}")
         # tanh is 1-Lipschitz, so both constants are plain operator norms.
         object.__setattr__(self, "lipschitz_render", float(np.linalg.norm(self.render_weight, 2)))
         object.__setattr__(self, "lipschitz_encoder", float(np.linalg.norm(self.encoder, 2)))

@@ -30,15 +30,16 @@ from nfar.numerics import (
     attention,
     concat,
     conv1d_strided,
+    gated_residual,
     grad_of,
     layer_norm,
+    linear_tanh,
     matmul,
     mean_all,
     mul,
     slice2d,
     sub,
     sum_all,
-    tanh,
 )
 from nfar.schedule import noise_forward
 from nfar.training import (
@@ -80,12 +81,16 @@ def op_cases(rng, B, n, d):
 
     return {
         "matmul": (matmul, [a(B, n, d), a(d, 3)], [True, False]),
-        "layer_norm": (layer_norm, [a(B, n, d), a(d), a(d)], [True, False, False]),
+        "layer_norm": (layer_norm, [a(B, n, d), a(d), a(d), a(B, 1, d), a(B, 1, d)], [True, False, False, True, True]),
+        "gated_residual": (gated_residual, [a(B, n, 3), a(B, n, d), a(d, 3), a(3), a(B, 1, 3)],
+                           [True, True, False, False, True]),
+        "gated_residual-row": (gated_residual, [a(B, n, 3), a(B, 1, d), a(d, 3), a(3), a(B, 1, 3)],
+                               [True, True, False, False, True]),
+        "linear_tanh": (linear_tanh, [a(B, n, d), a(d, 3), a(3)], [True, False, False]),
         "attention": (lambda q, k, v: attention(q, k, v, mask, H), [a(B, n, dm), a(B, m, dm), a(B, m, dm)],
                       [True, True, True]),
         "slice2d": (lambda x: slice2d(x, rows=slice(1, None), cols=slice(0, d - 1)), [a(B, n + 1, d)], [True]),
         "concat": (concat, [a(B, n, d), a(B, 2, d)], [True, True]),
-        "tanh": (tanh, [a(B, n, d)], [True]),
         "add": (add, [a(B, n, d), a(d)], [True, False]),
         "mul": (mul, [a(B, n, d), a(B, 1, d)], [True, True]),
         "conv1d_strided": (conv1d_strided, [a(B, L, d), a(2, d, d), a(d)], [True, False, False]),

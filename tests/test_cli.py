@@ -32,6 +32,15 @@ def test_train_zero_steps_checkpoint_equals_init(tmp_path):
     assert all(np.array_equal(saved.values[k], fresh.values[k]) for k in fresh.values)
 
 
+def test_train_zero_steps_reports_no_final_loss(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
+    capsys.readouterr()
+    assert run(["train", "--data", str(ds), "--out", str(tmp_path / "run"), "--steps", "0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "done: 0 steps" in out and "loss" not in out
+
+
 def test_train_stage2_requires_init(tmp_path, capsys):
     ds = tmp_path / "ds"
     run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
@@ -302,6 +311,19 @@ def test_train_rejects_bad_arguments(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["delta_u_nan", "delta_u_inf", "delta_u_negative", "residual_bound_nan",
+                                  "residual_bound_inf"])
+def test_data_rejects_non_finite_dynamics(tmp_path, capsys, case):
+    flag, value = case.rsplit("_", 1)
+    value = {"negative": "-0.1"}.get(value, value)
+    out = tmp_path / "ds"
+    assert run(["data", "--out", str(out), f"--{flag.replace('_', '-')}", value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert re.search("must be finite and non-negative", captured.err) and "Traceback" not in captured.err
+    assert "neighbor bound" not in captured.out
+    assert not out.exists()
+
+
 def test_aborted_generate_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
     save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
 
@@ -314,3 +336,4 @@ def test_aborted_generate_leaves_no_output_directory(tmp_path, capsys, monkeypat
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: generation aborted at block 1") and "Traceback" not in stderr
     assert not out.exists()
+

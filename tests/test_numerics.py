@@ -14,15 +14,16 @@ from nfar.numerics import (
     concat,
     conv1d_strided,
     finite_difference_grad,
+    gated_residual,
     grad_of,
     layer_norm,
+    linear_tanh,
     matmul,
     mean_all,
     mul,
     slice2d,
     sub,
     sum_all,
-    tanh,
     window_products,
 )
 
@@ -57,7 +58,9 @@ def test_bias_broadcast_gradient_shape():
 def test_matmul_gradient():
     a0 = RNG.standard_normal((3, 5))
     b = Tensor(RNG.standard_normal((5, 2)))
-    fd_check(lambda t: sum_all(tanh(matmul(t, b))), a0)
+    proj = RNG.standard_normal((3, 2))
+    fd_check(lambda t: sum_all(mul(matmul(t, b), proj)), a0)
+    fd_check(lambda t: sum_all(mul(matmul(Tensor(a0), t), proj)), b.data)
 
 
 def test_matmul_shape_error_names_shapes():
@@ -78,11 +81,109 @@ def test_slice_concat_gradients():
 
 def test_layer_norm_gradient_and_normalization():
     x0 = RNG.standard_normal((3, 8))
-    g = Tensor(RNG.standard_normal(8))
-    b = Tensor(RNG.standard_normal(8))
-    out = layer_norm(Tensor(x0), Tensor(np.ones(8)), Tensor(np.zeros(8)))
+    g, b = Tensor(RNG.standard_normal(8)), Tensor(RNG.standard_normal(8))
+    scale, shift = RNG.standard_normal((1, 8)), RNG.standard_normal((1, 8))
+    out = layer_norm(Tensor(x0), Tensor(np.ones(8)), Tensor(np.zeros(8)), np.ones((1, 8)), np.zeros((1, 8)))
     assert np.allclose(out.data.mean(axis=1), 0.0, atol=1e-12)
-    fd_check(lambda t: sum_all(mul(layer_norm(t, g, b), layer_norm(t, g, b))), x0, rtol=1e-5)
+    assert np.array_equal(layer_norm(x0, np.ones(8), np.zeros(8), scale, shift), out.data * scale + shift)
+    fd_check(lambda t: sum_all(mul(layer_norm(t, g, b, scale, shift), layer_norm(t, g, b, scale, shift))), x0,
+             rtol=1e-5)
+
+
+# The fused ops, with operands that broadcast as the model's do: (B, 1, d) modulation and gate rows.
+FUSED = {
+    "layer_norm": (layer_norm, [(2, 3, 4), (4,), (4,), (2, 1, 4), (2, 1, 4)]),
+    "gated_residual": (gated_residual, [(2, 3, 5), (2, 3, 4), (4, 5), (5,), (2, 1, 5)]),
+    # the condition path: one projected row per element, broadcast over the stream's tokens
+    "gated_residual-row": (gated_residual, [(2, 3, 5), (2, 1, 4), (4, 5), (5,), (2, 1, 5)]),
+    "linear_tanh": (linear_tanh, [(2, 3, 4), (4, 5), (5,)]),
+}
+
+
+@pytest.mark.parametrize("name", list(FUSED))
+def test_fused_op_gradients_match_finite_differences(name):
+    # Every operand, both as the only Tensor among bare operands (stage 2 runs
+    # Tensor activations through bare, frozen weights) and among Tensors.
+    op, shapes = FUSED[name]
+    arrays = [RNG.standard_normal(s) for s in shapes]
+    proj = RNG.standard_normal(op(*arrays).shape)
+    for i in range(len(arrays)):
+        for others in (lambda a: a, Tensor):
+            def build(t):
+                return sum_all(mul(op(*[t if j == i else others(a) for j, a in enumerate(arrays)]), proj))
+
+            fd_check(build, arrays[i], rtol=1e-5)
+
+
+@pytest.mark.parametrize("name", list(FUSED))
+def test_fused_op_is_one_tape_node(name):
+    op, shapes = FUSED[name]
+    leaves = [Tensor(RNG.standard_normal(s)) for s in shapes]
+    out = op(*leaves)
+    assert out.parents == tuple(leaves)
+    x = leaves[1] if op is gated_residual else leaves[0]
+    only_x = op(*[o if o is x else o.data for o in leaves])
+    assert only_x.parents == (x,) and np.array_equal(only_x.data, out.data)
+
+
+def test_gated_residual_has_the_bits_of_its_composition():
+    # Each fused op computes the NumPy expressions of the elementary ops it
+    # stands for, in the same order, forward and backward.
+    h, x, w, b = (RNG.standard_normal(s) for s in ((2, 3, 5), (2, 3, 4), (4, 5), (5,)))
+    row, gate = RNG.standard_normal((2, 1, 4)), RNG.standard_normal((2, 1, 5))
+    proj = RNG.standard_normal((2, 3, 5))
+
+    def gated(h, x, w, b, gate):
+        return add(h, mul(add(matmul(x, w), b), gate))
+
+    cases = {
+        "gated_residual": ([h, x, w, b, gate], gated_residual, gated),
+        "gated_residual-row": ([h, row, w, b, gate], gated_residual, gated),
+    }
+    for name, (arrays, fused, composed) in cases.items():
+        results = []
+        for op in (fused, composed):
+            leaves = [Tensor(a) for a in arrays]
+            out = op(*leaves)
+            results.append([out.data, *grad_of(sum_all(mul(out, proj)), leaves)])
+        for got, want in zip(*results, strict=True):
+            assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_layer_norm_has_the_bits_of_var_and_the_modulation(dtype):
+    x, g, b = (RNG.standard_normal(s).astype(dtype) for s in ((2, 5, 7), (7,), (7,)))
+    scale, shift = (RNG.standard_normal((2, 1, 7)).astype(dtype) for _ in range(2))
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6))
+    assert np.array_equal(layer_norm(x, g, b, scale, shift), (xhat * g + b) * scale + shift)
+
+
+def test_linear_tanh_is_tanh_of_the_projection():
+    x, w, b = RNG.standard_normal((2, 3, 4)), RNG.standard_normal((4, 5)), RNG.standard_normal(5)
+    assert np.array_equal(linear_tanh(x, w, b), np.tanh(x @ w + b))
+
+
+def test_slice_gradients_add_into_a_buffer_of_their_own():
+    # u is read through two overlapping slices and through `add`, whose VJP
+    # hands the same gradient array to both of its parents: adding a slice's
+    # gradient into that array in place would corrupt v's gradient.
+    x0, v0 = RNG.standard_normal((4, 6)), RNG.standard_normal((4, 6))
+    p1, p2, p3 = RNG.standard_normal((2, 6)), RNG.standard_normal((3, 4)), RNG.standard_normal((4, 6))
+
+    def build(x, v):
+        u = mul(x, 2.0)
+        s1 = slice2d(u, rows=slice(0, 2))
+        s2 = slice2d(u, rows=slice(1, 4), cols=slice(2, 6))
+        return add(add(sum_all(mul(s1, p1)), sum_all(mul(s2, p2))), sum_all(mul(add(u, v), p3)))
+
+    x, v = Tensor(x0), Tensor(v0)
+    gx, gv = grad_of(build(x, v), [x, v])
+    assert np.array_equal(gv, p3)
+    want = 2.0 * p3
+    want[0:2] += 2.0 * p1
+    want[1:4, 2:6] += 2.0 * p2
+    assert np.allclose(gx, want, rtol=1e-14, atol=0)
+    fd_check(lambda t: build(t, Tensor(v0)), x0)
 
 
 def attention_mask(n, m):
@@ -253,11 +354,12 @@ OPS = {
     "add": (add, [(3, 4), (4,)]),
     "sub": (sub, [(3, 4), (3, 4)]),
     "mul": (mul, [(3, 4), (1, 4)]),
-    "tanh": (tanh, [(3, 4)]),
+    "linear_tanh": (linear_tanh, [(3, 4), (4, 5), (5,)]),
     "concat": (lambda a, b: concat([a, b], axis=1), [(3, 4), (3, 2)]),
     "slice2d": (lambda a: slice2d(a, rows=slice(1, 3), cols=slice(0, 2)), [(3, 4)]),
     "matmul": (matmul, [(3, 4), (4, 5)]),
-    "layer_norm": (layer_norm, [(3, 4), (4,), (4,)]),
+    "layer_norm": (layer_norm, [(3, 4), (4,), (4,), (1, 4), (1, 4)]),
+    "gated_residual": (gated_residual, [(3, 5), (3, 4), (4, 5), (5,), (1, 5)]),
     "attention": (lambda q, k, v: attention(q, k, v, attention_mask(3, 5), 2), [(3, 8), (5, 8), (5, 8)]),
     "sum_all": (sum_all, [(3, 4)]),
     "mean_all": (mean_all, [(3, 4)]),
@@ -291,7 +393,14 @@ BAD = {
     "matmul-inner": (matmul, [np.zeros((2, 3)), np.zeros((4, 5))], ShapeError),
     "matmul-rank": (matmul, [np.zeros(3), np.zeros((3, 5))], ShapeError),
     "slice2d-rank": (lambda a: slice2d(a, rows=slice(0, 1)), [np.zeros(3)], ShapeError),
-    "layer_norm-rank": (layer_norm, [np.zeros(4), np.ones(4), np.zeros(4)], ShapeError),
+    "layer_norm-rank": (layer_norm, [np.zeros(4), np.ones(4), np.zeros(4), np.zeros(4), np.zeros(4)], ShapeError),
+    "layer_norm-modulation": (layer_norm, [np.zeros((2, 4)), np.ones(4), np.zeros(4), np.zeros((3, 1, 4)),
+                                           np.zeros((1, 4))], ShapeError),
+    "gated_residual-inner": (gated_residual, [np.zeros((2, 5)), np.zeros((2, 4)), np.zeros((3, 5)), np.zeros(5),
+                                              np.zeros((1, 5))], ShapeError),
+    "gated_residual-stream": (gated_residual, [np.zeros((1, 5)), np.zeros((2, 4)), np.zeros((4, 5)), np.zeros(5),
+                                               np.zeros((1, 5))], ShapeError),
+    "linear_tanh-inner": (linear_tanh, [np.zeros((2, 4)), np.zeros((3, 5)), np.zeros(5)], ShapeError),
     "attention-heads": (lambda q, k, v: attention(q, k, v, np.ones((2, 3)), 3),
                         [np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((3, 4))], ShapeError),
     "attention-mask-shape": (lambda q, k, v: attention(q, k, v, np.ones((2, 2)), 2),

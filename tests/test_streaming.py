@@ -128,6 +128,22 @@ def test_generation_builds_no_tape(monkeypatch):
     assert created == [1]
 
 
+def test_oracle_asks_only_for_unbounded_caches(monkeypatch):
+    # The oracle reads only each step's reference rows, so it needs no
+    # un-rotated key slab and no pending buffer, which bounded caches carry.
+    params, x_ref, cond = toy_setup()
+    asked = []
+
+    def spy(*args, **kwargs):
+        cache = new_cache(*args, **kwargs)
+        asked.append(cache.bounded)
+        return cache
+
+    monkeypatch.setattr(streaming, "new_cache", spy)
+    generate_full_recompute(params, x_ref, cond, BlockPlan.default(2), SAMPLER, seed=1)
+    assert asked == [False] * SAMPLER.n_steps
+
+
 def test_discontinuity_score_anchors_at_one():
     # A sequence whose gaps are identically distributed across boundaries
     # scores ~1; a planted boundary jump scores higher.
