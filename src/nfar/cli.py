@@ -78,13 +78,13 @@ def _reference_inputs(dyn: LatentDynamics, seed: int, n_frames: int):
 # -- data ----------------------------------------------------------------------
 
 def cmd_data(args) -> int:
-    out = Path(args.out)
     dyn = LatentDynamics.create(
         seed=args.seed, delta_u=args.delta_u, residual_bound=args.residual_bound
     )
-    dataset = make_dataset(dyn, args.sequences, args.frames, seed=args.seed)
-    io.save_dataset(out, dataset, seed=args.seed)
-    _echo_config(out, args, ["seed", "sequences", "frames", "delta_u", "residual_bound"])
+    with _output_dir(args.out) as out:
+        dataset = make_dataset(dyn, args.sequences, args.frames, seed=args.seed)
+        io.save_dataset(out, dataset, seed=args.seed)
+        _echo_config(out, args, ["seed", "sequences", "frames", "delta_u", "residual_bound"])
     report = [
         check_prop1(dyn, dataset.sequences[i], None) for i in range(args.sequences)
     ]
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("data", help="generate a synthetic latent dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sequences", type=int, default=8)
+    p.add_argument("--sequences", type=_at_least(1), default=8)
     p.add_argument("--frames", type=int, default=22)
     p.add_argument("--delta-u", dest="delta_u", type=float, default=0.1)
     p.add_argument("--residual-bound", dest="residual_bound", type=float, default=0.01)
@@ -340,6 +340,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (GenerationAborted, TrainingDiverged, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_ABORTED
+    except MemoryError:  # e.g. --frames or --blocks too large to hold
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ABORTED
 
 

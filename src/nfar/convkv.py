@@ -48,6 +48,7 @@ from .numerics import window_products
 
 LONG_TERM_CAPACITY = 2
 SHORT_TERM_CAPACITY = 2
+COMPRESSION_MODES = ("conv", "subsample")  # learned window conv, or each window's first chunk
 LAYOUT = ("reference", "long_term", "short_term", "history", "current")  # slab segments in row order
 RUNS = ("long_term", "pending", "short_term", "history", "current")  # chunk-id runs in id order, after dropped
 
@@ -248,7 +249,7 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
         counts["current"] = 0
         cache._reserve(cache.context_chunks + cache.block_rows)
         return
-    if mode not in ("conv", "subsample"):
+    if mode not in COMPRESSION_MODES:
         raise ValueError(f"unknown compression mode {mode!r}")
     if mode == "conv" and (compressor is None or compressor[0].shape[-3] != cache.lam):
         raise ValueError(f"conv mode requires compressor weights of kernel length {cache.lam}")

@@ -22,6 +22,14 @@ modulation), ``gated_residual`` and ``linear_tanh`` compute the NumPy
 expressions of the elementary-op chain they stand for, in its order, so
 their bits, forward and backward, are that chain's.
 
+``attention`` runs its softmax in the one buffer that the score product
+returns: scaling, masking, max-shift, ``exp`` and normalisation each write
+in place, and a mask with every key visible skips the masking pass. These
+are the ufuncs of the ``np.where`` / ``exp(s - max)`` / ``e / sum`` formula
+in its order, so the bits are that formula's; so are ``layer_norm``'s row
+means, which call ``np.add.reduce`` and divide in place as ``ndarray.mean``
+does, without its Python wrapper.
+
 Default precision is float64; float32 is an explicit opt-in for the
 streaming benchmarks.
 """
@@ -338,6 +346,13 @@ def gated_residual(h, x, w, b, gate) -> Tensor | np.ndarray:
     return _node(out, (h, x, w, b, gate), vjp)
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) by the same two ufunc calls, without ndarray.mean's Python wrapper."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
 def layer_norm(x, gain, bias, scale, shift, eps: float = 1e-6) -> Tensor | np.ndarray:
     """Layer norm over the last axis of (..., n, d) rows, then adaLN modulation: (x̂·gain + bias)·scale + shift.
 
@@ -346,9 +361,8 @@ def layer_norm(x, gain, bias, scale, shift, eps: float = 1e-6) -> Tensor | np.nd
     a, g_, b_ = _array(x), _array(gain), _array(bias)
     if a.ndim < 2:
         raise ShapeError(f"layer_norm expects a matrix or a stack of them, got shape {a.shape}")
-    mu = a.mean(axis=-1, keepdims=True)
-    centered = a - mu
-    var = np.square(centered).mean(axis=-1, keepdims=True)  # the ufunc calls of a.var(axis=-1), mean reused
+    centered = a - _row_mean(a)
+    var = _row_mean(np.square(centered))  # the ufunc calls of a.var(axis=-1), mean reused
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     y = xhat * g_ + b_
@@ -368,11 +382,7 @@ def layer_norm(x, gain, bias, scale, shift, eps: float = 1e-6) -> Tensor | np.nd
         gx = None
         if tx:
             gxhat = g * g_
-            gx = inv * (
-                gxhat
-                - gxhat.mean(axis=-1, keepdims=True)
-                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-            )
+            gx = inv * (gxhat - _row_mean(gxhat) - xhat * _row_mean(gxhat * xhat))
             gx = gx.astype(a.dtype, copy=False)
         return (gx, _rows(g * xhat).sum(axis=0) if tg else None, _rows(g).sum(axis=0) if tb else None, gs, gt)
 
@@ -387,6 +397,10 @@ def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
     the (n, m) mask, shared by every head and every leading index, leaves
     on: masked weights are exactly 0, so masked keys and values cannot reach
     the output. One tape node.
+
+    The softmax runs in place in the score product's buffer, with no
+    masking pass when the mask leaves every key on; its bits, and those of
+    the VJP's score gradient, are those of np.where, exp(s - max), e / sum.
     """
     qa, ka, va = _array(q), _array(k), _array(v)
     if qa.ndim < 2 or ka.shape != va.shape or ka.shape[:-2] != qa.shape[:-2] \
@@ -397,7 +411,8 @@ def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
     on = np.asarray(mask) != 0
     if on.shape != (n, m):
         raise ShapeError(f"mask shape {on.shape} != scores shape ({n}, {m})")
-    if not on.any(axis=1).all():
+    visible = bool(on.all())  # no key masked: no masking pass, and no row can be empty
+    if not visible and not on.any(axis=1).all():
         bad = int(np.flatnonzero(~on.any(axis=1))[0])
         raise MaskError(f"row {bad} of the attention mask has no unmasked entry")
     hd = qa.shape[-1] // n_heads
@@ -411,9 +426,13 @@ def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
         return a.reshape(*a.shape[:-2], -1)
 
     qh, kh, vh = heads(qa), heads(ka), heads(va)
-    scores = np.where(on, (qh @ kh.swapaxes(-1, -2)) * scale, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))  # exp(-inf) = 0 exactly on masked entries
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    if not visible:
+        np.copyto(p, -np.inf, where=~on)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)  # exp(-inf) = 0 exactly on masked entries
+    p /= p.sum(axis=-1, keepdims=True)
     out = rows(p @ vh)
     tq, tk, tv = isinstance(q, Tensor), isinstance(k, Tensor), isinstance(v, Tensor)
     if not (tq or tk or tv):
@@ -423,8 +442,10 @@ def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
         gh = heads(g)
         gq = gk = None
         if tq or tk:
-            dp = gh @ vh.swapaxes(-1, -2)
-            ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
+            ds = gh @ vh.swapaxes(-1, -2)  # dp, then (dp - sum(dp * p)) * p * scale in place
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
             gq = rows(ds @ kh) if tq else None
             gk = rows(ds.swapaxes(-1, -2) @ qh) if tk else None
         return gq, gk, rows(p.swapaxes(-1, -2) @ gh) if tv else None

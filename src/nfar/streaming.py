@@ -18,6 +18,7 @@ import numpy as np
 
 from .blocks import BlockPlan
 from .convkv import (
+    COMPRESSION_MODES,
     SegmentedKVCache,
     cache_append,
     cache_context_view,
@@ -109,8 +110,11 @@ def generate_stream(
 ) -> tuple[LatentSequence, GenerationReport]:
     """Generate plan.total_chunks latent chunks block by block, in the dtype of the weights.
 
-    Deterministic in (params, x_ref, cond, plan, sampler, flags, seed).
+    Deterministic in (params, x_ref, cond, plan, sampler, flags, seed). An
+    unknown `compression_mode` is refused before any work, bounded or not.
     """
+    if compression_mode not in COMPRESSION_MODES:
+        raise ValueError(f"unknown compression mode {compression_mode!r}")
     start = time.monotonic()
     config, weights = params.config, params.values
     dtype = weights["input.w"].dtype

@@ -5,8 +5,9 @@ import pytest
 
 from nfar import cli
 from nfar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from nfar.io import load_checkpoint, read_latents, save_checkpoint
+from nfar.io import load_checkpoint, load_dataset, read_latents, save_checkpoint, save_dataset
 from nfar.model import DenoiserConfig, init_params
+from nfar.synthdata import Dataset
 
 
 def run(argv):
@@ -302,8 +303,11 @@ def test_train_rejects_bad_arguments(tmp_path, capsys, case):
                       "batch_0": (["--batch", "0"], "batch size .* got 0"),
                       "empty_dataset": ([], "no sequences")}[case]
     ds, out = tmp_path / "ds", tmp_path / "run"
-    n_seq = "0" if case == "empty_dataset" else "2"
-    run(["data", "--out", str(ds), "--seed", "1", "--sequences", n_seq, "--frames", "22"])
+    run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
+    if case == "empty_dataset":  # `nfar data` refuses --sequences 0, so the empty dataset is written here
+        full, _ = load_dataset(ds)
+        ds = tmp_path / "empty"
+        save_dataset(ds, Dataset(full.sequences[:0], full.conditions[:0], full.dynamics), seed=1)
     capsys.readouterr()
     assert run(["train", "--data", str(ds), "--out", str(out), "--steps", "1", *flags]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -337,3 +341,29 @@ def test_aborted_generate_leaves_no_output_directory(tmp_path, capsys, monkeypat
     assert stderr.startswith("error: generation aborted at block 1") and "Traceback" not in stderr
     assert not out.exists()
 
+
+def test_data_with_no_sequences_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert exit_code(["data", "--out", str(out), "--sequences", "0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--sequences: must be at least 1, got 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["data", "generate"])
+def test_out_of_memory_aborts_with_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # The callee raises as an allocation too large to hold would (--frames or --blocks of 1e8).
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+    out = tmp_path / "out"
+    work, argv = {"data": ("make_dataset", ["data", "--out", str(out)]),
+                  "generate": ("generate_stream", ["generate", "--ckpt", str(ckpt), "--out", str(out)])}[command]
+    monkeypatch.setattr(cli, work, exhausted)
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_ABORTED
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+    assert not out.exists()

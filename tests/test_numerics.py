@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfar.numerics import (
     GradientTape,
@@ -238,6 +240,82 @@ def test_attention_masked_keys_do_not_reach_the_output():
         out = attention(Tensor(q), Tensor(kp), Tensor(vp), mask, 2).data
         for i in range(3):
             assert np.array_equal(out[i], base[i]) == (mask[i, j] == 0)
+
+
+def softmax_attention_oracle(q, k, v, mask, n_heads, g):
+    """Attention and its VJP by the formula the op's in-place softmax stands for.
+
+    np.where masks the scaled scores, then exp(s - max), then e / sum: each
+    step a new array. Returns the output and the gradients of q, k and v.
+    """
+    hd = q.shape[-1] // n_heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def heads(a):
+        return a.reshape(*a.shape[:-1], n_heads, hd).swapaxes(-2, -3)
+
+    def rows(a):
+        a = a.swapaxes(-2, -3)
+        return a.reshape(*a.shape[:-2], -1)
+
+    qh, kh, vh, gh = heads(q), heads(k), heads(v), heads(g)
+    scores = np.where(mask != 0, (qh @ kh.swapaxes(-1, -2)) * scale, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = gh @ vh.swapaxes(-1, -2)
+    ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
+    return rows(p @ vh), rows(ds @ kh), rows(ds.swapaxes(-1, -2) @ qh), rows(p.swapaxes(-1, -2) @ gh)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), lead=st.lists(st.integers(1, 3), max_size=2), n=st.integers(1, 6),
+       m=st.integers(1, 9), n_heads=st.integers(1, 3), hd=st.integers(1, 4),
+       dtype=st.sampled_from([np.float64, np.float32]), visible=st.booleans())
+def test_attention_has_the_bits_of_the_softmax_formula(seed, lead, n, m, n_heads, hd, dtype, visible):
+    rng = np.random.default_rng(seed)
+    q, g = (rng.standard_normal((*lead, n, n_heads * hd)).astype(dtype) * 2 for _ in range(2))
+    k, v = (rng.standard_normal((*lead, m, n_heads * hd)).astype(dtype) * 2 for _ in range(2))
+    mask = np.ones((n, m))
+    if not visible:  # a partial mask with at least one key on in every row
+        mask = (rng.random((n, m)) < 0.5).astype(float)
+        mask[np.arange(n), rng.integers(0, m, n)] = 1.0
+    out = attention(Tensor(q), Tensor(k), Tensor(v), mask, n_heads)
+    got = [out.data, *out.vjp(g)]
+    want = softmax_attention_oracle(q, k, v, mask, n_heads, g)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == dtype and np.array_equal(a, b)
+    assert np.array_equal(attention(q, k, v, mask, n_heads), out.data)
+    with pytest.raises(ShapeError):  # an all-ones mask skips the masking pass, not the shape check
+        attention(q, k, v, np.ones((n, m + 1)), n_heads)
+
+
+def layer_norm_oracle(x, gain, bias, scale, shift, g, eps=1e-6):
+    """layer_norm and its VJP with every row mean by ndarray.mean, for (..., n, d) x and (..., 1, d) modulation."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv
+    y = xhat * gain + bias
+    out = y * scale + shift
+    gs, gt = (a.sum(axis=-2, keepdims=True) for a in (g * y, g))
+    gy = g * scale
+    gxhat = gy * gain
+    gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+    return out, gx, (gy * xhat).reshape(-1, x.shape[-1]).sum(axis=0), gy.reshape(-1, x.shape[-1]).sum(axis=0), gs, gt
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), lead=st.lists(st.integers(1, 3), max_size=2), n=st.integers(1, 6),
+       d=st.integers(1, 9), dtype=st.sampled_from([np.float64, np.float32]))
+def test_layer_norm_has_the_bits_of_its_mean_formula(seed, lead, n, d, dtype):
+    rng = np.random.default_rng(seed)
+    x, g = (rng.standard_normal((*lead, n, d)).astype(dtype) * 3 for _ in range(2))
+    gain, bias = (rng.standard_normal(d).astype(dtype) for _ in range(2))
+    scale, shift = (rng.standard_normal((*lead, 1, d)).astype(dtype) for _ in range(2))
+    out = layer_norm(*(Tensor(a) for a in (x, gain, bias, scale, shift)))
+    got = [out.data, *out.vjp(g)]
+    want = layer_norm_oracle(x, gain, bias, scale, shift, g)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_attention_all_masked_row_rejected():

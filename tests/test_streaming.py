@@ -144,6 +144,20 @@ def test_oracle_asks_only_for_unbounded_caches(monkeypatch):
     assert asked == [False] * SAMPLER.n_steps
 
 
+@pytest.mark.parametrize("use_convkv", [True, False])
+def test_unknown_compression_mode_is_refused_before_any_work(monkeypatch, use_convkv):
+    params, x_ref, cond = toy_setup()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the stream was set up before its compression mode was checked")
+
+    monkeypatch.setattr(streaming, "_step_conditionings", never)
+    monkeypatch.setattr(streaming, "new_cache", never)
+    with pytest.raises(ValueError, match="unknown compression mode 'average'"):
+        generate_stream(params, x_ref, cond, BlockPlan.default(2), SAMPLER, use_convkv=use_convkv,
+                        compression_mode="average")
+
+
 def test_discontinuity_score_anchors_at_one():
     # A sequence whose gaps are identically distributed across boundaries
     # scores ~1; a planted boundary jump scores higher.
