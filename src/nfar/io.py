@@ -6,15 +6,13 @@ All formats are little-endian and round-trip bit-exactly.
 from __future__ import annotations
 
 import math
-import re
+import os
 import struct
-from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .model import DenoiserConfig, DenoiserParams, param_layout
+from .model import DenoiserConfig, DenoiserParams, n_tensors, param_layout
 from .synthdata import Dataset, LatentDynamics, condition_vector
 
 LATENT_MAGIC = b"NFLAT\x00\x01\x00"
@@ -43,6 +41,9 @@ def write_latents(path, values: np.ndarray) -> None:
 
 
 def read_latents(path) -> np.ndarray:
+    """Read a `write_latents` file. Refused with a FormatError before the payload is read:
+    a bad magic, a short header, an unknown dtype code, and a header whose F x d
+    floats are not exactly the bytes left in the file."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != LATENT_MAGIC:
@@ -54,9 +55,9 @@ def read_latents(path) -> np.ndarray:
         if code not in _DTYPE_CODES:
             raise FormatError(f"{path}: unknown dtype code {code}")
         dt = _DTYPE_CODES[code]
-        payload = fh.read(F * d * dt.itemsize)
-        if len(payload) != F * d * dt.itemsize or fh.read(1):
+        if F * d * dt.itemsize != os.fstat(fh.fileno()).st_size - fh.tell():
             raise FormatError(f"{path}: payload size does not match header ({F}x{d})")
+        payload = fh.read()
     return np.frombuffer(payload, dtype=dt).reshape(F, d).astype(dt.base)
 
 
@@ -66,41 +67,7 @@ _CONFIG_FIELDS = (
     "n_layers", "n_heads", "d_model", "d_latent", "d_cond", "d_ff",
     "rope_base", "n_ref_chunks", "compress_ratio",
 )
-# Version 1 also stored the single-key cross-attention's query/key side,
-# which never affected the output, and a rope-on-values flag.
-_V1_DEAD = re.compile(r"layers\.\d+\.(ln2\.[gb]|cross\.[qk])")
-_VERSIONS = tuple(f"checkpoint v{v}\n".encode() for v in range(1, 6))
 _TENSOR_DTYPES = {name: np.dtype(name) for name in ("float64", "float32")}
-
-
-def _legacy_tensors(config: DenoiserConfig, version: int) -> dict[str, tuple[dict[str, tuple], Callable]]:
-    """Tensors that a file of `version` stores in parts: name -> ({part name: part shape}, join).
-
-    Versions 1 to 4 stored each adaLN head as its own linear map: the column
-    blocks of adaln.w and adaln.b, in the order `param_layout` documents.
-    Versions 1 and 2 stored one (d_model, head_dim) matrix per layer, q/k/v
-    and head: the column blocks of each layer's attn.qkv.w. Versions 1 to 3
-    stored a compressor per layer and K/V: the rows of compressor.w and
-    compressor.b, every key layer, then every value layer.
-    """
-    h, dm = config.n_heads, config.d_model
-    by_columns = partial(np.concatenate, axis=-1)
-    out = {}
-    if version < 3:
-        for l in range(config.n_layers):
-            parts = [f"layers.{l}.attn.{'qkv'[i // h]}.{i % h}" for i in range(3 * h)]
-            out[f"layers.{l}.attn.qkv.w"] = (dict.fromkeys(parts, (dm, config.head_dim)), by_columns)
-    if version < 4:
-        rows = [f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(config.n_layers)]
-        out["compressor.w"] = ({f"{r}.w": (config.compress_ratio, dm, dm) for r in rows}, np.stack)
-        out["compressor.b"] = ({f"{r}.b": (dm,) for r in rows}, np.stack)
-    if version < 5:
-        heads = [(f"layers.{l}.{head}", width) for l in range(config.n_layers)
-                 for head, width in (("mod1", 2), ("gate1", 1), ("gate2", 1), ("mod3", 2), ("gate3", 1))]
-        heads.append(("final.mod", 2))
-        out["adaln.w"] = ({f"{head}.w": (dm, width * dm) for head, width in heads}, by_columns)
-        out["adaln.b"] = ({f"{head}.b": (width * dm,) for head, width in heads}, by_columns)
-    return out
 
 
 def save_checkpoint(path, params: DenoiserParams) -> None:
@@ -128,17 +95,32 @@ def save_checkpoint(path, params: DenoiserParams) -> None:
             fh.write(p)
 
 
+def _some(names: list[str], most: int = 4) -> str:
+    """`names` for an error message: their count and at most `most` of them."""
+    more = f", ... {len(names) - most} more" if len(names) > most else ""
+    return f"{len(names)} ({', '.join(names[:most])}{more})"
+
+
 def load_checkpoint(path) -> DenoiserParams:
-    """Read a v5 checkpoint, or an older one with its parts joined (see `_legacy_tensors`)
-    and v1's dead tensors dropped; validate the layout and the tiling."""
+    """Read a `checkpoint v5` file (see `save_checkpoint`), checking its claims against the file.
+
+    Refused with a FormatError before any tensor is read: any other first line
+    (versions 1 to 4 are named, with how to convert them), a manifest that is
+    not UTF-8, a bad line, tensors that do not tile the payload, a bad config,
+    and a tensor table other than `param_layout(config)`. A config that claims
+    more than twice the tensors the file lists (`n_tensors`) is refused before
+    any name is built, so a refusal costs in proportion to the file, not the claim.
+    """
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     split = blob.find(marker)
     header = blob[:blob.find(b"\n") + 1]
-    if header not in _VERSIONS or split < 0:
+    if header != b"checkpoint v5\n" or split < 0:
+        old = header[len(b"checkpoint v"):-1]
+        if header.startswith(b"checkpoint v") and len(old) == 1 and old in b"1234":
+            raise FormatError(f"{path}: checkpoint v{old.decode()} is no longer read; to convert it, load it "
+                              f"and save it again at commit 3ac0499, which writes checkpoint v5")
         raise FormatError(f"{path}: not a checkpoint file")
-    version = _VERSIONS.index(header) + 1
-    v1 = version == 1
     try:
         text = blob[:split + 1].decode("utf-8").splitlines()
     except UnicodeDecodeError as err:
@@ -149,13 +131,9 @@ def load_checkpoint(path) -> DenoiserParams:
         if line.startswith("config."):
             key, _, raw = line.partition(" = ")
             field = key[len("config."):]
-            if v1 and field == "rope_on_values":
-                if raw != "False":
-                    raise FormatError(f"{path}: rope on values is no longer supported")
-            elif field not in _CONFIG_FIELDS:
+            if field not in _CONFIG_FIELDS:
                 raise FormatError(f"{path}: unknown config field {field!r}")
-            else:
-                cfg_kwargs[field] = raw
+            cfg_kwargs[field] = raw
         elif line.startswith("meta."):
             key, _, raw = line.partition(" = ")
             meta[key[len("meta."):]] = raw
@@ -175,32 +153,27 @@ def load_checkpoint(path) -> DenoiserParams:
         end += math.prod(shape) * dt.itemsize
     if end != len(payload):
         raise FormatError(f"{path}: the tensors take {end} bytes, the payload {len(payload)}")
-    tensors = [entry for entry in entries if not (v1 and _V1_DEAD.fullmatch(entry[0]))]
     try:
         config = DenoiserConfig(**{f: float(raw) if f == "rope_base" else int(raw)
                                    for f, raw in cfg_kwargs.items()})
     except ValueError as err:
         raise FormatError(f"{path}: bad config: {err}") from err
-    layout = {name: shape for name, (shape, _) in param_layout(config).items()}
-    legacy = _legacy_tensors(config, version)
-    for fused, (parts, _) in legacy.items():
-        del layout[fused]
-        layout.update(parts)
-    found = {name: shape for name, _, _, shape in tensors}
-    if len(found) != len(tensors):
+    if n_tensors(config) > 2 * len(entries):
+        raise FormatError(f"{path}: the config implies {n_tensors(config)} tensors, the file lists {len(entries)}")
+    layout = param_layout(config)
+    found = {name: shape for name, _, _, shape in entries}
+    if len(found) != len(entries):
         raise FormatError(f"{path}: a tensor name appears twice")
     missing, extra = sorted(set(layout) - set(found)), sorted(set(found) - set(layout))
     if missing or extra:
-        raise FormatError(f"{path}: missing tensors {missing}, unexpected tensors {extra}")
+        raise FormatError(f"{path}: missing tensors {_some(missing)}, unexpected tensors {_some(extra)}")
     for name, shape in found.items():
-        if shape != layout[name]:
-            raise FormatError(f"{path}: tensor {name} has shape {shape}, expected {layout[name]}")
+        if shape != layout[name][0]:
+            raise FormatError(f"{path}: tensor {name} has shape {shape}, expected {layout[name][0]}")
     values = {}
-    for name, dt, offset, shape in tensors:
+    for name, dt, offset, shape in entries:
         raw = payload[offset:offset + math.prod(shape) * dt.itemsize]
         values[name] = np.frombuffer(raw, dtype=dt.newbyteorder("<")).astype(dt).reshape(shape)
-    for fused, (parts, join) in legacy.items():
-        values[fused] = join([values.pop(part) for part in parts])
     return DenoiserParams(config=config, values=values, meta=meta)
 
 
@@ -259,8 +232,21 @@ _MANIFEST_KEYS = {
 
 
 def load_dataset(directory) -> tuple[Dataset, dict[str, str]]:
+    """Read a `save_dataset` directory. Refused with a FormatError before any latent
+    file is read: a manifest with an unknown key, or with `n_sequences`, `n_frames`
+    or `latent_dim` not a non-negative integer. Each file is then checked by
+    `read_latents`, the maps against the manifest's Lipschitz constants, and every
+    sequence against the manifest's sizes."""
     d = Path(directory)
     manifest = parse_config_text((d / "manifest.txt").read_text(encoding="utf-8"), _MANIFEST_KEYS)
+    sizes = ("n_sequences", "n_frames", "latent_dim")
+    try:
+        n, frames, dim = (int(manifest[k]) for k in sizes)
+    except ValueError as err:
+        raise FormatError(f"{directory}: manifest sizes are not integers") from err
+    for key, size in zip(sizes, (n, frames, dim)):
+        if size < 0:
+            raise FormatError(f"{directory}: manifest {key} is negative ({size})")
     dyn = LatentDynamics(
         render_weight=read_latents(d / "render_weight.bin"),
         encoder=read_latents(d / "encoder.bin"),
@@ -271,10 +257,6 @@ def load_dataset(directory) -> tuple[Dataset, dict[str, str]]:
                         ("lipschitz_encoder", dyn.lipschitz_encoder)):
         if abs(float(manifest[key]) - stored) > 1e-9:
             raise FormatError(f"{directory}: manifest {key} disagrees with stored maps")
-    try:
-        n, frames, dim = (int(manifest[k]) for k in ("n_sequences", "n_frames", "latent_dim"))
-    except ValueError as err:
-        raise FormatError(f"{directory}: manifest sizes are not integers") from err
     seqs = [read_latents(d / f"seq_{i:05d}.bin") for i in range(n)]
     for i, z in enumerate(seqs):
         if z.shape != (frames, dim):

@@ -209,7 +209,8 @@ def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], int
     ``init`` is "zeros", "ones", "average" (window-averaging compressor:
     each output channel averages its own channel) or an int fan-in for a
     Gaussian draw scaled by 1/sqrt(fan_in). Checkpoints are validated
-    against the same table.
+    against the same table. It holds `n_tensors(config)` = 8 + 14 * n_layers
+    tensors: six outside the layers, fourteen per layer and two compressor stacks.
     """
     dm, dc, dff, dl = config.d_model, config.d_cond, config.d_ff, config.d_latent
     out: dict[str, tuple[tuple[int, ...], int | str]] = {
@@ -243,6 +244,11 @@ def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], int
     out["compressor.w"] = ((rows, config.compress_ratio, dm, dm), "average")
     out["compressor.b"] = ((rows, dm), "zeros")
     return out
+
+
+def n_tensors(config: DenoiserConfig) -> int:
+    """len(param_layout(config)), without building it."""
+    return 8 + 14 * config.n_layers
 
 
 def init_params(config: DenoiserConfig, seed: int, meta: dict[str, str] | None = None) -> DenoiserParams:

@@ -142,10 +142,10 @@ def generate_stream(
         report.context_floats.append(caches[0].context_floats())
         report.kv_bytes.append(sum(cache.kv_bytes for cache in caches))
         t0 = time.monotonic()
+        mask = np.ones((n, caches[0].context_chunks + n))  # every per-step cache shows the same context
 
         def velocity(x, k):
             ctx = cache_context_view(caches[k])
-            mask = np.ones((n, ctx.n_tokens + n))
             t = float(grid[k])
             vel, kv = denoiser_forward(weights, config, x, positions, t, cond, mask, ctx=ctx,
                                        conditioning=steps[k])

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -90,6 +91,41 @@ def test_train_rejects_a_damaged_dataset(tmp_path, capsys, damage):
                                          .replace("latent_dim = 16", "latent_dim = 9"))
     assert run(["train", "--data", str(ds), "--out", str(tmp_path / "x"), "--steps", "1"]) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["latent_u32_max", "latent_2_24_squared", "negative_n_sequences",
+                                    "negative_n_frames", "negative_latent_dim"])
+def test_train_refuses_sizes_the_dataset_files_do_not_hold(tmp_path, capsys, damage):
+    # Sizes read from a dataset are checked against the files before anything that large is read.
+    ds = tmp_path / "ds"
+    run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
+    if damage.startswith("latent"):
+        claim = (2**32 - 1, 2**32 - 1) if damage == "latent_u32_max" else (2**24, 2**24)
+        seq = ds / "seq_00001.bin"
+        blob = seq.read_bytes()
+        seq.write_bytes(blob[:8] + struct.pack("<II", *claim) + blob[16:])
+        message = f"seq_00001.bin: payload size does not match header \\({claim[0]}x{claim[1]}\\)"
+    else:
+        key = damage[len("negative_"):]
+        text = (ds / "manifest.txt").read_text()
+        (ds / "manifest.txt").write_text(re.sub(f"{key} = \\d+", f"{key} = -1", text))
+        message = f"manifest {key} is negative"
+    capsys.readouterr()
+    assert run(["train", "--data", str(ds), "--out", str(tmp_path / "x"), "--steps", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert re.match(f"error: .*{message}", err) and err.count("\n") == 1, err
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_refuses_a_checkpoint_claiming_many_layers_in_one_short_line(tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, init_params(DenoiserConfig(), seed=0))
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"config.n_layers = 2\n", b"config.n_layers = 20000\n", 1))
+    capsys.readouterr()
+    assert run(["generate", "--ckpt", str(ckpt), "--out", str(tmp_path / "gen"),
+                "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 1024, len(err)
 
 
 @pytest.mark.parametrize("damage", ["missing", "misshaped", "zero_heads"])

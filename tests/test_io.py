@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from nfar.checks import TINY, randomized_params
 from nfar.cli import EXIT_USAGE, main
 from nfar.io import (
+    LATENT_MAGIC,
     FormatError,
     dump_config_text,
     load_checkpoint,
@@ -18,7 +21,7 @@ from nfar.io import (
     save_dataset,
     write_latents,
 )
-from nfar.model import DenoiserConfig, DenoiserParams, init_params
+from nfar.model import DenoiserConfig, init_params, n_tensors, param_layout
 from nfar.synthdata import LatentDynamics, make_dataset
 
 RNG = np.random.default_rng(21)
@@ -60,6 +63,26 @@ def test_latent_every_truncation_rejected(tmp_path):
             read_latents(path)
 
 
+U32_EXTREMES = st.one_of(st.sampled_from([0, 1, 2, 3, 2**16, 2**24, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]),
+                        st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(F=U32_EXTREMES, d=U32_EXTREMES, code=st.sampled_from([0, 1]), payload=st.binary(max_size=64))
+def test_latent_header_claims_are_checked_against_the_file(tmp_path_factory, F, d, code, payload):
+    # Any header over any payload: a FormatError, or exactly the F x d floats written.
+    path = tmp_path_factory.getbasetemp() / "claims.bin"
+    path.write_bytes(LATENT_MAGIC + struct.pack("<IIB3x", F, d, code) + payload)
+    dtype = np.dtype("<f8" if code == 0 else "<f4")
+    try:
+        back = read_latents(path)
+    except FormatError:
+        assert F * d * dtype.itemsize != len(payload)
+    else:
+        assert back.shape == (F, d) and back.dtype == dtype
+        assert back.tobytes() == payload
+
+
 def test_latent_non_2d_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_latents(tmp_path / "x.bin", np.ones(5))
@@ -70,6 +93,7 @@ def test_checkpoint_round_trip(tmp_path):
     params = init_params(config, seed=5, meta={"stage": "1", "mask_mode": "causal"})
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params)
+    assert path.read_bytes().startswith(b"checkpoint v5\n")
     back = load_checkpoint(path)
     assert back.config == config
     assert back.meta == params.meta
@@ -84,140 +108,49 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def per_adaln_head(params):
-    """`params` as versions 1 to 4 stored the adaLN heads: one w and one b per head, each a run of
-    adaln's d_model-wide column blocks (layer l's seven start at block 7*l, the final pair last)."""
-    L, dm = params.config.n_layers, params.config.d_model
-    blocks = {"final.mod": (7 * L, 7 * L + 2)}
-    for l in range(L):
-        blocks.update({f"layers.{l}.mod1": (7 * l, 7 * l + 2), f"layers.{l}.gate1": (7 * l + 2, 7 * l + 3),
-                       f"layers.{l}.gate2": (7 * l + 3, 7 * l + 4), f"layers.{l}.mod3": (7 * l + 4, 7 * l + 6),
-                       f"layers.{l}.gate3": (7 * l + 6, 7 * l + 7)})
-    values = {k: v for k, v in params.values.items() if not k.startswith("adaln.")}
-    for head, (a, b) in blocks.items():
-        values[f"{head}.w"] = params.values["adaln.w"][:, a * dm:b * dm]
-        values[f"{head}.b"] = params.values["adaln.b"][a * dm:b * dm]
-    return DenoiserParams(params.config, values, params.meta)
-
-
-def per_layer(params):
-    """`params` as version 3 stored them: per-head adaLN, and one compressor w and b per layer and K/V."""
-    L = params.config.n_layers
-    values = {k: v for k, v in per_adaln_head(params).values.items() if not k.startswith("compressor.")}
-    for i, part in enumerate(f"compressor.{l}.{kind}" for kind in ("key", "val") for l in range(L)):
-        values[f"{part}.w"], values[f"{part}.b"] = params.values["compressor.w"][i], params.values["compressor.b"][i]
-    return DenoiserParams(params.config, values, params.meta)
-
-
-def per_head(params):
-    """`params` as versions 1 and 2 stored them: per-layer compressors, and one (d_model, head_dim)
-    matrix per layer, head and q/k/v."""
-    config, hd = params.config, params.config.head_dim
-    values = {k: v for k, v in per_layer(params).values.items() if not k.endswith(".attn.qkv.w")}
-    for l in range(config.n_layers):
-        qkv = params.values[f"layers.{l}.attn.qkv.w"]
-        for i, kind in enumerate(("q", "k", "v")):
-            for h in range(config.n_heads):
-                c = (i * config.n_heads + h) * hd
-                values[f"layers.{l}.attn.{kind}.{h}"] = qkv[:, c:c + hd]
-    return DenoiserParams(config, values, params.meta)
-
-
-def write_legacy(path, legacy, header: bytes):
-    """A file of `legacy` params whose first line is `header` instead of the current version's."""
-    save_checkpoint(path, legacy)
-    path.write_bytes(path.read_bytes().replace(b"checkpoint v5\n", header, 1))
-
-
-def write_v4(path, legacy):
-    """A version-4 file of per-head adaLN `legacy` params."""
-    write_legacy(path, legacy, b"checkpoint v4\n")
-
-
-def write_v3(path, legacy):
-    """A version-3 file of per-layer `legacy` params."""
-    write_legacy(path, legacy, b"checkpoint v3\n")
-
-
-def write_v2(path, legacy):
-    """A version-2 file of per-head `legacy` params."""
-    write_legacy(path, legacy, b"checkpoint v2\n")
-
-
-def write_v1(path, params, rope_on_values="False"):
-    """A version-1 file of `params`: per-head q/k/v, four more tensors per layer and a rope flag."""
-    dm, dc = params.config.d_model, params.config.d_cond
-    legacy = per_head(params)
-    for l in range(params.config.n_layers):
-        legacy.values.update({f"layers.{l}.ln2.g": np.ones(dm), f"layers.{l}.ln2.b": np.zeros(dm),
-                              f"layers.{l}.cross.q": RNG.standard_normal((dm, dm)),
-                              f"layers.{l}.cross.k": RNG.standard_normal((dc, dm))})
-    write_legacy(path, legacy, b"checkpoint v1\nconfig.rope_on_values = " + rope_on_values.encode() + b"\n")
-
-
 def assert_same(loaded, params):
     assert loaded.config == params.config and loaded.meta == params.meta
     assert loaded.equal(params)
     assert all(loaded.values[k].dtype == a.dtype for k, a in params.values.items())
 
 
-def test_v1_checkpoint_reads_as_its_v2_counterpart(tmp_path):
-    # Every legacy version loads bit-equal to the v5 save of the same params.
-    params = randomized_params(DenoiserConfig(d_model=16, d_ff=16), seed=6)
-    params.values["compressor.w"] = params.values["compressor.w"] + RNG.standard_normal(params.values["compressor.w"].shape)
-    params.values["compressor.b"] = params.values["compressor.b"] + RNG.standard_normal(params.values["compressor.b"].shape)
-    params.meta["stage"] = "2"
-    write_v1(tmp_path / "v1.ckpt", params)
-    write_v2(tmp_path / "v2.ckpt", per_head(params))
-    write_v3(tmp_path / "v3.ckpt", per_layer(params))
-    write_v4(tmp_path / "v4.ckpt", per_adaln_head(params))
-    save_checkpoint(tmp_path / "v5.ckpt", params)
-    assert (tmp_path / "v5.ckpt").read_bytes().startswith(b"checkpoint v5\n")
-    for i in (1, 2, 3, 4, 5):
-        assert_same(load_checkpoint(tmp_path / f"v{i}.ckpt"), params)
-    legacy, v2 = per_head(params), load_checkpoint(tmp_path / "v2.ckpt")
-    L, dm = params.config.n_layers, params.config.d_model
-    for l in range(L):
-        heads = [legacy.values[f"layers.{l}.attn.{kind}.{h}"] for kind in ("q", "k", "v")
-                 for h in range(params.config.n_heads)]
-        assert np.array_equal(v2.values[f"layers.{l}.attn.qkv.w"], np.concatenate(heads, axis=1))
-        # Row l compresses layer l's keys, row L + l its values.
-        assert np.array_equal(v2.values["compressor.w"][l], legacy.values[f"compressor.{l}.key.w"])
-        assert np.array_equal(v2.values["compressor.b"][L + l], legacy.values[f"compressor.{l}.val.b"])
-        # Layer l's gate2 is column block 7*l + 3 of adaln.
-        assert np.array_equal(v2.values["adaln.w"][:, (7 * l + 3) * dm:(7 * l + 4) * dm],
-                              legacy.values[f"layers.{l}.gate2.w"])
-    assert np.array_equal(v2.values["adaln.b"][-2 * dm:], legacy.values["final.mod.b"])
-
-
-@pytest.mark.parametrize("damage", ["missing", "misshaped", "v3_missing_compressor", "v3_misshaped_compressor",
-                                    "v4_missing_adaln_head", "v4_misshaped_adaln_head"])
-def test_v2_checkpoint_with_a_damaged_head_rejected(tmp_path, capsys, damage):
-    # A damaged part of a tensor that older versions split (a v2 attention
-    # head, a v3 per-layer compressor, a v4 adaLN head) is reported by its own name.
+@pytest.mark.parametrize("damage, name", [("missing", "layers.1.attn.qkv.w"), ("misshaped", "compressor.w"),
+                                          ("missing", "adaln.b"), ("misshaped", "adaln.w")],
+                         ids=["missing", "misshaped", "missing_adaln", "misshaped_adaln"])
+def test_checkpoint_with_a_damaged_tensor_rejected(tmp_path, capsys, damage, name):
+    # A missing or misshaped tensor is reported by its own name, and `nfar` exits 2 on it.
     params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6)
-    legacy, part, write = {
-        "v3_missing_compressor": (per_layer(params), "compressor.1.val.w", write_v3),
-        "v3_misshaped_compressor": (per_layer(params), "compressor.1.val.w", write_v3),
-        "v4_missing_adaln_head": (per_adaln_head(params), "layers.1.gate2.w", write_v4),
-        "v4_misshaped_adaln_head": (per_adaln_head(params), "final.mod.b", write_v4),
-    }.get(damage, (per_head(params), "layers.1.attn.k.0", write_v2))
-    if "missing" in damage:
-        del legacy.values[part]
+    if damage == "missing":
+        del params.values[name]
     else:
-        legacy.values[part] = np.zeros(legacy.values[part].shape[:-1] + (7,))
-    write(tmp_path / "old.ckpt", legacy)
-    with pytest.raises(FormatError, match=part):
-        load_checkpoint(tmp_path / "old.ckpt")
-    assert main(["generate", "--ckpt", str(tmp_path / "old.ckpt"), "--out", str(tmp_path / "gen"),
+        params.values[name] = np.zeros(params.values[name].shape[:-1] + (7,))
+    save_checkpoint(tmp_path / "bad.ckpt", params)
+    with pytest.raises(FormatError, match=name):
+        load_checkpoint(tmp_path / "bad.ckpt")
+    assert main(["generate", "--ckpt", str(tmp_path / "bad.ckpt"), "--out", str(tmp_path / "gen"),
                  "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_retired_checkpoint_version_is_refused_with_how_to_convert(tmp_path, capsys, version):
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6))
+    path.write_bytes(path.read_bytes().replace(b"checkpoint v5\n", f"checkpoint v{version}\n".encode(), 1))
+    with pytest.raises(FormatError, match=f"checkpoint v{version} is no longer read.*3ac0499"):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert main(["generate", "--ckpt", str(path), "--out", str(tmp_path / "gen"),
+                 "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "gen").exists()
 
 
 @settings(max_examples=30, deadline=None)
 @given(n_layers=st.integers(1, 3), n_heads=st.sampled_from([1, 2, 4]), ratio=st.integers(2, 5),
        dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 1000))
-def test_checkpoint_round_trips_as_v5_v4_and_v3(tmp_path_factory, n_layers, n_heads, ratio, dtype, seed):
+def test_checkpoint_round_trips_over_drawn_configs(tmp_path_factory, n_layers, n_heads, ratio, dtype, seed):
     config = replace(TINY, n_layers=n_layers, n_heads=n_heads, compress_ratio=ratio)
     params = init_params(config, seed=seed, meta={"stage": "2"})
     rng = np.random.default_rng(seed)
@@ -227,16 +160,42 @@ def test_checkpoint_round_trips_as_v5_v4_and_v3(tmp_path_factory, n_layers, n_he
     path = tmp_path_factory.getbasetemp() / "round_trip.ckpt"
     save_checkpoint(path, params)
     assert_same(load_checkpoint(path), params)
-    write_v4(path, per_adaln_head(params))
-    assert_same(load_checkpoint(path), params)
-    write_v3(path, per_layer(params))
-    assert_same(load_checkpoint(path), params)
 
 
-def test_v1_checkpoint_with_rope_on_values_rejected(tmp_path):
-    write_v1(tmp_path / "v1.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=6), "True")
-    with pytest.raises(FormatError):
-        load_checkpoint(tmp_path / "v1.ckpt")
+@settings(max_examples=50, deadline=None)
+@given(n_layers=st.integers(0, 8), n_heads=st.sampled_from([1, 2, 4]), ratio=st.integers(1, 6))
+def test_tensor_count_has_a_closed_form(n_layers, n_heads, ratio):
+    config = replace(TINY, n_layers=n_layers, n_heads=n_heads, compress_ratio=ratio)
+    assert n_tensors(config) == len(param_layout(config)) == 8 + 14 * n_layers
+
+
+def test_checkpoint_claiming_many_layers_is_refused_at_the_cost_of_the_file(tmp_path):
+    # A config that claims 20000 layers is refused by its tensor count, before any name is built:
+    # short message, and memory in proportion to the file, not to the claim.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_params(DenoiserConfig(), seed=1))
+    path.write_bytes(path.read_bytes().replace(b"config.n_layers = 2\n", b"config.n_layers = 20000\n", 1))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="implies 280008 tensors, the file lists 36") as err:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(str(err.value)) < 1024
+    assert peak < 2 * size, (peak, size)
+
+
+def test_checkpoint_name_listing_is_bounded(tmp_path):
+    # Names differ but counts agree: the message lists a few names and their counts.
+    params = init_params(DenoiserConfig(n_layers=3, d_model=16, d_ff=16), seed=1)
+    params.values = {k.replace("layers.", "blocks."): v for k, v in params.values.items()}
+    save_checkpoint(tmp_path / "m.ckpt", params)
+    with pytest.raises(FormatError, match=r"missing tensors 42 \(layers\.0\.attn\.o\.b, .*, \.\.\. 38 more\), "
+                                          r"unexpected tensors 42 \(blocks\.0\.") as err:
+        load_checkpoint(tmp_path / "m.ckpt")
+    assert len(str(err.value)) < 1024
 
 
 def test_checkpoint_garbage_rejected(tmp_path):
@@ -245,7 +204,12 @@ def test_checkpoint_garbage_rejected(tmp_path):
     with pytest.raises(FormatError):
         load_checkpoint(path)
     save_checkpoint(path, init_params(DenoiserConfig(d_model=16, d_ff=16), seed=1))
-    path.write_bytes(path.read_bytes().replace(b"input.b float64", b"input.b bogus64", 1))
+    blob = path.read_bytes()
+    for header in (b"checkpoint v0\n", b"checkpoint v6\n", b"checkpoint v14\n", b"checkpoint v\n"):
+        path.write_bytes(blob.replace(b"checkpoint v5\n", header, 1))
+        with pytest.raises(FormatError, match="not a checkpoint file"):
+            load_checkpoint(path)
+    path.write_bytes(blob.replace(b"input.b float64", b"input.b bogus64", 1))
     with pytest.raises(FormatError):
         load_checkpoint(path)
 
@@ -306,7 +270,8 @@ def test_dataset_round_trip(tmp_path):
     assert float(manifest["lipschitz_encoder"]) == dyn.lipschitz_encoder
 
 
-@pytest.mark.parametrize("damage", ["n_frames", "latent_dim", "unequal_files", "not_an_integer"])
+@pytest.mark.parametrize("damage", ["n_frames", "latent_dim", "unequal_files", "not_an_integer",
+                                    "negative_n_sequences"])
 def test_dataset_sizes_must_match_the_manifest(tmp_path, damage):
     ds = make_dataset(LatentDynamics.create(seed=2), 3, 22, seed=4)
     d = tmp_path / "ds"
@@ -318,9 +283,11 @@ def test_dataset_sizes_must_match_the_manifest(tmp_path, damage):
         manifest.write_text(manifest.read_text().replace("latent_dim = 16", "latent_dim = 9"))
     elif damage == "unequal_files":
         write_latents(d / "seq_00001.bin", ds.sequences[1][:20])
-    else:
+    elif damage == "not_an_integer":
         manifest.write_text(manifest.read_text().replace("n_frames = 22", "n_frames = 2x"))
-    with pytest.raises(FormatError):
+    else:
+        manifest.write_text(manifest.read_text().replace("n_sequences = 3", "n_sequences = -1"))
+    with pytest.raises(FormatError, match="n_sequences is negative" if damage.startswith("negative") else None):
         load_dataset(d)
 
 
