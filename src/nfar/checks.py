@@ -115,7 +115,7 @@ def cache_equivalence(seed: int = 0) -> tuple[bool, str]:
 
 
 def constant_memory(seed: int = 0) -> tuple[bool, str]:
-    """Over 200 blocks the bounded context stays at 6 chunks and its caches' K/V bytes at their size
+    """Over 200 blocks the bounded context stays at 6 chunks and its cache's K/V bytes at their size
     when made; the unbounded context grows by each block, and its slabs with it."""
     params = randomized_params(SMALL, seed=4 + seed)
     rng = np.random.default_rng(4 + seed)
@@ -131,7 +131,7 @@ def constant_memory(seed: int = 0) -> tuple[bool, str]:
     expected = [2] + [2 + 6 + 8 * (b - 1) for b in range(1, 200)]
     ok &= grow == expected
     ok &= all(b > a for a, b in zip(grow, grow[1:]))
-    # K/V bytes the caches own when made (entering block 1) bound every later count, the last roll's too.
+    # K/V bytes the cache owns when made (entering block 1) bound every later count, the last roll's too.
     ok &= max(bounded.kv_bytes) == bounded.kv_bytes[0] and unbounded.kv_bytes[-1] > unbounded.kv_bytes[0]
     return ok, (f"bounded context==6 for blocks 3..200, K/V bytes {max(bounded.kv_bytes)} <= "
                 f"{bounded.kv_bytes[0]} as made; unbounded strictly grows to {grow[-1]} chunks, "
@@ -144,19 +144,19 @@ def coverage_ledger(seed: int = 0) -> tuple[bool, str]:
     weights = init_params(config, seed=seed).values
     comp = weights["compressor.w"], weights["compressor.b"]
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
-    cache = convkv.new_cache(config.n_layers, config.d_model, step_tag=0.5, freqs=freqs)
+    cache = convkv.new_cache(config.n_layers, config.d_model, [0.5], freqs)
     rng = np.random.default_rng(seed)
 
     def kv(positions):
         keys, vals = rng.standard_normal((2, config.n_layers, len(positions), config.d_model))
         return BlockKV(keys, rope_apply(keys, positions, freqs), vals)
 
-    convkv.set_reference(cache, kv([-2, -1]), [-2, -1])
+    convkv.set_reference(cache, BlockKV(*(a[:, None] for a in kv([-2, -1]))), [-2, -1])  # the one step's
     ok, total = True, 0
     for roll in range(100):
         n = 6 if roll == 0 else 8
         positions = list(range(total, total + n))
-        convkv.cache_append(cache, kv(positions), positions, 0.5)
+        convkv.cache_append(cache, kv(positions), positions, 0)
         total += n
         convkv.cache_roll(cache, comp)
         acc = convkv.coverage_accounting(cache)

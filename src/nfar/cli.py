@@ -64,10 +64,6 @@ def _at_least(low: int):
     return parse
 
 
-def _plan(n_blocks: int) -> BlockPlan:
-    return BlockPlan.default(n_blocks)
-
-
 def _reference_inputs(dyn: LatentDynamics, seed: int, n_frames: int):
     """Deterministic (x_ref, cond) derived from one synthetic trajectory of at least REF_CAPACITY frames."""
     u = generate_state_path(max(n_frames, REF_CAPACITY), dyn.delta_u, seed=seed, state_dim=dyn.state_dim)
@@ -103,7 +99,7 @@ def cmd_train(args) -> int:
     dataset, _ = io.load_dataset(args.data)
     n_frames = dataset.sequences.shape[1]
     if args.blocks:
-        plan = _plan(args.blocks)
+        plan = BlockPlan.default(args.blocks)
         if plan.total_chunks != n_frames:
             raise ValueError(f"--blocks {args.blocks} makes {plan.total_chunks} chunks, "
                              f"but the dataset has {n_frames} frames")
@@ -150,7 +146,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     params = io.load_checkpoint(args.ckpt)
-    plan = _plan(args.blocks)
+    plan = BlockPlan.default(args.blocks)
     sampler = SamplerConfig.uniform(args.steps)
     dyn = LatentDynamics.create(seed=args.seed,
                                 latent_dim=params.config.d_latent)
@@ -199,7 +195,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     params = io.load_checkpoint(args.ckpt)
-    plan = _plan(args.blocks)
+    plan = BlockPlan.default(args.blocks)
     sampler = SamplerConfig.uniform(args.steps)
     dyn = LatentDynamics.create(seed=args.seed, latent_dim=params.config.d_latent)
     x_ref, cond = _reference_inputs(dyn, args.seed, plan.total_chunks)
@@ -227,7 +223,7 @@ def cmd_zeroshot(args) -> int:
         print("error: zero-shot experiment requires a checkpoint trained with --mask none",
               file=sys.stderr)
         return EXIT_USAGE
-    plan = _plan(args.blocks)
+    plan = BlockPlan.default(args.blocks)
     sampler = SamplerConfig.uniform(args.steps)
     dyn = LatentDynamics.create(seed=args.seed, latent_dim=params.config.d_latent)
     per_variant: dict[str, list[float]] = {}

@@ -1,6 +1,8 @@
 """Bounded-memory segmented KV cache with convolutional compression.
 
-A cache keeps its K/V in slabs, (n_layers, rows, d_kv) as a `BlockKV`
+One cache holds every sampler step's K/V under one ledger: step k reads
+only what step k produced, and nothing else differs between the steps. Its
+slabs are (n_layers, T, rows, d_kv), step k's rows at [:, k] as a `BlockKV`
 carries them: rotated keys, values and, bounded only, the un-rotated keys
 the compressor reads. One block of room follows the filled rows:
 
@@ -11,9 +13,10 @@ the compressor reads. One block of room follows the filled rows:
 - unbounded: reference | history | current block, in slabs that double
   whenever less than one block of room is left.
 
-A context view hands the forward the slabs and the context length; the
-forward writes its block's rotated keys and values into the room and
-attends over the slice, and `cache_append` records the block there. An
+A context view hands step k's forward its slabs and the context length;
+the forward writes its block's rotated keys and values into the room and
+attends over the slice, and `cache_append` records the block there, the
+steps in order. One roll per block then moves every step's rows. An
 unbounded roll only advances the fill mark, so an unbounded view is valid
 for as long as it is held (rows are written only past it; a doubling
 copies into new slabs); a bounded roll shifts at most four slot rows in
@@ -22,7 +25,7 @@ place, so a bounded view is valid until the next roll.
 Each key is rotated once, where it is computed, and keeps its position: a
 raw chunk its own, a compressed chunk the start of the window it
 summarizes (the positional reset, exactly). A roll compresses every full
-window of pending, all layers and K/V at once, with
+window of pending, all layers, steps and K/V at once, with
 numerics.window_products, the kernel stage-2 training's conv1d_strided
 runs, so a compressed chunk equals its training-time memory token bit for
 bit, and rotates the new long-term chunks at their window starts.
@@ -54,12 +57,12 @@ RUNS = ("long_term", "pending", "short_term", "history", "current")  # chunk-id 
 
 
 class CacheStepError(ValueError):
-    """An append or read was attempted at the wrong diffusion step."""
+    """A step appended, rolled or read out of order, or a step index past the cache's steps."""
 
 
 @dataclass(slots=True)
 class Segment:
-    """A copy of a segment's chunks, (n_layers, n_chunks, d_kv), with position tags and raw-chunk coverage.
+    """A copy of a segment's chunks, (n_layers, T, n_chunks, d_kv), with position tags and raw-chunk coverage.
 
     `keys` are un-rotated, for the compressor (None unbounded); `rotated` are
     turned by `positions`, for attention (None in pending).
@@ -73,7 +76,7 @@ class Segment:
 
     @property
     def n_chunks(self) -> int:
-        return self.vals.shape[1]
+        return self.vals.shape[-2]
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -92,28 +95,30 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
 
 
 class SegmentedKVCache:
-    """One sampler step's K/V: the slabs with per-row positions, and pending.
+    """The T `steps`' K/V: the slabs with per-row positions, and pending, under one ledger.
 
     `slabs` holds rotated keys, values and (bounded only) un-rotated keys,
-    each (n_layers, rows, d_kv); `counts` holds each LAYOUT segment's rows
-    and pending's chunks. `pending_kv` stacks un-rotated keys and values,
-    (2, n_layers, rows, d_kv): reshaped, the compressor's input.
+    each (n_layers, T, rows, d_kv); `counts` holds each LAYOUT segment's
+    rows and pending's chunks, and `appended` the steps that have stored
+    the current block. `pending_kv` stacks un-rotated keys and values,
+    (2, n_layers, T, rows, d_kv): reshaped, the compressor's input.
     `cache.<segment>` (a LAYOUT name or "pending") copies the segment's rows
     into a `Segment`, with the spans the ledger derives.
     """
 
-    def __init__(self, n_layers: int, d_kv: int, step_tag: float, freqs: RopeFrequencies, lam: int,
+    def __init__(self, n_layers: int, d_kv: int, steps, freqs: RopeFrequencies, lam: int,
                  bounded: bool, dtype, block_rows: int):
-        self.n_layers, self.d_kv, self.step_tag, self.freqs = n_layers, d_kv, step_tag, freqs
+        self.n_layers, self.d_kv, self.steps, self.freqs = n_layers, d_kv, tuple(map(float, steps)), freqs
         self.lam, self.bounded, self.dtype, self.block_rows = lam, bounded, dtype, block_rows
         self.counts = dict.fromkeys(LAYOUT + ("pending",), 0)
         self.next_chunk_id = 0  # raw chunk i sits at position i
-        rows = REF_CAPACITY + LONG_TERM_CAPACITY + SHORT_TERM_CAPACITY + block_rows
+        self.appended = 0
+        rows, n_steps = REF_CAPACITY + LONG_TERM_CAPACITY + SHORT_TERM_CAPACITY + block_rows, len(self.steps)
         # One array per slab: stacked, the unbounded slabs raised perfbench's peak RSS by ~3 MB.
-        self.slabs = [np.empty((n_layers, rows, d_kv), dtype=dtype) for _ in range(3 if bounded else 2)]
+        self.slabs = [np.empty((n_layers, n_steps, rows, d_kv), dtype=dtype) for _ in range(3 if bounded else 2)]
         self.positions = np.empty(rows)
         # Room for lam - 1 leftovers and a whole slab.
-        self.pending_kv = np.empty((2, n_layers, rows + lam if bounded else 0, d_kv), dtype=dtype)
+        self.pending_kv = np.empty((2, n_layers, n_steps, rows + lam if bounded else 0, d_kv), dtype=dtype)
 
     @property
     def context_chunks(self) -> int:
@@ -142,14 +147,14 @@ class SegmentedKVCache:
     def __getattr__(self, name: str) -> Segment:
         if name == "pending":
             n, first = self.counts["pending"], self.run_start("pending")
-            keys, vals = self.pending_kv[:, :, :n].copy()
+            keys, vals = self.pending_kv[..., :n, :].copy()
             return Segment(keys, vals, np.arange(first, first + n, dtype=np.float64),
                            [(i, i + 1) for i in range(first, first + n)], None)
         if name not in LAYOUT:
             raise AttributeError(name)
         start = sum(self.counts[seg] for seg in LAYOUT[:LAYOUT.index(name)])
         rows = slice(start, start + self.counts[name])
-        rotated, vals, *keys = (slab[:, rows].copy() for slab in self.slabs)
+        rotated, vals, *keys = (slab[..., rows, :].copy() for slab in self.slabs)
         positions = self.positions[rows].copy()
         width = self.lam if name == "long_term" else 1
         spans = [(-1, -1) if name == "reference" else (int(p), int(p) + width) for p in positions]
@@ -162,91 +167,96 @@ class SegmentedKVCache:
         return h.hexdigest()
 
     def _reserve(self, stop: int) -> None:
-        """Slab rows up to `stop`: the capacity doubles until they fit, pending's with it."""
+        """Slab rows up to `stop`: the capacity doubles, one slab at a time, until they fit, pending's with it."""
         rows = self.positions.size
         if stop <= rows:
             return
         rows = max(2 * rows, stop)
-        self.slabs, self.positions = [_grown(slab, rows) for slab in self.slabs], _grown(self.positions, rows)
+        for i in range(len(self.slabs)):
+            self.slabs[i] = _grown(self.slabs[i], rows)
+        self.positions = _grown(self.positions, rows)
         if self.bounded:
             self.pending_kv = _grown(self.pending_kv, rows + self.lam)
 
-    def _write(self, start: int, parts, positions) -> None:
-        """Slab rows [start, start + len(positions)) set to chunks of `parts` (rotated keys, values, keys).
-
-        An unbounded cache ignores the keys.
-        """
+    def _write(self, start: int, parts, positions, step=slice(None)) -> None:
+        """Slab rows [start, start + len(positions)) of `step` (default: all) set to chunks of `parts`
+        (rotated keys, values, keys; an unbounded cache ignores the keys)."""
         rows = slice(start, start + len(positions))
         for slab, part in zip(self.slabs, parts):
-            slab[:, rows] = part
+            slab[:, step, rows] = part
         self.positions[rows] = positions
 
     def _move(self, dst: int, src: int, n: int) -> None:
-        """Slab rows [src, src + n) to rows [dst, dst + n)."""
+        """Slab rows [src, src + n) to rows [dst, dst + n), every step's."""
         if n == 0 or dst == src:
             return
         to, rows = slice(dst, dst + n), slice(src, src + n)
         for slab in self.slabs:
-            slab[:, to] = slab[:, rows]
+            slab[..., to, :] = slab[..., rows, :]
         self.positions[to] = self.positions[rows]
 
 
-def new_cache(n_layers: int, d_kv: int, step_tag: float, freqs: RopeFrequencies, lam: int = 5,
+def new_cache(n_layers: int, d_kv: int, steps, freqs: RopeFrequencies, lam: int = 5,
               bounded: bool = True, dtype=np.float64, block_rows: int = 8) -> SegmentedKVCache:
-    """An empty cache with room for blocks of `block_rows` chunks (a larger block doubles the slabs at its
-    append) that rotates its compressed windows by `freqs`."""
+    """An empty cache for the T sampler `steps` (floats), with room for blocks of `block_rows` chunks (a
+    larger block doubles the slabs at its append), that rotates its compressed windows by `freqs`."""
     if d_kv % (2 * freqs.freqs.size) != 0:
         raise ValueError(f"d_kv {d_kv} does not split into rotary groups of {2 * freqs.freqs.size}")
-    return SegmentedKVCache(n_layers, d_kv, step_tag, freqs, lam, bounded, dtype, block_rows)
+    return SegmentedKVCache(n_layers, d_kv, steps, freqs, lam, bounded, dtype, block_rows)
 
 
 def set_reference(cache: SegmentedKVCache, kv: BlockKV, positions) -> None:
-    """Install the reference-image K/V in the slabs' first rows, before any chunk is stored."""
-    n = kv.vals.shape[1]
-    if n != REF_CAPACITY:
-        raise ValueError(f"reference segment holds {REF_CAPACITY} chunks, got {n}")
+    """Install every step's reference-image K/V, (n_layers, T, REF_CAPACITY, d_kv), in the slabs' first
+    rows, before any chunk is stored."""
+    if kv.vals.shape[1:-1] != (len(cache.steps), REF_CAPACITY):
+        raise ValueError(f"reference K/V {kv.vals.shape} is not {REF_CAPACITY} chunks of {len(cache.steps)} steps")
     if cache.next_chunk_id:
         raise ValueError("a cache takes its reference before any chunk is stored")
     cache._write(0, (kv.rotated, kv.vals, kv.keys), positions)
-    cache.counts["reference"] = n
+    cache.counts["reference"] = REF_CAPACITY
 
 
-def cache_append(cache: SegmentedKVCache, kv: BlockKV, positions, step: float) -> None:
-    """Store a freshly computed block's K/V in the rows after the filled ones, as current chunks.
+def cache_append(cache: SegmentedKVCache, kv: BlockKV, positions, k: int) -> None:
+    """Store step k's K/V of a freshly computed block in the rows after the filled ones, as current chunks.
 
-    A forward given this cache's context view has written the block's
-    rotated keys and values there already, so they are written onto
-    themselves. Append-only: no row before the block is written; if the
-    block does not fit, the slabs double.
+    Steps 0 to T - 1 append the same positions in order, then the cache
+    rolls; step 0's append advances the ledger. A forward given step k's
+    context view has written the block's rotated keys and values there
+    already, so they are written onto themselves. Append-only: no row
+    before the block is written; if the block does not fit, the slabs double.
     """
-    if step != cache.step_tag:
-        raise CacheStepError(f"append at step {step} into a cache tagged {cache.step_tag}")
-    n, first = kv.vals.shape[1], cache.next_chunk_id
-    if not np.array_equal(positions, np.arange(first, first + n)):
-        raise ValueError(f"positions {list(positions)} do not continue from {first}")
-    start = cache.context_chunks + cache.counts["current"]
-    cache._reserve(start + n)
-    cache._write(start, (kv.rotated, kv.vals, kv.keys), positions)
-    cache.counts["current"] += n
-    cache.next_chunk_id += n
+    if k != cache.appended or k >= len(cache.steps):
+        raise CacheStepError(f"append at step {k} after {cache.appended} of {len(cache.steps)} steps appended")
+    n, stop = kv.vals.shape[1], cache.next_chunk_id
+    expected = np.arange(stop, stop + n) if k == 0 else np.arange(stop - cache.counts["current"], stop)
+    if not np.array_equal(positions, expected):
+        raise ValueError(f"positions {list(positions)} are not the block's {expected.tolist()}")
+    if k == 0:
+        cache._reserve(cache.context_chunks + n)
+        cache.counts["current"] = n
+        cache.next_chunk_id += n
+    cache._write(cache.context_chunks, (kv.rotated, kv.vals, kv.keys), positions, k)
+    cache.appended += 1
 
 
 def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> None:
-    """Finalize the current block and re-establish the bounded layout, in place.
+    """Finalize the current block and re-establish the bounded layout, in place, for every step at once.
 
-    `compressor` is (W (2*n_layers, lam, d, d), b (2*n_layers, d)), key
-    layers then value layers, as the params hold them. The last two chunks
-    of the finalized block become short-term memory; displaced short-term
-    chunks and the block's earlier chunks join the pending buffer; every
-    full lam-window in pending is compressed into long-term memory
-    (FIFO-evicted beyond capacity), its keys rotated here, once, at the
-    window start. Unbounded, the whole block joins the history, and the
-    slabs keep room for one more block.
+    Every step must have appended the block. `compressor` is (W (2*n_layers,
+    lam, d, d), b (2*n_layers, d)), key layers then value layers, as the
+    params hold them. The last two chunks of the finalized block become
+    short-term memory; displaced short-term chunks and the block's earlier
+    chunks join the pending buffer; every full lam-window in pending is
+    compressed into long-term memory (FIFO-evicted beyond capacity), its
+    keys rotated here, once, at the window start. Unbounded, the whole block
+    joins the history, and the slabs keep room for one more block.
     """
+    if cache.appended != len(cache.steps):
+        raise CacheStepError(f"roll after {cache.appended} of {len(cache.steps)} steps appended the block")
     counts = cache.counts
     if not cache.bounded:
         counts["history"] += counts["current"]
-        counts["current"] = 0
+        counts["current"] = cache.appended = 0
         cache._reserve(cache.context_chunks + cache.block_rows)
         return
     if mode not in COMPRESSION_MODES:
@@ -259,33 +269,37 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
     # Chronological order: pending < displaced short-term < evicted current, slab rows [start, stop).
     start, stop = ref + n_long, cache.context_chunks + counts["current"] - keep
     p, q = counts["pending"], counts["pending"] + stop - start
-    cache.pending_kv[0, :, p:q] = cache.slabs[2][:, start:stop]  # un-rotated keys
-    cache.pending_kv[1, :, p:q] = cache.slabs[1][:, start:stop]
+    cache.pending_kv[0, ..., p:q, :] = cache.slabs[2][..., start:stop, :]  # un-rotated keys
+    cache.pending_kv[1, ..., p:q, :] = cache.slabs[1][..., start:stop, :]
 
     used = q // lam * lam
-    pending = cache.pending_kv[:, :, :q].reshape(2 * L, q, cache.d_kv)
+    pending = cache.pending_kv[..., :q, :].reshape(2 * L, len(cache.steps), q, cache.d_kv)
     if mode == "conv":
-        m = window_products(pending, *compressor).astype(cache.dtype, copy=False)
+        # Each window is its own 1-row product, so a step's bits are those of a one-step cache.
+        w, b = compressor
+        m = window_products(pending, w[:, None], b[:, None]).astype(cache.dtype, copy=False)
     else:
         # Free summarizer used by the overhead benchmark: the first chunk of
         # each window stands in for the whole window.
-        m = pending[:, :used:lam]
+        m = pending[..., :used:lam, :]
     # Long-term keeps the newest LONG_TERM_CAPACITY windows of old || new; the rest are dropped.
     evicted = max(0, n_long + used // lam - LONG_TERM_CAPACITY)
     old = min(evicted, n_long)
     cache._move(ref, ref + old, n_long - old)
     new = slice(evicted - old, None)
-    m_k, m_v, starts = m[:L, new], m[L:, new], np.arange(first + (evicted - old) * lam, first + used, lam)
+    m_k, m_v, starts = m[:L, :, new], m[L:, :, new], np.arange(first + (evicted - old) * lam, first + used, lam)
     cache._write(ref + n_long - old, (rope_apply(m_k, starts, cache.freqs), m_v, m_k), starts)
     n_long = n_long - old + starts.size
     cache._move(ref + n_long, stop, keep)
     counts.update(long_term=n_long, short_term=keep, current=0, pending=q - used)
+    cache.appended = 0
     if used:
-        cache.pending_kv[:, :, :q - used] = cache.pending_kv[:, :, used:q]
+        cache.pending_kv[..., :q - used, :] = cache.pending_kv[..., used:q, :]
 
 
-def cache_context_view(cache: SegmentedKVCache) -> ContextKV:
-    """The context, reference || long_term || short_term (reference || history unbounded), over the slabs.
+def cache_context_view(cache: SegmentedKVCache, k: int) -> ContextKV:
+    """Step k's context, reference || long_term || short_term (reference || history unbounded), over the
+    slabs, tagged with steps[k].
 
     Returns a `ContextKV` whose first n_ctx slab rows are the context and
     whose rows after them are room for the forward's block; context row i
@@ -293,9 +307,11 @@ def cache_context_view(cache: SegmentedKVCache) -> ContextKV:
     `vals` and `positions` are read-only. A bounded view is valid until the
     next roll, an unbounded one for as long as it is held.
     """
+    if not 0 <= k < len(cache.steps):
+        raise CacheStepError(f"step {k} of a cache of {len(cache.steps)} steps")
     positions = cache.positions[:cache.context_chunks]
     positions.setflags(write=False)
-    return ContextKV(cache.slabs[0], cache.slabs[1], positions, cache.step_tag)
+    return ContextKV(cache.slabs[0][:, k], cache.slabs[1][:, k], positions, cache.steps[k])
 
 
 def coverage_accounting(cache: SegmentedKVCache) -> dict[str, list[int]]:
@@ -311,7 +327,7 @@ def coverage_accounting(cache: SegmentedKVCache) -> dict[str, list[int]]:
 
 def snapshot(cache: SegmentedKVCache) -> str:
     """Human-readable debug snapshot: shapes, position tags, stored copies, digests."""
-    lines = [f"step_tag={cache.step_tag} lam={cache.lam} bounded={cache.bounded}"]
+    lines = [f"steps={list(cache.steps)} lam={cache.lam} bounded={cache.bounded}"]
     for name in ("reference", "long_term", "short_term", "pending", "current", "history"):
         seg: Segment = getattr(cache, name)
         copies = "+".join(c for c in ("keys", "rotated") if getattr(seg, c) is not None)

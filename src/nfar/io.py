@@ -95,10 +95,15 @@ def save_checkpoint(path, params: DenoiserParams) -> None:
             fh.write(p)
 
 
+def _clipped(text: str, most: int = 100) -> str:
+    """`text` for an error message: whole, or its first `most` characters and its length."""
+    return text if len(text) <= most else f"{text[:most]}... ({len(text)} characters)"
+
+
 def _some(names: list[str], most: int = 4) -> str:
-    """`names` for an error message: their count and at most `most` of them."""
+    """`names` for an error message: their count and at most `most` of them, each clipped."""
     more = f", ... {len(names) - most} more" if len(names) > most else ""
-    return f"{len(names)} ({', '.join(names[:most])}{more})"
+    return f"{len(names)} ({', '.join(map(_clipped, names[:most]))}{more})"
 
 
 def load_checkpoint(path) -> DenoiserParams:
@@ -132,7 +137,7 @@ def load_checkpoint(path) -> DenoiserParams:
             key, _, raw = line.partition(" = ")
             field = key[len("config."):]
             if field not in _CONFIG_FIELDS:
-                raise FormatError(f"{path}: unknown config field {field!r}")
+                raise FormatError(f"{path}: unknown config field {_clipped(repr(field))}")
             cfg_kwargs[field] = raw
         elif line.startswith("meta."):
             key, _, raw = line.partition(" = ")
@@ -143,13 +148,13 @@ def load_checkpoint(path) -> DenoiserParams:
                 entries.append((name, _TENSOR_DTYPES[dtype], int(offset),
                                 tuple(int(s) for s in shape.split(",")) if shape else ()))
             except (KeyError, ValueError) as err:
-                raise FormatError(f"{path}: bad tensor line {line!r}") from err
+                raise FormatError(f"{path}: bad tensor line {_clipped(repr(line))}") from err
         else:
-            raise FormatError(f"{path}: unrecognized manifest line {line!r}")
+            raise FormatError(f"{path}: unrecognized manifest line {_clipped(repr(line))}")
     end = 0
     for name, dt, offset, shape in entries:  # each tensor starts where the one before ends
         if offset != end:
-            raise FormatError(f"{path}: tensor {name} starts at byte {offset}, not {end}")
+            raise FormatError(f"{path}: tensor {_clipped(name)} starts at byte {offset}, not {end}")
         end += math.prod(shape) * dt.itemsize
     if end != len(payload):
         raise FormatError(f"{path}: the tensors take {end} bytes, the payload {len(payload)}")
@@ -157,7 +162,7 @@ def load_checkpoint(path) -> DenoiserParams:
         config = DenoiserConfig(**{f: float(raw) if f == "rope_base" else int(raw)
                                    for f, raw in cfg_kwargs.items()})
     except ValueError as err:
-        raise FormatError(f"{path}: bad config: {err}") from err
+        raise FormatError(f"{path}: bad config: {_clipped(str(err), 200)}") from err
     if n_tensors(config) > 2 * len(entries):
         raise FormatError(f"{path}: the config implies {n_tensors(config)} tensors, the file lists {len(entries)}")
     layout = param_layout(config)
@@ -169,7 +174,7 @@ def load_checkpoint(path) -> DenoiserParams:
         raise FormatError(f"{path}: missing tensors {_some(missing)}, unexpected tensors {_some(extra)}")
     for name, shape in found.items():
         if shape != layout[name][0]:
-            raise FormatError(f"{path}: tensor {name} has shape {shape}, expected {layout[name][0]}")
+            raise FormatError(f"{path}: tensor {name} has shape {_clipped(str(shape))}, expected {layout[name][0]}")
     values = {}
     for name, dt, offset, shape in entries:
         raw = payload[offset:offset + math.prod(shape) * dt.itemsize]
@@ -188,10 +193,10 @@ def parse_config_text(text: str, defaults: dict[str, str]) -> dict[str, str]:
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise FormatError(f"line {ln}: expected `key = value`, got {line!r}")
+            raise FormatError(f"line {ln}: expected `key = value`, got {_clipped(repr(line))}")
         key = key.strip()
         if key not in defaults:
-            raise FormatError(f"line {ln}: unknown key {key!r}")
+            raise FormatError(f"line {ln}: unknown key {_clipped(repr(key))}")
         out[key] = value.strip()
     return out
 

@@ -310,13 +310,14 @@ class ContextKV:
     once, where it was computed, by its position. A forward writes its own
     block's rotated keys and values into the rows after them and attends over
     `slab[l, :n_tokens + n]`, so the context is never copied. `keys` and
-    `vals` are read-only views of the context rows.
+    `vals` are read-only views of the context rows; `step_tag` is the
+    sampler step that produced them, and a forward at another step is refused.
     """
 
     slab_keys: np.ndarray
     slab_vals: np.ndarray
     positions: np.ndarray  # (n_tokens,)
-    step_tag: float | None = None
+    step_tag: float
 
     @property
     def n_tokens(self) -> int:
@@ -466,7 +467,7 @@ def denoiser_forward(
     key_pos = pos  # positions of the keys this forward computes: its tokens, then any memory
     n_keys = n
     if ctx is not None:
-        if ctx.step_tag is not None and ctx.step_tag != t:
+        if ctx.step_tag != t:
             raise StepTagError(f"cache step tag {ctx.step_tag} != forward step {t}")
         n_keys += ctx.n_tokens
         if ctx.slab_keys.dtype != dtype or x.ndim != 2 or ctx.slab_keys.shape[-2] < n_keys:

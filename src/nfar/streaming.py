@@ -1,8 +1,8 @@
 """Block-wise autoregressive generation with step-aligned KV reuse.
 
-One segmented cache per sampler grid step: within a step t, context K/V
-produced at t are reused append-only across blocks; after a block
-finalizes, every per-step cache rolls (compressing when bounded).
+One segmented cache with a sampler-step axis: within a step t, context
+K/V produced at t are reused append-only across blocks; after a block
+finalizes, the cache rolls once for every step (compressing when bounded).
 Includes the uncached full-recompute oracle, the zero-shot conditioning
 experiment, and latency/memory reporting. Every path runs the denoiser on
 the bare weights, so no forward builds a gradient tape, and computes each
@@ -19,7 +19,6 @@ import numpy as np
 from .blocks import BlockPlan
 from .convkv import (
     COMPRESSION_MODES,
-    SegmentedKVCache,
     cache_append,
     cache_context_view,
     cache_roll,
@@ -27,7 +26,6 @@ from .convkv import (
     set_reference,
 )
 from .model import (
-    BlockKV,
     DenoiserParams,
     StepConditioning,
     block_causal_mask,
@@ -48,10 +46,10 @@ class GenerationAborted(RuntimeError):
 @dataclass
 class GenerationReport:
     block_times: list[float] = field(default_factory=list)   # per block, cache roll included
-    roll_times: list[float] = field(default_factory=list)    # per block, its per-step cache rolls
+    roll_times: list[float] = field(default_factory=list)    # per block, its one cache roll over every step
     context_chunks: list[int] = field(default_factory=list)   # visible context per block
     context_floats: list[int] = field(default_factory=list)
-    kv_bytes: list[int] = field(default_factory=list)  # the caches' K/V bytes entering each block, then at the end
+    kv_bytes: list[int] = field(default_factory=list)  # the cache's K/V bytes (all steps) per block, then at the end
     dropped_spans: list[tuple[int, int]] = field(default_factory=list)
     total_chunks: int = 0
     use_convkv: bool = True
@@ -85,17 +83,13 @@ def _step_conditionings(params: DenoiserParams, cond, sampler: SamplerConfig) ->
     return batch, [batch.row(k) for k in range(t.size)]
 
 
-def _prefill_reference(weights, config, x_ref, cond, caches: list[SegmentedKVCache],
-                       steps: StepConditioning) -> None:
-    """Every cache's reference K/V from one forward over x_ref repeated once per step of `steps`."""
-    n_ref = x_ref.shape[0]
-    pos = np.arange(-n_ref, 0)
-    mask = np.ones((n_ref, n_ref))
-    batch = np.repeat(x_ref[None], len(caches), axis=0)
-    conds = np.broadcast_to(cond, (len(caches), np.size(cond)))
+def _prefill_reference(weights, config, x_ref, cond, cache, steps: StepConditioning) -> None:
+    """Every step's reference K/V from one forward over x_ref repeated once per step of `steps`."""
+    n_ref, n_steps = x_ref.shape[0], steps.t.size
+    pos, mask = np.arange(-n_ref, 0), np.ones((n_ref, n_ref))
+    batch, conds = np.repeat(x_ref[None], n_steps, axis=0), np.broadcast_to(cond, (n_steps, np.size(cond)))
     _, kv = denoiser_forward(weights, config, batch, pos, steps.t, conds, mask, conditioning=steps)
-    for k, cache in enumerate(caches):
-        set_reference(cache, BlockKV(*(a[:, k] for a in kv)), pos)
+    set_reference(cache, kv, pos)
 
 
 def generate_stream(
@@ -120,17 +114,13 @@ def generate_stream(
     dtype = weights["input.w"].dtype
     grid = sampler.grid
     batch, steps = _step_conditionings(params, cond, sampler)
-    caches = [
-        new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=batch.freqs,
-                  lam=config.compress_ratio, bounded=use_convkv, dtype=dtype, block_rows=max(plan.sizes))
-        for t in grid[:-1]
-    ]
-    _prefill_reference(weights, config, np.asarray(x_ref, dtype=dtype), cond, caches, batch)
-    conv = use_convkv and compression_mode == "conv"
-    compressor = (weights["compressor.w"], weights["compressor.b"]) if conv else None
+    cache = new_cache(config.n_layers, config.d_model, grid[:-1], batch.freqs, lam=config.compress_ratio,
+                      bounded=use_convkv, dtype=dtype, block_rows=max(plan.sizes))
+    _prefill_reference(weights, config, np.asarray(x_ref, dtype=dtype), cond, cache, batch)
+    compressor = weights["compressor.w"], weights["compressor.b"]  # read by conv-mode bounded rolls only
 
     rng = make_rng(seed, STREAM_GENERATE)
-    report = GenerationReport(use_convkv=use_convkv)
+    report = GenerationReport(total_chunks=plan.total_chunks, use_convkv=use_convkv)
     out = np.zeros((plan.total_chunks, config.d_latent), dtype=dtype)
     report.setup_seconds = time.monotonic() - start
     for b in range(plan.n_blocks):
@@ -138,30 +128,26 @@ def generate_stream(
         n = e - s
         positions = np.arange(s, e)
         x = rng.standard_normal((n, config.d_latent)).astype(dtype)
-        report.context_chunks.append(caches[0].context_chunks)
-        report.context_floats.append(caches[0].context_floats())
-        report.kv_bytes.append(sum(cache.kv_bytes for cache in caches))
+        report.context_chunks.append(cache.context_chunks)
+        report.context_floats.append(cache.context_floats())
+        report.kv_bytes.append(cache.kv_bytes)
         t0 = time.monotonic()
-        mask = np.ones((n, caches[0].context_chunks + n))  # every per-step cache shows the same context
+        mask = np.ones((n, cache.context_chunks + n))  # every step shows the same context
 
         def velocity(x, k):
-            ctx = cache_context_view(caches[k])
-            t = float(grid[k])
-            vel, kv = denoiser_forward(weights, config, x, positions, t, cond, mask, ctx=ctx,
-                                       conditioning=steps[k])
-            cache_append(caches[k], kv, positions, t)
+            vel, kv = denoiser_forward(weights, config, x, positions, float(grid[k]), cond, mask,
+                                       ctx=cache_context_view(cache, k), conditioning=steps[k])
+            cache_append(cache, kv, positions, k)
             return vel
 
         out[s:e] = _integrate_block(b, velocity, x, sampler)
         t1 = time.monotonic()
-        for cache in caches:
-            cache_roll(cache, compressor, mode=compression_mode)
+        cache_roll(cache, compressor, mode=compression_mode)
         t2 = time.monotonic()
         report.roll_times.append(t2 - t1)
         report.block_times.append(t2 - t0)
-    report.kv_bytes.append(sum(cache.kv_bytes for cache in caches))
-    report.total_chunks = plan.total_chunks
-    report.dropped_spans = caches[0].dropped_spans
+    report.kv_bytes.append(cache.kv_bytes)
+    report.dropped_spans = cache.dropped_spans
     return LatentSequence(out.astype(np.float64)), report
 
 
@@ -184,15 +170,12 @@ def generate_full_recompute(
     grid = sampler.grid
     batch, steps = _step_conditionings(params, cond, sampler)
     n_ref = x_ref.shape[0]
-    x_ref = np.asarray(x_ref, dtype=dtype)
-    # Reference chunks are inputs, not generated history: process them the
-    # same way the streaming path does, once per step.
-    # Their slabs have room for the longest forward, all plan.total_chunks tokens. Unbounded: only the
-    # reference is ever read, so no un-rotated keys or pending buffer are kept.
-    ref_caches = [new_cache(config.n_layers, config.d_model, step_tag=float(t), freqs=batch.freqs, bounded=False,
-                            dtype=dtype, block_rows=plan.total_chunks) for t in grid[:-1]]
-    _prefill_reference(weights, config, x_ref, cond, ref_caches, batch)
-    ref_ctx = [cache_context_view(c) for c in ref_caches]
+    # Reference chunks are inputs, not generated history: process them the same way the streaming path
+    # does, once per step. The slabs have room for the longest forward, all plan.total_chunks tokens.
+    # Unbounded: only the reference is ever read, so no un-rotated keys or pending buffer are kept.
+    ref_cache = new_cache(config.n_layers, config.d_model, grid[:-1], batch.freqs, bounded=False,
+                          dtype=dtype, block_rows=plan.total_chunks)
+    _prefill_reference(weights, config, np.asarray(x_ref, dtype=dtype), cond, ref_cache, batch)
 
     rng = make_rng(seed, STREAM_GENERATE)
     out = np.zeros((plan.total_chunks, config.d_latent), dtype=dtype)
@@ -203,16 +186,14 @@ def generate_full_recompute(
         n = e - s
         x = rng.standard_normal((n, config.d_latent)).astype(dtype)
         states: list[np.ndarray] = []
-        subplan = BlockPlan(plan.sizes[: b + 1])
-        chunk_mask = block_causal_mask(subplan)
-        mask = np.concatenate([np.ones((e, n_ref)), chunk_mask], axis=1)
+        mask = np.concatenate([np.ones((e, n_ref)), block_causal_mask(BlockPlan(plan.sizes[:b + 1]))], axis=1)
         positions = np.arange(e)
 
         def velocity(x, k):
             states.append(x)
             tokens = np.concatenate([traj[a][k] for a in range(b)] + [x])
             vel, _ = denoiser_forward(weights, config, tokens, positions, float(grid[k]), cond, mask,
-                                      ctx=ref_ctx[k], conditioning=steps[k])
+                                      ctx=cache_context_view(ref_cache, k), conditioning=steps[k])
             return vel[s:]
 
         out[s:e] = _integrate_block(b, velocity, x, sampler)

@@ -118,16 +118,16 @@ def test_08_averaging_fixed_point():
     K = rng.standard_normal((config.n_layers, 14, config.d_model))
     V = rng.standard_normal((config.n_layers, 14, config.d_model))
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
-    cache = new_cache(config.n_layers, config.d_model, step_tag=0.5, freqs=freqs)
+    cache = new_cache(config.n_layers, config.d_model, [0.5], freqs)
     for a, e in ((0, 6), (6, 14)):  # the second roll compresses windows [0, 5) and [5, 10)
         pos = list(range(a, e))
-        cache_append(cache, BlockKV(K[:, a:e], rope_apply(K[:, a:e], pos, freqs), V[:, a:e]), pos, 0.5)
+        cache_append(cache, BlockKV(K[:, a:e], rope_apply(K[:, a:e], pos, freqs), V[:, a:e]), pos, 0)
         cache_roll(cache, comp)
     lt = cache.long_term
     s = float(lt.positions[1])
-    err = max(np.abs(lt.keys[:, 1] - K[:, 5:10].mean(axis=1)).max(),
-              np.abs(lt.vals[:, 1] - V[:, 5:10].mean(axis=1)).max())
-    m_k = lt.keys[0, 1:2]
+    err = max(np.abs(lt.keys[:, 0, 1] - K[:, 5:10].mean(axis=1)).max(),
+              np.abs(lt.vals[:, 0, 1] - V[:, 5:10].mean(axis=1)).max())
+    m_k = lt.keys[0, 0, 1:2]  # layer 0 of the one step
     hd = config.head_dim
     consumed = rope_apply(Tensor(m_k[:, :hd]), np.array([s]), freqs).data[0]
     ang = s * freqs.freqs

@@ -128,6 +128,32 @@ def test_generate_refuses_a_checkpoint_claiming_many_layers_in_one_short_line(tm
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 1024, len(err)
 
 
+BIG = "x" * 2**20  # a 1 MB name, line or value
+
+
+@pytest.mark.parametrize("site", ["config_field", "tensor_line", "manifest_line", "tensor_name", "config_value",
+                                  "config_file_line", "config_file_key"])
+def test_a_megabyte_in_a_file_is_echoed_in_one_short_line(tmp_path, capsys, site):
+    ckpt, cfg, out = tmp_path / "m.ckpt", tmp_path / "run.cfg", tmp_path / "gen"
+    save_checkpoint(ckpt, init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+    edits = {"config_field": ("config.n_layers = 2\n", f"config.{BIG} = 2\n"),
+             "tensor_line": ("tensor output.b ", f"tensor output.b {BIG} "),
+             "manifest_line": ("payload\n", f"{BIG}\npayload\n"),
+             "tensor_name": ("tensor output.b ", f"tensor output.b{BIG} "),
+             "config_value": ("config.rope_base = 10000.0\n", f"config.rope_base = {BIG}\n")}
+    if site in edits:
+        old, new = (text.encode() for text in edits[site])
+        assert old in ckpt.read_bytes()
+        ckpt.write_bytes(ckpt.read_bytes().replace(old, new, 1))
+    cfg.write_text({"config_file_line": f"{BIG}\n", "config_file_key": f"{BIG} = 1\n"}.get(site, "seed = 1\n"))
+    capsys.readouterr()
+    assert exit_code(["--config", str(cfg), "generate", "--ckpt", str(ckpt), "--out", str(out),
+                      "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 1024, err[:200]
+    assert "characters)" in err and not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["missing", "misshaped", "zero_heads"])
 def test_generate_rejects_a_damaged_checkpoint(tmp_path, capsys, damage):
     params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0)

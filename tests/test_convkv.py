@@ -44,15 +44,16 @@ N_LAYERS, D_KV = 2, 16
 FREQS = RopeFrequencies.create(D_KV // 2, 10000.0)  # two heads, as in averaging_comp
 
 
-def fake_kv(positions, dtype=np.float64):
-    """Random K/V of chunks at `positions`, keys also rotated by them, as a forward returns it."""
-    keys, vals = RNG.standard_normal((2, N_LAYERS, len(positions), D_KV)).astype(dtype)
+def fake_kv(positions, dtype=np.float64, lead=()):
+    """Random K/V of chunks at `positions`, (N_LAYERS, *lead, n, D_KV), keys also rotated by them, as a
+    forward returns it."""
+    keys, vals = RNG.standard_normal((2, N_LAYERS, *lead, len(positions), D_KV)).astype(dtype)
     return BlockKV(keys, rope_apply(keys, positions, FREQS), vals)
 
 
-def make_ready_cache():
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS)
-    set_reference(cache, fake_kv([-2, -1]), [-2, -1])
+def make_ready_cache(steps=(0.5,), **kwargs):
+    cache = new_cache(N_LAYERS, D_KV, steps, FREQS, **kwargs)
+    set_reference(cache, fake_kv([-2, -1], lead=(len(steps),)), [-2, -1])
     return cache
 
 
@@ -67,39 +68,92 @@ def run_blocks(cache, comp, sizes, mode="conv"):
     pos = cache.next_chunk_id
     for n in sizes:
         positions = list(range(pos, pos + n))
-        cache_append(cache, fake_kv(positions), positions, 0.5)
+        cache_append(cache, fake_kv(positions), positions, 0)
         pos += n
         cache_roll(cache, comp, mode=mode)
     return pos
 
 
-def test_step_tag_enforced_on_append():
-    cache = make_ready_cache()
+STEPS = (0.75, 0.5, 0.25)
+
+
+def refused(cache, call):
+    """`call` raises CacheStepError and leaves the cache as it was."""
+    before = (snapshot(cache), cache.appended)
     with pytest.raises(CacheStepError):
-        cache_append(cache, fake_kv([0, 1, 2]), [0, 1, 2], 0.7)
+        call()
+    assert (snapshot(cache), cache.appended) == before
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_append_out_of_step_order_is_refused(bounded):
+    cache, block = make_ready_cache(STEPS, bounded=bounded), [0, 1, 2]
+    refused(cache, lambda: cache_append(cache, fake_kv(block), block, 1))
+    cache_append(cache, fake_kv(block), block, 0)
+    refused(cache, lambda: cache_append(cache, fake_kv(block), block, 2))
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_repeated_step_is_refused(bounded):
+    cache, block = make_ready_cache(STEPS, bounded=bounded), [0, 1, 2]
+    for k in range(len(STEPS)):
+        cache_append(cache, fake_kv(block), block, k)
+        refused(cache, lambda: cache_append(cache, fake_kv(block), block, k))
+    refused(cache, lambda: cache_append(cache, fake_kv(block), block, len(STEPS)))  # every step has appended
+    cache_roll(cache, None, mode="subsample")
+    refused(cache, lambda: cache_append(cache, fake_kv([3]), [3], 1))  # a new block starts at step 0
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_roll_before_every_step_has_appended_is_refused(bounded):
+    cache, block = make_ready_cache(STEPS, bounded=bounded), [0, 1, 2]
+    refused(cache, lambda: cache_roll(cache, None, mode="subsample"))
+    for k in range(len(STEPS)):
+        refused(cache, lambda: cache_roll(cache, None, mode="subsample"))
+        cache_append(cache, fake_kv(block), block, k)
+    cache_roll(cache, None, mode="subsample")
+    refused(cache, lambda: cache_roll(cache, None, mode="subsample"))
+
+
+def test_view_past_the_steps_is_refused_and_views_carry_their_step():
+    cache = make_ready_cache(STEPS)
+    for k in (len(STEPS), -1):
+        with pytest.raises(CacheStepError):
+            cache_context_view(cache, k)
+    views = [cache_context_view(cache, k) for k in range(len(STEPS))]
+    assert [ctx.step_tag for ctx in views] == list(STEPS)
+    for k, ctx in enumerate(views):  # step k's reference rows, and only step k's
+        assert np.array_equal(ctx.keys, cache.reference.rotated[:, k])
 
 
 def test_append_rejects_positions_that_do_not_continue():
-    cache = make_ready_cache()
-    cache_append(cache, fake_kv([0, 1, 2]), [0, 1, 2], 0.5)
-    for bad in ([4, 5, 6], [2, 3, 4], [3, 5, 4]):
+    cache = make_ready_cache((0.5, 0.25))
+    for k in range(2):
+        cache_append(cache, fake_kv([0, 1, 2]), [0, 1, 2], k)
+    cache_roll(cache, None, mode="subsample")
+    for bad in ([4, 5, 6], [2, 3, 4], [3, 5, 4]):  # step 0 continues from the last block
         with pytest.raises(ValueError):
-            cache_append(cache, fake_kv(bad), bad, 0.5)
-    cache_append(cache, fake_kv([3, 4, 5]), [3, 4, 5], 0.5)
+            cache_append(cache, fake_kv(bad), bad, 0)
+    cache_append(cache, fake_kv([3, 4, 5]), [3, 4, 5], 0)
+    for bad in ([4, 5, 6], [3, 4], [3, 4, 5, 6]):  # a later step repeats step 0's positions
+        with pytest.raises(ValueError):
+            cache_append(cache, fake_kv(bad), bad, 1)
+    cache_append(cache, fake_kv([3, 4, 5]), [3, 4, 5], 1)
 
 
 def test_reference_capacity_enforced():
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS)
-    with pytest.raises(ValueError):
-        set_reference(cache, fake_kv([-3, -2, -1]), [-3, -2, -1])
+    cache = new_cache(N_LAYERS, D_KV, [0.5], FREQS)
+    for bad in (fake_kv([-3, -2, -1], lead=(1,)), fake_kv([-2, -1]), fake_kv([-2, -1], lead=(2,))):
+        with pytest.raises(ValueError):
+            set_reference(cache, bad, list(range(-bad.vals.shape[-2], 0)))
 
 
 def test_append_is_append_only():
     cache = make_ready_cache()
-    cache_append(cache, fake_kv(range(6)), list(range(6)), 0.5)
+    cache_append(cache, fake_kv(range(6)), list(range(6)), 0)
     cache_roll(cache, averaging_comp())
     before = cache.non_current_digest()
-    cache_append(cache, fake_kv(range(6, 14)), list(range(6, 14)), 0.5)
+    cache_append(cache, fake_kv(range(6, 14)), list(range(6, 14)), 0)
     assert cache.non_current_digest() == before
 
 
@@ -177,7 +231,7 @@ def test_rope_reset_angle_matches_position_s():
     run_blocks(cache, averaging_comp(), [6, 8])
     freqs = RopeFrequencies.create(D_KV, 10000.0)
     s = float(cache.long_term.positions[1])
-    stored = cache.long_term.keys[0][1:2]
+    stored = cache.long_term.keys[0, 0, 1:2]
     consumed = rope_apply(Tensor(stored), np.array([s]), freqs).data[0]
     half = D_KV // 2
     ang = s * freqs.freqs
@@ -192,7 +246,7 @@ def test_rope_reset_angle_matches_position_s():
 def test_context_view_order_and_labels():
     cache = make_ready_cache()
     run_blocks(cache, averaging_comp(), [6, 8, 8])
-    ctx = cache_context_view(cache)
+    ctx = cache_context_view(cache, 0)
     labels = [name for name in LAYOUT for _ in range(cache.counts[name])]  # context rows' segments
     assert labels == ["reference"] * 2 + ["long_term"] * 2 + ["short_term"] * 2
     assert ctx.positions.tolist() == [-2, -1, 10, 15, 20, 21]
@@ -201,8 +255,7 @@ def test_context_view_order_and_labels():
 
 
 def test_unbounded_mode_accumulates_history():
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
-    set_reference(cache, fake_kv([-2, -1]), [-2, -1])
+    cache = make_ready_cache(bounded=False)
     run_blocks(cache, None, [6, 8, 8])
     assert cache.history.n_chunks == 22
     assert cache.context_chunks == 24
@@ -220,7 +273,7 @@ def test_roll_rejects_a_bad_compressor_or_mode():
     W, b = averaging_comp()
     for comp, mode in (((W[:, :3], b), "conv"), (None, "conv"), ((W, b), "average")):
         cache = make_ready_cache()
-        cache_append(cache, fake_kv(range(8)), list(range(8)), 0.5)
+        cache_append(cache, fake_kv(range(8)), list(range(8)), 0)
         with pytest.raises(ValueError):
             cache_roll(cache, comp, mode=mode)
 
@@ -233,16 +286,16 @@ def test_snapshot_mentions_every_segment():
 
 def test_float32_cache_stays_float32():
     for weight_dtype in (np.float32, np.float64):  # the cache's dtype wins over the weights'
-        cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, dtype=np.float32)
-        set_reference(cache, fake_kv([-2, -1], np.float32), [-2, -1])
+        cache = new_cache(N_LAYERS, D_KV, [0.5], FREQS, dtype=np.float32)
+        set_reference(cache, fake_kv([-2, -1], np.float32, lead=(1,)), [-2, -1])
         comp = tuple(a.astype(weight_dtype) for a in averaging_comp())
         pos = 0
         for n in (6, 8, 8):
             positions = list(range(pos, pos + n))
-            cache_append(cache, fake_kv(positions, np.float32), positions, 0.5)
+            cache_append(cache, fake_kv(positions, np.float32), positions, 0)
             pos += n
             cache_roll(cache, comp)
-        ctx = cache_context_view(cache)
+        ctx = cache_context_view(cache, 0)
         assert ctx.keys.dtype == np.float32 and ctx.vals.dtype == np.float32
 
 
@@ -278,14 +331,14 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
                                  memory=memory)
         assert len(trained) == 2 * config.n_layers  # per layer: keys, then values
 
-        cache = new_cache(config.n_layers, config.d_model, step_tag=0.5, lam=lam, dtype=dtype,
+        cache = new_cache(config.n_layers, config.d_model, [0.5], lam=lam, dtype=dtype,
                           freqs=RopeFrequencies.create(config.head_dim, config.rope_base))
         rolled = {}
         for a, e in ((0, 6), (6, 14), (14, 22)):
-            cache_append(cache, BlockKV(*(arr[:, a:e] for arr in kv)), list(range(a, e)), 0.5)
+            cache_append(cache, BlockKV(*(arr[:, a:e] for arr in kv)), list(range(a, e)), 0)
             cache_roll(cache, (params.values["compressor.w"], params.values["compressor.b"]))
             for i, span in enumerate(cache.long_term.spans):
-                rolled[span] = (cache.long_term.keys[:, i], cache.long_term.vals[:, i])
+                rolled[span] = (cache.long_term.keys[:, 0, i], cache.long_term.vals[:, 0, i])
         for w in range(n_win):
             keys, vals = rolled[(w * lam, (w + 1) * lam)]
             for l in range(config.n_layers):
@@ -302,7 +355,7 @@ def roll_and_check(sizes, mode, dtype, lam=5):
     W, b = averaging_comp(lam)
     W = (W + 0.05 * RNG.standard_normal(W.shape)).astype(dtype)
     b = b.astype(dtype)
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, lam=lam, dtype=dtype)
+    cache = new_cache(N_LAYERS, D_KV, [0.5], FREQS, lam=lam, dtype=dtype)
     raw_k = np.zeros((N_LAYERS, 0, D_KV), dtype=dtype)
     raw_v = np.zeros((N_LAYERS, 0, D_KV), dtype=dtype)
     most_windows = most_evicted = 0
@@ -313,7 +366,7 @@ def roll_and_check(sizes, mode, dtype, lam=5):
         raw_v = np.concatenate([raw_v, kv.vals], axis=1)
         before = cache.dropped_spans + cache.long_term.spans
         dropped_before = len(cache.dropped_spans)
-        cache_append(cache, kv, positions, 0.5)
+        cache_append(cache, kv, positions, 0)
         cache_roll(cache, (W, b), mode=mode)
 
         acc = coverage_accounting(cache)
@@ -341,8 +394,8 @@ def roll_and_check(sizes, mode, dtype, lam=5):
                 want_v = window_products(raw_v[:, s:e], W[N_LAYERS:], b[N_LAYERS:])[:, 0]
             else:
                 want_k, want_v = raw_k[:, s], raw_v[:, s]
-            assert np.array_equal(cache.long_term.keys[:, i], want_k)
-            assert np.array_equal(cache.long_term.vals[:, i], want_v)
+            assert np.array_equal(cache.long_term.keys[:, 0, i], want_k)
+            assert np.array_equal(cache.long_term.vals[:, 0, i], want_v)
     return most_windows, most_evicted
 
 
@@ -362,11 +415,50 @@ def test_roll_ledger_covers_multi_window_rolls():
     assert most_windows >= 3 and most_evicted > 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_steps=st.integers(1, 4), lam=st.integers(1, 6), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+       dtype=st.sampled_from([np.float64, np.float32]), kind=st.sampled_from(["conv", "subsample", "unbounded"]))
+def test_each_step_equals_a_one_step_cache(n_steps, lam, sizes, dtype, kind):
+    # Step k of a T-step cache holds, bit for bit, what a one-step cache fed
+    # step k's K/V holds, after every append and every roll. Blocks of more
+    # than 8 chunks double the slabs at their append.
+    W, b = averaging_comp(lam)
+    comp = ((W + 0.05 * RNG.standard_normal(W.shape)).astype(dtype), b.astype(dtype))
+    mode, steps = "conv" if kind == "unbounded" else kind, np.linspace(1.0, 0.0, n_steps, endpoint=False)
+    cache = new_cache(N_LAYERS, D_KV, steps, FREQS, lam, kind != "unbounded", dtype)
+    ref = fake_kv([-2, -1], dtype, (n_steps,))
+    set_reference(cache, ref, [-2, -1])
+    ones = [new_cache(N_LAYERS, D_KV, [t], FREQS, lam, cache.bounded, dtype) for t in steps]
+    for k, one in enumerate(ones):
+        set_reference(one, BlockKV(*(a[:, k:k + 1] for a in ref)), [-2, -1])
+
+    def same(k):
+        one, filled = ones[k], cache.context_chunks + cache.counts["current"]
+        for slab, one_slab in zip(cache.slabs, one.slabs, strict=True):
+            assert np.array_equal(slab[:, k, :filled], one_slab[:, 0, :filled])
+        assert np.array_equal(cache.positions[:filled], one.positions[:filled])
+        pending = cache.counts["pending"]
+        assert np.array_equal(cache.pending_kv[:, :, k, :pending], one.pending_kv[:, :, 0, :pending])
+        assert (cache.counts, cache.next_chunk_id) == (one.counts, one.next_chunk_id)
+        assert coverage_accounting(cache) == coverage_accounting(one)
+
+    for n in sizes:
+        positions = list(range(cache.next_chunk_id, cache.next_chunk_id + n))
+        kv = fake_kv(positions, dtype, lead=(n_steps,))
+        for k in range(n_steps):
+            cache_append(cache, BlockKV(*(a[:, k] for a in kv)), positions, k)
+            cache_append(ones[k], BlockKV(*(a[:, k] for a in kv)), positions, 0)
+            same(k)
+        cache_roll(cache, comp, mode=mode)
+        for k in range(n_steps):
+            cache_roll(ones[k], comp, mode=mode)
+            same(k)
+
+
 def test_context_views_are_read_only_and_outlive_later_rolls():
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
-    set_reference(cache, fake_kv([-2, -1]), [-2, -1])
+    cache = make_ready_cache(bounded=False)
     run_blocks(cache, None, [6])
-    early = cache_context_view(cache)
+    early = cache_context_view(cache, 0)
     kept = (early.keys.copy(), early.vals.copy())
     capacity = cache.positions.size
     for arr in (early.keys, early.vals, early.positions):
@@ -374,23 +466,20 @@ def test_context_views_are_read_only_and_outlive_later_rolls():
             arr[0] = 0.0
     run_blocks(cache, None, [8] * (capacity // 8 + 2))  # enough rows to double the capacity
     assert cache.positions.size > capacity
-    late = cache_context_view(cache)
+    late = cache_context_view(cache, 0)
     for a, a1, a0 in zip((early.keys, early.vals), (late.keys, late.vals), kept):
         assert np.array_equal(a, a0)
         assert np.array_equal(a1[:, :a0.shape[1]], a0)
     assert np.array_equal(late.positions, np.arange(-2, cache.next_chunk_id))
     bounded = make_ready_cache()
     run_blocks(bounded, averaging_comp(), [6, 8])
-    ctx = cache_context_view(bounded)
+    ctx = cache_context_view(bounded, 0)
     with pytest.raises(ValueError):
         ctx.keys[0, 0, 0] = 1.0
 
 
 def test_digests_cover_the_rotated_copies():
-    for cache, comp in ((make_ready_cache(), averaging_comp()),
-                        (new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False), None)):
-        if not cache.bounded:
-            set_reference(cache, fake_kv([-2, -1]), [-2, -1])
+    for cache, comp in ((make_ready_cache(), averaging_comp()), (make_ready_cache(bounded=False), None)):
         run_blocks(cache, comp, [6, 8, 8])
         for name in ("reference", "short_term", "long_term", "history"):
             seg = getattr(cache, name)
@@ -403,15 +492,15 @@ def test_digests_cover_the_rotated_copies():
 
 
 def test_unbounded_reference_goes_before_any_chunk():
-    cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS, bounded=False)
+    cache = new_cache(N_LAYERS, D_KV, [0.5], FREQS, bounded=False)
     run_blocks(cache, None, [6])
     with pytest.raises(ValueError):
-        set_reference(cache, fake_kv([-2, -1]), [-2, -1])
+        set_reference(cache, fake_kv([-2, -1], lead=(1,)), [-2, -1])
 
 
 def test_new_cache_rejects_frequencies_that_do_not_fit():
     with pytest.raises(ValueError):
-        new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=RopeFrequencies.create(6, 10000.0))
+        new_cache(N_LAYERS, D_KV, [0.5], RopeFrequencies.create(6, 10000.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -433,23 +522,23 @@ def test_streamed_context_keys_are_rotated_once(sizes, bounded, dtype, n_steps, 
     cond = rng.standard_normal(config.d_cond)
     plan, sampler = BlockPlan(tuple(sizes)), SamplerConfig.uniform(n_steps)
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
-    raw: dict[int, list] = {}  # per cache: reference keys, then every appended block's keys
+    raw = []  # per step: reference keys, then every appended block's keys
     views = []
 
     def recording_reference(cache, kv, positions):
-        raw[id(cache)] = [kv.keys]
+        raw.extend([kv.keys[:, k]] for k in range(len(cache.steps)))
         set_reference(cache, kv, positions)
 
-    def recording_append(cache, kv, positions, step):
-        raw[id(cache)].append(kv.keys)
-        cache_append(cache, kv, positions, step)
+    def recording_append(cache, kv, positions, k):
+        raw[k].append(kv.keys)
+        cache_append(cache, kv, positions, k)
 
-    def checking_view(cache):
-        ctx = cache_context_view(cache)
+    def checking_view(cache, k):
+        ctx = cache_context_view(cache, k)
         if cache.bounded:
-            unrotated = np.concatenate([raw[id(cache)][0], cache.long_term.keys, cache.short_term.keys], axis=1)
+            unrotated = np.concatenate([raw[k][0], cache.long_term.keys[:, k], cache.short_term.keys[:, k]], axis=1)
         else:
-            unrotated = np.concatenate(raw[id(cache)], axis=1)
+            unrotated = np.concatenate(raw[k], axis=1)
         assert ctx.keys.dtype == np.dtype(dtype)
         assert not any(a.flags.writeable for a in (ctx.keys, ctx.vals))
         assert np.array_equal(ctx.keys, rope_apply(unrotated, ctx.positions, freqs))
@@ -490,13 +579,13 @@ def test_slab_views_show_only_filled_rows_and_keep_them(sizes, bounded, dtype, n
     cond = rng.standard_normal(config.d_cond)
     plan, sampler = BlockPlan(tuple(sizes)), SamplerConfig.uniform(n_steps)
     held = []  # unbounded: every view with copies of what it showed
-    storage = {}  # bounded: each cache's slab and pending data pointers and K/V bytes
+    storage = {}  # bounded: the cache's slab and pending data pointers and K/V bytes
 
     def pointers(cache):
         return [a.__array_interface__["data"][0] for a in (*cache.slabs, cache.pending_kv)] + [cache.kv_bytes]
 
-    def checking_view(cache):
-        ctx = cache_context_view(cache)
+    def checking_view(cache, k):
+        ctx = cache_context_view(cache, k)
         assert ctx.n_tokens == cache.context_chunks
         assert ctx.keys.shape == ctx.vals.shape == (n_layers, ctx.n_tokens, config.d_model)
         assert ctx.slab_keys.shape[1] >= ctx.n_tokens + max(sizes)  # room for the block
@@ -515,7 +604,7 @@ def test_slab_views_show_only_filled_rows_and_keep_them(sizes, bounded, dtype, n
     with mock.patch.object(streaming, "cache_context_view", checking_view), \
             mock.patch.object(streaming, "cache_roll", checking_roll):
         streaming.generate_stream(params, x_ref, cond, plan, sampler, use_convkv=bounded, seed=seed)
-    assert len(storage) == (n_steps if bounded else 0)
+    assert len(storage) == (1 if bounded else 0)
     for ctx, keys, vals, positions in held:
         assert np.array_equal(ctx.keys, keys) and np.array_equal(ctx.vals, vals)
         assert np.array_equal(ctx.positions, positions)
@@ -530,11 +619,11 @@ def rolled_long_term(config, compressor):
     """Long-term keys and values of a bounded cache rolled over blocks (6, 8) of fixed K/V with `compressor`."""
     rng = np.random.default_rng(7)
     freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
-    cache = new_cache(config.n_layers, config.d_model, step_tag=0.5, freqs=freqs, lam=config.compress_ratio)
+    cache = new_cache(config.n_layers, config.d_model, [0.5], freqs, lam=config.compress_ratio)
     for s, n in ((0, 6), (6, 8)):
         keys, vals = rng.standard_normal((2, config.n_layers, n, config.d_model))
         positions = np.arange(s, s + n)
-        cache_append(cache, BlockKV(keys, rope_apply(keys, positions, freqs), vals), positions, 0.5)
+        cache_append(cache, BlockKV(keys, rope_apply(keys, positions, freqs), vals), positions, 0)
         cache_roll(cache, compressor)
     return cache.long_term.keys, cache.long_term.vals
 
@@ -587,13 +676,13 @@ def test_roll_after_an_in_place_edit_compresses_with_the_edited_weights():
     averaging = [params.values[name].copy() for name in ("compressor.w", "compressor.b")]
     params.values["compressor.w"][0] *= 2.0
     params.values["compressor.b"][N_LAYERS + 1] += 1.0
-    ref, blocks = fake_kv([-2, -1]), [fake_kv(range(s, s + 8)) for s in (0, 8)]
+    ref, blocks = fake_kv([-2, -1], lead=(1,)), [fake_kv(range(s, s + 8)) for s in (0, 8)]
 
     def long_term(comp):
-        cache = new_cache(N_LAYERS, D_KV, step_tag=0.5, freqs=FREQS)
+        cache = new_cache(N_LAYERS, D_KV, [0.5], FREQS)
         set_reference(cache, ref, [-2, -1])
         for s, kv in zip((0, 8), blocks):
-            cache_append(cache, kv, np.arange(s, s + 8), 0.5)
+            cache_append(cache, kv, np.arange(s, s + 8), 0)
             cache_roll(cache, comp)
         return cache.long_term
 

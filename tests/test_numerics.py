@@ -357,19 +357,24 @@ def test_conv1d_strided_gradient_and_remainder():
 
 def test_window_products_rows_do_not_depend_on_batching():
     # Each window must equal its own 1-row product, however many windows and
-    # kernels share the call: the inference cache relies on it.
-    k, c = 5, 8
+    # kernels share the call, and with a leading sampler-step axis the
+    # kernels broadcast over: the inference cache's one roll relies on it.
+    k, c, steps = 5, 8, 3
     for dtype in (np.float64, np.float32):
         W = RNG.standard_normal((4, k, c, c)).astype(dtype)
         b = RNG.standard_normal((4, c)).astype(dtype)
         for n in (1, 2, 3, 7):
-            x = RNG.standard_normal((4, n * k + 2, c)).astype(dtype)
-            out = window_products(x, W, b)
-            assert out.shape == (4, n, c) and out.dtype == dtype
+            x = RNG.standard_normal((4, steps, n * k + 2, c)).astype(dtype)
+            out = window_products(x[:, 0], W, b)
+            stepped = window_products(x, W[:, None], b[:, None])
+            assert out.shape == (4, n, c) and stepped.shape == (4, steps, n, c)
+            assert out.dtype == stepped.dtype == dtype
             for j in range(4):
-                for p in range(n):
-                    row = x[j, p * k:(p + 1) * k].reshape(1, k * c) @ W[j].reshape(k * c, c) + b[j]
-                    assert np.array_equal(out[j, p], row[0])
+                for s in range(steps):
+                    for p in range(n):
+                        row = x[j, s, p * k:(p + 1) * k].reshape(1, k * c) @ W[j].reshape(k * c, c) + b[j]
+                        assert np.array_equal(stepped[j, s, p], row[0])
+                        assert s > 0 or np.array_equal(out[j, p], row[0])
 
 
 def test_conv1d_rejects_bad_weights_and_short_input():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nfar import streaming
 from nfar.blocks import BlockPlan
 from nfar.checks import TINY, randomized_params
-from nfar.convkv import new_cache
+from nfar.convkv import cache_roll, new_cache
 from nfar.model import DenoiserConfig, denoiser_forward, init_params, step_conditioning
 from nfar.numerics import Tensor
 from nfar.schedule import SamplerConfig
@@ -130,7 +130,7 @@ def test_generation_builds_no_tape(monkeypatch):
 
 def test_oracle_asks_only_for_unbounded_caches(monkeypatch):
     # The oracle reads only each step's reference rows, so it needs no
-    # un-rotated key slab and no pending buffer, which bounded caches carry.
+    # un-rotated key slab and no pending buffer, which a bounded cache carries.
     params, x_ref, cond = toy_setup()
     asked = []
 
@@ -141,7 +141,28 @@ def test_oracle_asks_only_for_unbounded_caches(monkeypatch):
 
     monkeypatch.setattr(streaming, "new_cache", spy)
     generate_full_recompute(params, x_ref, cond, BlockPlan.default(2), SAMPLER, seed=1)
-    assert asked == [False] * SAMPLER.n_steps
+    assert asked == [False]
+
+
+@pytest.mark.parametrize("use_convkv", [True, False])
+def test_a_stream_makes_one_cache_and_rolls_it_once_per_block(monkeypatch, use_convkv):
+    params, x_ref, cond = toy_setup()
+    made, rolls = [], []
+
+    def making(*args, **kwargs):
+        made.append(new_cache(*args, **kwargs))
+        return made[-1]
+
+    def rolling(cache, *args, **kwargs):
+        rolls.append(cache)
+        cache_roll(cache, *args, **kwargs)
+
+    monkeypatch.setattr(streaming, "new_cache", making)
+    monkeypatch.setattr(streaming, "cache_roll", rolling)
+    plan = BlockPlan.default(5)
+    generate_stream(params, x_ref, cond, plan, SAMPLER, use_convkv=use_convkv, seed=1)
+    assert len(made) == 1 and made[0].steps == tuple(SAMPLER.grid[:-1])
+    assert len(rolls) == plan.n_blocks and all(cache is made[0] for cache in rolls)
 
 
 @pytest.mark.parametrize("use_convkv", [True, False])
@@ -210,16 +231,15 @@ def test_batched_setup_equals_one_step_at_a_time(n_steps, dtype, n_layers, n_hea
     cond = rng.standard_normal(config.d_cond)
     sampler = SamplerConfig.uniform(n_steps)
     batch, steps = streaming._step_conditionings(params, cond, sampler)
-    caches = [new_cache(config.n_layers, config.d_model, float(t), batch.freqs, dtype=dtype)
-              for t in sampler.grid[:-1]]
-    streaming._prefill_reference(params.values, config, x_ref, cond, caches, batch)
-    assert len(steps) == len(caches) == n_steps
-    for t, step, cache in zip(sampler.grid[:-1], steps, caches):
+    cache = new_cache(config.n_layers, config.d_model, sampler.grid[:-1], batch.freqs, dtype=dtype)
+    streaming._prefill_reference(params.values, config, x_ref, cond, cache, batch)
+    assert len(steps) == len(cache.steps) == n_steps
+    ref = cache.reference
+    for k, (t, step) in enumerate(zip(sampler.grid[:-1], steps)):
         one = step_conditioning(params.values, config, float(t), cond)
         assert type(step.t) is float and step.t == one.t
         for got, want in zip(conditioning_arrays(step), conditioning_arrays(one), strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
         _, kv = denoiser_forward(params.values, config, x_ref, np.arange(-2, 0), float(t), cond, np.ones((2, 2)))
-        ref = cache.reference
         for got, want in ((ref.keys, kv.keys), (ref.rotated, kv.rotated), (ref.vals, kv.vals)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.dtype == want.dtype and np.array_equal(got[:, k], want)
