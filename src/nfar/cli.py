@@ -29,6 +29,14 @@ EXIT_USAGE = 2
 EXIT_ABORTED = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors echo a long value clipped, as the file readers' errors do;
+    its subparsers are made of this class too."""
+
+    def error(self, message):
+        super().error(io._clipped(message, 200))
+
+
 def _echo_config(out_dir: Path, args: argparse.Namespace, keys: list[str]) -> None:
     resolved = {k: str(getattr(args, k)) for k in keys}
     (out_dir / "config.txt").write_text(io.dump_config_text(resolved), encoding="utf-8")
@@ -241,7 +249,7 @@ def cmd_zeroshot(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nfar",
         description="Step-consistent block-autoregressive latent generation with bounded KV memory.",
     )
@@ -311,7 +319,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     same checks as flags, can supply a required flag, and lose to an
     explicit flag, which comes later.
     """
-    top = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    top = _Parser(prog=parser.prog, add_help=False)
     top.add_argument("--config")
     top.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand and everything after it
     known, _ = top.parse_known_args(argv)

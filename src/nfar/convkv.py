@@ -37,6 +37,9 @@ position p covers chunk p, a long-term row the window [p, p + lam). After a
 roll with N chunks whose last block had n, short-term holds s = min(2, n),
 W = (N - s) // lam windows have formed, long-term holds min(W, 2) of them,
 pending N - s - lam*W chunks, and lam*(W - min(W, 2)) ids are dropped.
+`bounded_view` applies this closed form to every block of a plan: the
+chunk-level mask of what each block sees through the cache, which stage-2
+training and the bounded full-recompute oracle attend under.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import BlockPlan
 from .model import REF_CAPACITY, BlockKV, ContextKV, RopeFrequencies, rope_apply
 from .numerics import window_products
 
@@ -295,6 +299,31 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
     cache.appended = 0
     if used:
         cache.pending_kv[..., :q - used, :] = cache.pending_kv[..., used:q, :]
+
+
+def bounded_view(plan: BlockPlan, lam: int) -> np.ndarray:
+    """What each block of `plan` sees through a bounded cache of window `lam`, as a chunk-level (F, F + W) mask.
+
+    Column F + w is memory window w, the raw chunks [lam*w, lam*w + lam), and W
+    the windows formed before the last block. By the closed form above, a
+    block after N chunks, whose previous block had n, sees its own block, the
+    short-term chunks [N - s, N) with s = min(SHORT_TERM_CAPACITY, n), and the
+    newest min(W_b, LONG_TERM_CAPACITY) of the W_b = (N - s) // lam windows
+    formed; pending and dropped chunks are hidden. The reference, which every
+    block sees, is left to `model.expand_mask_with_ref`.
+    """
+
+    def first_short_term(b: int) -> int:
+        return plan.starts[b] - (min(SHORT_TERM_CAPACITY, plan.sizes[b - 1]) if b else 0)
+
+    F = plan.total_chunks
+    mask = np.zeros((F, F + first_short_term(plan.n_blocks - 1) // lam))  # N - s never falls from block to block
+    for b in range(plan.n_blocks):
+        (start, end), first = plan.chunk_range(b), first_short_term(b)
+        windows = first // lam
+        mask[start:end, first:end] = 1.0
+        mask[start:end, F + max(0, windows - LONG_TERM_CAPACITY):F + windows] = 1.0
+    return mask
 
 
 def cache_context_view(cache: SegmentedKVCache, k: int) -> ContextKV:

@@ -239,28 +239,34 @@ _MANIFEST_KEYS = {
 def load_dataset(directory) -> tuple[Dataset, dict[str, str]]:
     """Read a `save_dataset` directory. Refused with a FormatError before any latent
     file is read: a manifest with an unknown key, or with `n_sequences`, `n_frames`
-    or `latent_dim` not a non-negative integer. Each file is then checked by
+    or `latent_dim` not a non-negative integer; a manifest number that does not
+    parse is named with its value clipped. Each file is then checked by
     `read_latents`, the maps against the manifest's Lipschitz constants, and every
     sequence against the manifest's sizes."""
     d = Path(directory)
     manifest = parse_config_text((d / "manifest.txt").read_text(encoding="utf-8"), _MANIFEST_KEYS)
+
+    def number(key: str, kind):
+        try:
+            return kind(manifest[key])
+        except ValueError as err:
+            raise FormatError(f"{directory}: manifest {key} is not {'an integer' if kind is int else 'a number'}: "
+                              f"{_clipped(repr(manifest[key]))}") from err
+
     sizes = ("n_sequences", "n_frames", "latent_dim")
-    try:
-        n, frames, dim = (int(manifest[k]) for k in sizes)
-    except ValueError as err:
-        raise FormatError(f"{directory}: manifest sizes are not integers") from err
+    n, frames, dim = (number(k, int) for k in sizes)
     for key, size in zip(sizes, (n, frames, dim)):
         if size < 0:
             raise FormatError(f"{directory}: manifest {key} is negative ({size})")
     dyn = LatentDynamics(
         render_weight=read_latents(d / "render_weight.bin"),
         encoder=read_latents(d / "encoder.bin"),
-        delta_u=float(manifest["delta_u"]),
-        residual_bound=float(manifest["residual_bound"]),
+        delta_u=number("delta_u", float),
+        residual_bound=number("residual_bound", float),
     )
     for key, stored in (("lipschitz_render", dyn.lipschitz_render),
                         ("lipschitz_encoder", dyn.lipschitz_encoder)):
-        if abs(float(manifest[key]) - stored) > 1e-9:
+        if abs(number(key, float) - stored) > 1e-9:
             raise FormatError(f"{directory}: manifest {key} disagrees with stored maps")
     seqs = [read_latents(d / f"seq_{i:05d}.bin") for i in range(n)]
     for i, z in enumerate(seqs):

@@ -340,20 +340,24 @@ def _read_only_rows(slab: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InlineMemorySpec:
-    """Training-time compressed-memory layout (stage 2).
+    """Training-time compressed memory (stage 2): the token rows [start, start + n_mem * ratio), convolved
+    down by `ratio` into n_mem memory tokens, appended after all raw tokens on the key axis, each at the
+    position of its window's first token."""
 
-    Each span [s, e) of token rows is convolved down by `ratio`; the
-    resulting memory tokens are appended after all raw tokens on the key
-    axis, carrying the span's window start positions.
-    """
-
-    spans: tuple[tuple[int, int], ...]
-    mem_positions: tuple[float, ...]
+    start: int
+    n_mem: int
     ratio: int
 
     @property
-    def n_mem(self) -> int:
-        return sum((e - s) // self.ratio for s, e in self.spans)
+    def span(self) -> slice:
+        return slice(self.start, self.start + self.n_mem * self.ratio)
+
+
+def token_view(chunk_mask: np.ndarray, n_ref: int, ratio: int) -> tuple[np.ndarray, InlineMemorySpec | None]:
+    """The token-level mask of a chunk-level (F, F + W) mask, whose last W columns are memory windows of
+    `ratio` chunks from chunk 0, and the inline memory that computes them (None when W is 0)."""
+    n_mem = chunk_mask.shape[1] - chunk_mask.shape[0]
+    return expand_mask_with_ref(chunk_mask, n_ref), InlineMemorySpec(n_ref, n_mem, ratio) if n_mem else None
 
 
 class StepTagError(ValueError):
@@ -475,7 +479,7 @@ def denoiser_forward(
                              f"{x.shape[:-1]} {dtype} tokens after {ctx.n_tokens} context rows")
     elif memory is not None:
         n_keys += memory.n_mem
-        key_pos = np.concatenate([pos, np.asarray(memory.mem_positions, dtype=np.float64)])
+        key_pos = np.concatenate([pos, pos[memory.span][::memory.ratio]])
     if mask.shape != (n, n_keys):
         raise ShapeError(f"mask shape {mask.shape} != ({n}, {n_keys})")
     if conditioning is None:
@@ -501,11 +505,8 @@ def denoiser_forward(
 
         if memory is not None:
             w, b, lv = ptensors["compressor.w"], ptensors["compressor.b"], config.n_layers + l
-            mem_ks, mem_vs = [], []
-            for s, e in memory.spans:
-                mem_ks.append(conv1d_strided(slice2d(k, rows=slice(s, e)), w[l], b[l]))
-                mem_vs.append(conv1d_strided(slice2d(v, rows=slice(s, e)), w[lv], b[lv]))
-            k, v = concat([k] + mem_ks), concat([v] + mem_vs)
+            k = concat([k, conv1d_strided(slice2d(k, rows=memory.span), w[l], b[l])])
+            v = concat([v, conv1d_strided(slice2d(v, rows=memory.span), w[lv], b[lv])])
         k = rope_apply(k, key_pos, freqs, key_angles)
         rotated.append(data_of(k)[..., :n, :])
         if ctx is not None:

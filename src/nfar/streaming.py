@@ -19,6 +19,7 @@ import numpy as np
 from .blocks import BlockPlan
 from .convkv import (
     COMPRESSION_MODES,
+    bounded_view,
     cache_append,
     cache_context_view,
     cache_roll,
@@ -30,7 +31,9 @@ from .model import (
     StepConditioning,
     block_causal_mask,
     denoiser_forward,
+    expand_mask_with_ref,
     step_conditioning,
+    token_view,
 )
 from .rng import STREAM_GENERATE, make_rng
 from .schedule import SamplerConfig, euler_integrate
@@ -158,24 +161,32 @@ def generate_full_recompute(
     plan: BlockPlan,
     sampler: SamplerConfig,
     seed: int = 0,
+    use_convkv: bool = False,
 ) -> LatentSequence:
-    """Equivalence oracle: no cache, full attention over uncompressed history.
+    """Equivalence oracle: no cache; each block's forward recomputes the keys of every earlier block.
 
     At block b, step t_k, the keys of every earlier block are recomputed
     from that block's own intermediate state at step t_k — the same values
-    the cached path stored. Same noise stream discipline and dtype as generate_stream.
+    the cached path stored. Unbounded, attention is full over the
+    uncompressed history. With `use_convkv`, every block sees what the
+    bounded cache (conv mode) shows it, `convkv.bounded_view`, its long-term
+    windows convolved inline: the stage-2 forward, with the reference run as
+    tokens, since a cached context and inline memory do not combine. Same
+    noise stream discipline and dtype as generate_stream.
     """
     config, weights = params.config, params.values
     dtype = weights["input.w"].dtype
     grid = sampler.grid
     batch, steps = _step_conditionings(params, cond, sampler)
-    n_ref = x_ref.shape[0]
-    # Reference chunks are inputs, not generated history: process them the same way the streaming path
-    # does, once per step. The slabs have room for the longest forward, all plan.total_chunks tokens.
-    # Unbounded: only the reference is ever read, so no un-rotated keys or pending buffer are kept.
-    ref_cache = new_cache(config.n_layers, config.d_model, grid[:-1], batch.freqs, bounded=False,
-                          dtype=dtype, block_rows=plan.total_chunks)
-    _prefill_reference(weights, config, np.asarray(x_ref, dtype=dtype), cond, ref_cache, batch)
+    x_ref = np.asarray(x_ref, dtype=dtype)
+    n_ref, lam = x_ref.shape[0], config.compress_ratio
+    if not use_convkv:
+        # Reference chunks are inputs, not generated history: process them the same way the streaming path
+        # does, once per step. The slabs have room for the longest forward, all plan.total_chunks tokens.
+        # Unbounded: only the reference is ever read, so no un-rotated keys or pending buffer are kept.
+        ref_cache = new_cache(config.n_layers, config.d_model, grid[:-1], batch.freqs, bounded=False,
+                              dtype=dtype, block_rows=plan.total_chunks)
+        _prefill_reference(weights, config, x_ref, cond, ref_cache, batch)
 
     rng = make_rng(seed, STREAM_GENERATE)
     out = np.zeros((plan.total_chunks, config.d_latent), dtype=dtype)
@@ -186,15 +197,21 @@ def generate_full_recompute(
         n = e - s
         x = rng.standard_normal((n, config.d_latent)).astype(dtype)
         states: list[np.ndarray] = []
-        mask = np.concatenate([np.ones((e, n_ref)), block_causal_mask(BlockPlan(plan.sizes[:b + 1]))], axis=1)
-        positions = np.arange(e)
+        seen = BlockPlan(plan.sizes[:b + 1])
+        if use_convkv:
+            mask, memory = token_view(bounded_view(seen, lam), n_ref, lam)
+            head, positions = [x_ref], np.arange(-n_ref, e)
+        else:
+            mask, memory = np.concatenate([np.ones((e, n_ref)), block_causal_mask(seen)], axis=1), None
+            head, positions = [], np.arange(e)
 
         def velocity(x, k):
             states.append(x)
-            tokens = np.concatenate([traj[a][k] for a in range(b)] + [x])
+            tokens = np.concatenate(head + [traj[a][k] for a in range(b)] + [x])
             vel, _ = denoiser_forward(weights, config, tokens, positions, float(grid[k]), cond, mask,
-                                      ctx=cache_context_view(ref_cache, k), conditioning=steps[k])
-            return vel[s:]
+                                      ctx=None if use_convkv else cache_context_view(ref_cache, k), memory=memory,
+                                      conditioning=steps[k])
+            return vel[-n:]
 
         out[s:e] = _integrate_block(b, velocity, x, sampler)
         traj.append(states)
@@ -258,6 +275,8 @@ def zero_shot_experiment(
             t_indep = rng.uniform(0.02, 0.98, size=sampler.n_steps)
             eps_indep = rng.standard_normal((n, config.d_latent)) if b > 0 else None
             states: list[np.ndarray] = []
+            sizes = tuple(m for m in (prev_range[1] - prev_range[0], n) if m)  # block b - 1, if any, and b
+            mask = expand_mask_with_ref(block_causal_mask(BlockPlan(sizes)), n_ref)
 
             def velocity(x, k):
                 states.append(x)
@@ -270,17 +289,11 @@ def zero_shot_experiment(
                 else:
                     tp = float(t_indep[k])
                     prev = (1.0 - tp) * prev_clean + tp * eps_indep[: prev_clean.shape[0]]
-                n_prev = prev.shape[0]
                 tokens = np.concatenate([x_ref, prev, x])
                 positions = np.concatenate([np.arange(-n_ref, 0), np.arange(*prev_range), np.arange(s, e)])
-                total = n_ref + n_prev + n
-                mask = np.zeros((total, total))
-                mask[:n_ref, :n_ref] = 1.0
-                mask[n_ref:, :] = 1.0
-                mask[n_ref:n_ref + n_prev, n_ref + n_prev:] = 0.0  # history cannot see future
                 vel, _ = denoiser_forward(weights, config, tokens, positions, float(grid[k]), cond, mask,
                                           conditioning=steps[k])
-                return vel[n_ref + n_prev:]
+                return vel[-n:]
 
             x = euler_integrate(velocity, x, sampler)
             out[s:e] = x

@@ -2,9 +2,10 @@
 
 Stage 1 trains the denoiser with every chunk of a sequence noised at one
 shared diffusion step (the step-aligned regime). Stage 2 freezes the
-denoiser and trains the KV compressor under an attention mask where late
-blocks see compressed-memory tokens instead of the raw chunks those
-tokens summarize.
+denoiser and trains the KV compressor under the bounded view: every block
+attends to what the bounded cache shows it at inference
+(`convkv.bounded_view`), its long-term memory computed inline from the
+raw chunks it summarizes.
 
 A training step runs its whole batch through one forward, keeps the
 frozen weights bare (off the tape) and updates every trainable weight with
@@ -19,16 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockPlan
-from .convkv import SHORT_TERM_CAPACITY
-from .model import (
-    DenoiserParams,
-    InlineMemorySpec,
-    block_causal_mask,
-    denoiser_forward,
-    expand_mask_with_ref,
-    tape_leaves,
-    wrap_params,
-)
+from .convkv import bounded_view
+from .model import DenoiserParams, block_causal_mask, denoiser_forward, tape_leaves, token_view, wrap_params
 from .numerics import ShapeError, add, grad_of, mean_all, mul, slice2d, sub
 from .rng import STREAM_TRAIN, make_rng
 from .schedule import noise_forward, velocity_target
@@ -46,84 +39,7 @@ class TrainingDiverged(RuntimeError):
         self.history = history
 
 
-@dataclass(frozen=True)
-class CompressSpec:
-    """Which raw-chunk spans are summarized and who must use the summaries."""
-
-    spans: tuple[tuple[int, int], ...]
-    query_blocks: tuple[int, ...]
-    ratio: int = 5
-
-    def __post_init__(self):
-        spans = sorted(self.spans)
-        for (s, e) in spans:
-            if e - s < self.ratio:
-                raise ValueError(f"span {(s, e)} shorter than one window of {self.ratio}")
-        for (_, e1), (s2, _) in zip(spans, spans[1:]):
-            if s2 < e1:
-                raise ValueError(f"overlapping compression spans {self.spans}")
-
-    def n_mem_of(self, span: tuple[int, int]) -> int:
-        return (span[1] - span[0]) // self.ratio
-
-    @property
-    def n_mem(self) -> int:
-        return sum(self.n_mem_of(sp) for sp in self.spans)
-
-    def mem_positions(self) -> list[float]:
-        out = []
-        for s, e in self.spans:
-            out.extend(float(s + w * self.ratio) for w in range(self.n_mem_of((s, e))))
-        return out
-
-
-def default_compress_spec(plan: BlockPlan, ratio: int = 5) -> CompressSpec | None:
-    """Summarize everything older than the last block's short-term window.
-
-    The span is floored to whole windows, and the last block attends the
-    (< ratio) remainder as raw chunks. At inference those chunks wait in the
-    cache's `pending` buffer, which attention never sees, so training shows
-    the last block chunks that the bounded cache hides. This mismatch is open
-    (ROADMAP direction 1).
-    """
-    last = plan.n_blocks - 1
-    start_last = plan.starts[last]
-    span_end = ((start_last - SHORT_TERM_CAPACITY) // ratio) * ratio
-    if span_end < ratio:
-        return None
-    return CompressSpec(spans=((0, span_end),), query_blocks=(last,), ratio=ratio)
-
-
-def build_stage2_mask(plan: BlockPlan, spec: CompressSpec) -> np.ndarray:
-    """Chunk-level mask with memory tokens appended on the key axis.
-
-    Queries in the designated blocks lose the raw chunks of every span and
-    gain the span's memory columns; everyone else keeps plain block-causal
-    attention and never sees memory.
-    """
-    base = block_causal_mask(plan)
-    F = base.shape[0]
-    mask = np.concatenate([base, np.zeros((F, spec.n_mem))], axis=1)
-    blk = plan.block_of()
-    late = np.isin(blk, spec.query_blocks)
-    for b in spec.query_blocks:
-        if plan.starts[b] < max(e for _, e in spec.spans):
-            raise ValueError(f"query block {b} starts before a compressed span ends")
-    col = F
-    for s, e in spec.spans:
-        n_m = spec.n_mem_of((s, e))
-        mask[late, s:e] = 0.0
-        mask[late, col:col + n_m] = 1.0
-        col += n_m
-    return mask
-
-
-def _inline_memory(spec: CompressSpec, n_ref: int) -> InlineMemorySpec:
-    token_spans = tuple((s + n_ref, s + n_ref + spec.n_mem_of((s, e)) * spec.ratio) for s, e in spec.spans)
-    return InlineMemorySpec(spans=token_spans, mem_positions=tuple(spec.mem_positions()), ratio=spec.ratio)
-
-
-def _check_loss_inputs(batch, config, sequences, conds, t_shared, eps, plan, compress_spec, mask_mode,
+def _check_loss_inputs(batch, config, sequences, conds, t_shared, eps, plan, bounded, mask_mode,
                        block_choice) -> None:
     if sequences.ndim != 3 or sequences.shape != eps.shape or t_shared.shape != (batch,):
         raise ShapeError(
@@ -137,8 +53,8 @@ def _check_loss_inputs(batch, config, sequences, conds, t_shared, eps, plan, com
         raise ValueError(f"unknown mask mode {mask_mode!r}")
     if mask_mode == "causal":
         return
-    if compress_spec is not None:
-        raise ValueError("compressed memory needs mask_mode='causal'")
+    if bounded:
+        raise ValueError("the bounded view needs mask_mode='causal'")
     if block_choice is None:
         raise ValueError("mask_mode='none' needs a block_choice per sequence")
     if block_choice.shape != (batch,):
@@ -156,14 +72,16 @@ def neighbor_forcing_loss(
     t_shared: np.ndarray,
     eps: np.ndarray,
     plan: BlockPlan,
-    compress_spec: CompressSpec | None = None,
+    bounded: bool = False,
     mask_mode: str = "causal",
     block_choice: np.ndarray | None = None,
 ):
     """Mean squared velocity error with one shared step per batch element.
 
     A scalar Tensor on the tape of Tensor weights; a bare NumPy float from bare weights.
-    Every element shares the plan, so the whole batch runs as one forward.
+    Every element shares the plan, so the whole batch runs as one forward,
+    under the block-causal mask, or, ``bounded``, under the bounded cache's
+    view with its memory windows convolved inline.
 
     With ``mask_mode="none"`` each element trains a single block (picked by
     ``block_choice``) under full bidirectional attention — the non-AR
@@ -174,8 +92,7 @@ def neighbor_forcing_loss(
     t_shared = np.asarray(t_shared)
     if block_choice is not None:
         block_choice = np.asarray(block_choice)
-    _check_loss_inputs(batch, config, sequences, conds, t_shared, eps, plan, compress_spec, mask_mode,
-                       block_choice)
+    _check_loss_inputs(batch, config, sequences, conds, t_shared, eps, plan, bounded, mask_mode, block_choice)
     n_ref = config.n_ref_chunks
     x_t = noise_forward(sequences, t_shared[:, None, None], eps)  # one step for every chunk of an element
     target = velocity_target(sequences, eps)
@@ -184,12 +101,8 @@ def neighbor_forcing_loss(
         groups = [(block_choice == b, plan.chunk_range(b)) for b in np.unique(block_choice)]
     else:
         groups = [(slice(None), (0, plan.total_chunks))]
-        if compress_spec is None:
-            chunk_mask = block_causal_mask(plan)
-        else:
-            memory = _inline_memory(compress_spec, n_ref)
-            chunk_mask = build_stage2_mask(plan, compress_spec)
-        mask = expand_mask_with_ref(chunk_mask, n_ref)
+        lam = config.compress_ratio
+        mask, memory = token_view(bounded_view(plan, lam) if bounded else block_causal_mask(plan), n_ref, lam)
     loss = None
     for rows, (s, e) in groups:
         tokens = np.concatenate([sequences[rows, :n_ref], x_t[rows, s:e]], axis=1)
@@ -289,7 +202,7 @@ def _run_training(
     dataset: Dataset,
     params: DenoiserParams,
     trainable: list[str],
-    compress_spec: CompressSpec | None,
+    bounded: bool,
 ) -> tuple[DenoiserParams, list[tuple[int, float, float]]]:
     if dataset.sequences.shape[0] == 0:
         raise ValueError(f"the dataset holds no sequences (shape {dataset.sequences.shape})")
@@ -317,7 +230,7 @@ def _run_training(
             t_shared,
             eps,
             config.plan,
-            compress_spec=compress_spec,
+            bounded=bounded,
             mask_mode=config.mask_mode,
             block_choice=block_choice,
         )
@@ -336,7 +249,7 @@ def train_stage1(
     config: TrainConfig, dataset: Dataset, init: DenoiserParams
 ) -> tuple[DenoiserParams, list[tuple[int, float, float]]]:
     """Stage-1 step-aligned AR training of the denoiser weights."""
-    params, history = _run_training(config, dataset, init, init.denoiser_names(), None)
+    params, history = _run_training(config, dataset, init, init.denoiser_names(), False)
     params.meta["stage"] = "1"
     params.meta["mask_mode"] = config.mask_mode
     return params, history
@@ -345,11 +258,14 @@ def train_stage1(
 def train_stage2_convkv(
     config: TrainConfig, dataset: Dataset, stage1: DenoiserParams
 ) -> tuple[DenoiserParams, list[tuple[int, float, float]]]:
-    """Stage-2 compressor training under the memory-extended mask; the denoiser is frozen."""
-    spec = default_compress_spec(config.plan, ratio=stage1.config.compress_ratio)
-    if spec is None:
-        raise ValueError("block plan too short for any compression span")
-    params, history = _run_training(config, dataset, stage1, stage1.compressor_names(), spec)
+    """Stage-2 compressor training under the bounded view; the denoiser is frozen.
+
+    A plan that forms no compression window before its last block is refused.
+    """
+    if bounded_view(config.plan, stage1.config.compress_ratio).shape[1] == config.plan.total_chunks:
+        raise ValueError(f"block plan {config.plan.sizes} forms no compression window of "
+                         f"{stage1.config.compress_ratio} chunks before its last block")
+    params, history = _run_training(config, dataset, stage1, stage1.compressor_names(), True)
     params.meta["stage"] = "2"
     params.meta.setdefault("mask_mode", "causal")
     return params, history
@@ -361,7 +277,7 @@ def evaluate_loss(
     plan: BlockPlan,
     seed: int,
     t_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
-    compress_spec: CompressSpec | None = None,
+    bounded: bool = False,
 ) -> float:
     """Deterministic held-out loss averaged over a fixed step grid."""
     rng = make_rng(seed, STREAM_TRAIN)
@@ -377,7 +293,7 @@ def evaluate_loss(
             np.full(n_seq, t),
             eps,
             plan,
-            compress_spec=compress_spec,
+            bounded=bounded,
         )
         total += loss.item()
     return total / len(t_values)

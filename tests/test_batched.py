@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 
 from nfar.blocks import BlockPlan
 from nfar.checks import TINY
+from nfar.convkv import bounded_view
 from nfar.model import (
     RopeFrequencies,
     block_causal_mask,
     denoiser_forward,
-    expand_mask_with_ref,
     init_params,
     rope_apply,
     tape_leaves,
+    token_view,
     wrap_params,
 )
 from nfar.numerics import (
@@ -42,16 +43,10 @@ from nfar.numerics import (
     sum_all,
 )
 from nfar.schedule import noise_forward
-from nfar.training import (
-    Adam,
-    CompressSpec,
-    _inline_memory,
-    build_stage2_mask,
-    neighbor_forcing_loss,
-)
+from nfar.training import Adam, neighbor_forcing_loss
 
 TOL = 1e-12
-STAGE2 = dataclasses.replace(TINY, compress_ratio=2)  # short spans fit small plans
+STAGE2 = dataclasses.replace(TINY, compress_ratio=2)  # small plans form memory windows
 
 
 def rel_err(got, want) -> float:
@@ -129,12 +124,11 @@ def test_batched_ops_equal_their_per_slice_calls(seed, B, n, d):
                 assert rel_err(g, next(shared)) <= TOL, name
 
 
-def serial_loss(ptensors, config, sequences, conds, t_shared, eps, plan, compress_spec=None,
+def serial_loss(ptensors, config, sequences, conds, t_shared, eps, plan, bounded=False,
                 mask_mode="causal", block_choice=None):
     """The per-element oracle: one 2-D forward per sequence, with the flow-matching formulas inline."""
-    n_ref = config.n_ref_chunks
-    memory = _inline_memory(compress_spec, n_ref) if compress_spec is not None else None
-    chunk_mask = build_stage2_mask(plan, compress_spec) if compress_spec is not None else block_causal_mask(plan)
+    n_ref, lam = config.n_ref_chunks, config.compress_ratio
+    causal_mask, memory = token_view(bounded_view(plan, lam) if bounded else block_causal_mask(plan), n_ref, lam)
     loss = None
     for i in range(sequences.shape[0]):
         x0, t = sequences[i], float(t_shared[i])
@@ -145,7 +139,7 @@ def serial_loss(ptensors, config, sequences, conds, t_shared, eps, plan, compres
             mask = np.ones((n_ref + e - s, n_ref + e - s))
         else:
             s, e = 0, plan.total_chunks
-            mask = expand_mask_with_ref(chunk_mask, n_ref)
+            mask = causal_mask
         tokens = np.concatenate([x0[:n_ref], x_t[s:e]])
         positions = np.concatenate([np.arange(-n_ref, 0), np.arange(s, e)])
         vel, _ = denoiser_forward(ptensors, config, tokens, positions, t, conds[i], mask, memory=memory)
@@ -165,22 +159,9 @@ def perturbed_params(config, seed):
 
 @st.composite
 def loss_inputs(draw):
-    """A plan, a batch, steps, a mask mode and, for stage 2, a compression spec that fits the plan."""
-    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
-    plan = BlockPlan(sizes)
+    """A plan, a batch, steps and a mask mode: causal, bounded (stage 2) or none."""
+    plan = BlockPlan(tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))))
     mode = draw(st.sampled_from(["causal", "none", "stage2"]))
-    spec = None
-    ratio = STAGE2.compress_ratio
-    late = [b for b in range(plan.n_blocks) if plan.starts[b] >= ratio]
-    if mode == "stage2":
-        if not late:
-            mode = "causal"
-        else:
-            first = draw(st.sampled_from(late))
-            end = draw(st.integers(ratio, plan.starts[first]))
-            start = draw(st.integers(0, end - ratio))
-            spec = CompressSpec(spans=((start, end),), query_blocks=tuple(range(first, plan.n_blocks)),
-                                ratio=ratio)
     batch = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
@@ -192,8 +173,8 @@ def loss_inputs(draw):
     extra = {}
     if mode == "none":
         extra = dict(mask_mode="none", block_choice=rng.integers(0, plan.n_blocks, size=batch))
-    elif spec is not None:
-        extra = dict(compress_spec=spec)
+    elif mode == "stage2":
+        extra = dict(bounded=True)
     return plan, inputs, extra, seed
 
 
@@ -202,7 +183,8 @@ def loss_inputs(draw):
 def test_batched_loss_and_gradients_equal_the_serial_oracle(case):
     plan, inputs, extra, seed = case
     params = perturbed_params(STAGE2, seed % 1000)
-    names = list(params.values) if "compress_spec" in extra else params.denoiser_names()
+    memory = "bounded" in extra and bounded_view(plan, STAGE2.compress_ratio).shape[1] > plan.total_chunks
+    names = list(params.values) if memory else params.denoiser_names()  # the compressor is on the tape
     pt = wrap_params(params)
     batched = neighbor_forcing_loss(pt, STAGE2, plan=plan, **inputs, **extra)
     serial = serial_loss(pt, STAGE2, plan=plan, **inputs, **extra)

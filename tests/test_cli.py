@@ -132,10 +132,18 @@ BIG = "x" * 2**20  # a 1 MB name, line or value
 
 
 @pytest.mark.parametrize("site", ["config_field", "tensor_line", "manifest_line", "tensor_name", "config_value",
-                                  "config_file_line", "config_file_key"])
+                                  "config_file_line", "config_file_key", "delta_u", "residual_bound",
+                                  "lipschitz_render", "lipschitz_encoder"])
 def test_a_megabyte_in_a_file_is_echoed_in_one_short_line(tmp_path, capsys, site):
     ckpt, cfg, out = tmp_path / "m.ckpt", tmp_path / "run.cfg", tmp_path / "gen"
     save_checkpoint(ckpt, init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+    argv = ["generate", "--ckpt", str(ckpt), "--out", str(out), "--blocks", "1", "--steps", "1"]
+    if site in ("delta_u", "residual_bound", "lipschitz_render", "lipschitz_encoder"):  # a dataset manifest number
+        ds = tmp_path / "ds"
+        run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
+        text = (ds / "manifest.txt").read_text()
+        (ds / "manifest.txt").write_text(re.sub(f"{site} = .*", f"{site} = {BIG}", text))
+        argv = ["train", "--data", str(ds), "--out", str(out), "--steps", "1"]
     edits = {"config_field": ("config.n_layers = 2\n", f"config.{BIG} = 2\n"),
              "tensor_line": ("tensor output.b ", f"tensor output.b {BIG} "),
              "manifest_line": ("payload\n", f"{BIG}\npayload\n"),
@@ -147,11 +155,22 @@ def test_a_megabyte_in_a_file_is_echoed_in_one_short_line(tmp_path, capsys, site
         ckpt.write_bytes(ckpt.read_bytes().replace(old, new, 1))
     cfg.write_text({"config_file_line": f"{BIG}\n", "config_file_key": f"{BIG} = 1\n"}.get(site, "seed = 1\n"))
     capsys.readouterr()
-    assert exit_code(["--config", str(cfg), "generate", "--ckpt", str(ckpt), "--out", str(out),
-                      "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
+    assert exit_code(["--config", str(cfg), *argv]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 1024, err[:200]
     assert "characters)" in err and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["config_file", "argv"])
+def test_a_megabyte_flag_value_is_echoed_clipped(tmp_path, capsys, where):
+    cfg, digits = tmp_path / "run.cfg", "1" * 2**20
+    cfg.write_text(f"seed = {digits}\n")
+    argv = ["--config", str(cfg)] if where == "config_file" else []
+    argv += ["data", "--out", str(tmp_path / "ds")] + (["--seed", digits] if where == "argv" else [])
+    assert exit_code(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err) <= 1024 and "characters)" in err and "invalid int value" in err
+    assert not (tmp_path / "ds").exists()
 
 
 @pytest.mark.parametrize("damage", ["missing", "misshaped", "zero_heads"])

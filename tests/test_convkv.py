@@ -15,6 +15,7 @@ from nfar.convkv import (
     SHORT_TERM_CAPACITY,
     CacheStepError,
     Segment,
+    bounded_view,
     cache_append,
     cache_context_view,
     cache_roll,
@@ -325,8 +326,7 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
     monkeypatch.setattr(model, "conv1d_strided", recording_conv)
     for n_win in (1, 2, 3):
         trained.clear()
-        memory = InlineMemorySpec(spans=((0, n_win * lam),), mem_positions=tuple(range(0, n_win * lam, lam)),
-                                  ratio=lam)
+        memory = InlineMemorySpec(0, n_win, lam)
         _, kv = denoiser_forward(ptensors, config, x, np.arange(n), 0.5, cond, np.ones((n, n + n_win)),
                                  memory=memory)
         assert len(trained) == 2 * config.n_layers  # per layer: keys, then values
@@ -453,6 +453,23 @@ def test_each_step_equals_a_one_step_cache(n_steps, lam, sizes, dtype, kind):
         for k in range(n_steps):
             cache_roll(ones[k], comp, mode=mode)
             same(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=12), lam=st.integers(1, 6))
+def test_bounded_view_matches_the_ledger(sizes, lam):
+    # Before each block runs, the view's raw chunks outside the block are the
+    # cache's short-term chunks, and its memory columns its long-term windows.
+    plan = BlockPlan(tuple(sizes))
+    view, F = bounded_view(plan, lam), plan.total_chunks
+    cache = make_ready_cache(lam=lam)
+    for b, n in enumerate(sizes):
+        start, end = plan.chunk_range(b)
+        for row in view[start:end]:
+            assert np.flatnonzero(row[:start]).tolist() == cache.short_term.positions.tolist()
+            assert (row[start:end] == 1.0).all() and not row[end:F].any()
+            assert np.flatnonzero(row[F:]).tolist() == (cache.long_term.positions / lam).tolist()
+        run_blocks(cache, None, [n], mode="subsample")
 
 
 def test_context_views_are_read_only_and_outlive_later_rolls():

@@ -226,9 +226,7 @@ def test_bare_weights_give_the_taped_forward_bit_for_bit(dtype):
     cases = {
         "none": dict(mask=block_causal_mask(BlockPlan((6, 6)))),
         "ctx": dict(mask=np.ones((12, 15)), ctx=slab_context(ctx_k, ctx_v, np.arange(-3, 0), 0.3, room=12)),
-        "memory": dict(mask=np.ones((12, 14)),
-                       memory=InlineMemorySpec(spans=((0, 2 * lam),), mem_positions=(0.0, float(lam)),
-                                               ratio=lam)),
+        "memory": dict(mask=np.ones((12, 14)), memory=InlineMemorySpec(0, 2, lam)),
     }
     for case, kw in cases.items():
         bare, bare_kv = denoiser_forward(params.values, config, tokens, pos, 0.3, cond, **kw)

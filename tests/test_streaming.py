@@ -179,6 +179,22 @@ def test_unknown_compression_mode_is_refused_before_any_work(monkeypatch, use_co
                         compression_mode="average")
 
 
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=8), lam=st.integers(1, 6), n_steps=st.integers(1, 3),
+       dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 1000))
+def test_bounded_stream_equals_the_bounded_oracle(sizes, lam, n_steps, dtype, seed):
+    # The bounded cache shows each block what stage 2 trains it to see: streaming
+    # equals the stage-2 forward under convkv.bounded_view, with a compressor
+    # that is not the averaging init.
+    params = randomized_params(replace(TINY, compress_ratio=lam), seed=seed, compressor=True).astype(dtype)
+    rng = np.random.default_rng(seed)
+    x_ref, cond = rng.standard_normal((2, TINY.d_latent)), rng.standard_normal(TINY.d_cond)
+    plan, sampler = BlockPlan(tuple(sizes)), SamplerConfig.uniform(n_steps)
+    seq, _ = generate_stream(params, x_ref, cond, plan, sampler, use_convkv=True, seed=seed)
+    oracle = generate_full_recompute(params, x_ref, cond, plan, sampler, seed=seed, use_convkv=True)
+    assert np.abs(seq.values - oracle.values).max() <= (1e-10 if dtype == np.float64 else 1e-4)
+
+
 def test_discontinuity_score_anchors_at_one():
     # A sequence whose gaps are identically distributed across boundaries
     # scores ~1; a planted boundary jump scores higher.

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from nfar import checks
 from nfar.blocks import BlockPlan
 from nfar.checks import randomized_params
-from nfar.cli import EXIT_ABORTED, main
+from nfar.cli import EXIT_ABORTED, EXIT_USAGE, main
+from nfar.convkv import bounded_view
 from nfar.io import save_dataset
 from nfar.model import DenoiserConfig, block_causal_mask, init_params, tape_leaves, wrap_params
 from nfar.numerics import ShapeError, Tensor, finite_difference_grad, grad_of
 from nfar.synthdata import Dataset, LatentDynamics, condition_vector, make_dataset
 from nfar.training import (
-    CompressSpec,
     TrainConfig,
     TrainingDiverged,
-    build_stage2_mask,
-    default_compress_spec,
     evaluate_loss,
     neighbor_forcing_loss,
     train_stage1,
@@ -117,57 +114,41 @@ def test_loss_gradients_match_finite_differences():
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-4
 
 
-def test_compress_spec_validation():
-    with pytest.raises(ValueError):
-        CompressSpec(spans=((0, 5), (3, 8)), query_blocks=(2,))  # overlap
-    with pytest.raises(ValueError):
-        CompressSpec(spans=((0, 4),), query_blocks=(2,))  # shorter than one window
-
-
-def test_default_compress_spec_on_default_plan():
-    spec = default_compress_spec(PLAN3)
-    assert spec.spans == ((0, 10),)
-    assert spec.query_blocks == (2,)
-    assert spec.n_mem == 2
-    assert default_compress_spec(BlockPlan.default(1)) is None
-
-
-def test_gradient_check_fails_without_a_compression_span(monkeypatch):
-    monkeypatch.setattr(checks, "default_compress_spec", lambda plan, ratio: None)
-    ok, metric = checks.gradient_integrity()
-    assert not ok and "no compression span" in metric
-
-
 def test_stage2_mask_layout():
-    spec = default_compress_spec(PLAN3)
-    mask = build_stage2_mask(PLAN3, spec)
+    # On (6, 8, 8) the bounded cache shows block 1 block 0's last two chunks,
+    # and block 2 block 1's last two and the windows [0, 5) and [5, 10); chunks
+    # 10-11 wait in pending, so no block sees them.
+    mask = bounded_view(PLAN3, 5)
     F = PLAN3.total_chunks
     assert mask.shape == (F, F + 2)
-    base = block_causal_mask(PLAN3)
-    # Early blocks: untouched, no memory access.
-    assert np.array_equal(mask[:14, :F], base[:14])
-    assert (mask[:14, F:] == 0.0).all()
-    # Last block: raw span hidden, memory visible, remainder + own block raw.
-    assert (mask[14:, 0:10] == 0.0).all()
-    assert (mask[14:, F:] == 1.0).all()
-    assert (mask[14:, 10:F] == 1.0).all()
-    # Every query row keeps at least one admissible key.
-    assert (mask.sum(axis=1) >= 1).all()
+    assert (mask[:6, :6] == 1.0).all() and (mask[:6, 6:] == 0.0).all()
+    assert (mask[6:14, 4:14] == 1.0).all() and mask[6:14, :4].sum() == mask[6:14, 14:].sum() == 0.0
+    assert (mask[14:, 12:] == 1.0).all() and mask[14:, :12].sum() == 0.0
+    # The raw part never reaches past block-causal attention.
+    assert (mask[:, :F] <= block_causal_mask(PLAN3)).all()
 
 
 def test_stage2_mask_conservation_vs_truncation():
     # Compressing a span admits strictly more keys than dropping it.
-    spec = default_compress_spec(PLAN3)
-    mask = build_stage2_mask(PLAN3, spec)
-    truncated = block_causal_mask(PLAN3).copy()
-    truncated[14:, 0:10] = 0.0
+    mask = bounded_view(PLAN3, 5)
+    truncated = mask[:, :PLAN3.total_chunks]
     assert (mask.sum(axis=1) >= truncated.sum(axis=1)).all()
     assert mask[14:].sum() > truncated[14:].sum()
 
 
-def test_stage2_mask_rejects_query_block_before_span_end():
-    with pytest.raises(ValueError):
-        build_stage2_mask(PLAN3, CompressSpec(spans=((0, 10),), query_blocks=(1,)))
+def test_stage2_refuses_a_plan_that_forms_no_window(tmp_path, capsys):
+    # (6, 2): block 1 runs after chunks 0-3 went to pending, short of a window of 5.
+    ds = tiny_dataset(F=8)
+    init = init_params(tiny_config(), seed=3)
+    with pytest.raises(ValueError, match="no compression window"):
+        train_stage2_convkv(TrainConfig(total_steps=1, plan=BlockPlan((6, 2))), ds, init)
+    save_dataset(tmp_path / "ds", ds, seed=2)
+    main(["train", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "s1"), "--steps", "0"])
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "s2"), "--stage", "2",
+                 "--steps", "1", "--init", str(tmp_path / "s1" / "model.ckpt")]) == EXIT_USAGE
+    assert "no compression window" in capsys.readouterr().err
+    assert not (tmp_path / "s2").exists()
 
 
 def test_stage2_freezes_denoiser_and_trains_compressor():
@@ -214,12 +195,11 @@ def test_held_out_loss_is_tape_free_and_equals_the_taped_loss(monkeypatch):
     params = randomized_params(tiny_config(), seed=3)
     eps = RNG.standard_normal(ds.sequences.shape)
     t = np.array([0.2, 0.5, 0.9])
-    spec = default_compress_spec(PLAN3, ratio=params.config.compress_ratio)
-    for compress_spec in (None, spec):
+    for bounded in (False, True):
         taped = neighbor_forcing_loss(wrap_params(params), params.config, ds.sequences, ds.conditions,
-                                      t, eps, PLAN3, compress_spec=compress_spec)
+                                      t, eps, PLAN3, bounded=bounded)
         bare = neighbor_forcing_loss(params.values, params.config, ds.sequences, ds.conditions,
-                                     t, eps, PLAN3, compress_spec=compress_spec)
+                                     t, eps, PLAN3, bounded=bounded)
         assert isinstance(taped, Tensor) and not isinstance(bare, Tensor)
         assert bare.item() == taped.item()
     created = []
@@ -230,7 +210,7 @@ def test_held_out_loss_is_tape_free_and_equals_the_taped_loss(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting_init)
-    evaluate_loss(params, ds, PLAN3, seed=7, compress_spec=spec)
+    evaluate_loss(params, ds, PLAN3, seed=7, bounded=True)
     assert not created
 
 
@@ -262,9 +242,8 @@ def test_nonar_mask_mode_needs_a_valid_block_choice():
     for bad in (np.array([0, 3]), np.array([-1, 0]), np.array([0.0, 1.0])):
         with pytest.raises(ValueError, match="block indices"):
             neighbor_forcing_loss(*_loss_args(), mask_mode="none", block_choice=bad)
-    spec = default_compress_spec(PLAN3)
     with pytest.raises(ValueError, match="causal"):
-        neighbor_forcing_loss(*_loss_args(), compress_spec=spec, mask_mode="none",
+        neighbor_forcing_loss(*_loss_args(), bounded=True, mask_mode="none",
                               block_choice=np.array([0, 1]))
 
 
@@ -293,13 +272,12 @@ def test_stage2_tape_holds_only_the_compressor():
     # tensor, and layer 0 up to its memory conv records nothing.
     ds = tiny_dataset(n=2)
     params = randomized_params(tiny_config(), seed=3)
-    spec = default_compress_spec(PLAN3)
     args = (params.config, ds.sequences, ds.conditions, np.array([0.3, 0.6]),
             RNG.standard_normal(ds.sequences.shape), PLAN3)
     pt = wrap_params(params, params.compressor_names())
-    nodes, leaves = _tape_nodes(neighbor_forcing_loss(pt, *args, compress_spec=spec))
+    nodes, leaves = _tape_nodes(neighbor_forcing_loss(pt, *args, bounded=True))
     assert leaves == {id(leaf) for leaf in tape_leaves(pt, params.compressor_names())}
-    all_nodes, _ = _tape_nodes(neighbor_forcing_loss(wrap_params(params), *args, compress_spec=spec))
+    all_nodes, _ = _tape_nodes(neighbor_forcing_loss(wrap_params(params), *args, bounded=True))
     assert len(nodes) < len(all_nodes) / 2
 
 
