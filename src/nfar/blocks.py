@@ -7,10 +7,13 @@ from functools import cached_property
 
 import numpy as np
 
+FIRST_BLOCK = 6  # chunks in a default plan's first block
+NEXT_BLOCK = 8  # chunks in each later block
+
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """Block sizes along the chunk axis (default: first 6, then 8s)."""
+    """Block sizes along the chunk axis (default: FIRST_BLOCK, then NEXT_BLOCKs)."""
 
     sizes: tuple[int, ...]
 
@@ -21,10 +24,10 @@ class BlockPlan:
             raise ValueError(f"all blocks must be non-empty, got {self.sizes}")
 
     @classmethod
-    def default(cls, n_blocks: int, first_block: int = 6, subsequent_block: int = 8) -> "BlockPlan":
+    def default(cls, n_blocks: int) -> "BlockPlan":
         if n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
-        return cls((first_block,) + (subsequent_block,) * (n_blocks - 1))
+        return cls((FIRST_BLOCK,) + (NEXT_BLOCK,) * (n_blocks - 1))
 
     @classmethod
     def uniform(cls, n_blocks: int, block_size: int) -> "BlockPlan":

@@ -101,8 +101,9 @@ def mask_correctness(seed: int = 0) -> tuple[bool, str]:
 
 
 def cache_equivalence(seed: int = 0) -> tuple[bool, str]:
-    """Cached streaming equals the full-recompute oracle over 10 seeds, for the unbounded cache and for the
-    bounded one, under a perturbed compressor, against the stage-2 forward of `convkv.bounded_view`."""
+    """Cached streaming equals the full-recompute oracle, the training forward run block by block with no
+    cache, over 10 seeds: the unbounded cache the stage-1 forward, and the bounded one, under a perturbed
+    compressor, the stage-2 forward of `convkv.bounded_view`."""
     plan = BlockPlan.default(4)
     sampler = SamplerConfig.uniform(3)
     worst = {False: 0.0, True: 0.0}

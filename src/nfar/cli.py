@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, io
-from .blocks import BlockPlan
+from .blocks import FIRST_BLOCK, NEXT_BLOCK, BlockPlan
 from .model import REF_CAPACITY, DenoiserConfig, init_params
 from .schedule import SamplerConfig
 from .streaming import GenerationAborted, bench_overhead, generate_stream, zero_shot_experiment
@@ -112,10 +112,10 @@ def cmd_train(args) -> int:
             raise ValueError(f"--blocks {args.blocks} makes {plan.total_chunks} chunks, "
                              f"but the dataset has {n_frames} frames")
     else:
-        sizes, remaining = [6], n_frames - 6
+        sizes, remaining = [FIRST_BLOCK], n_frames - FIRST_BLOCK
         while remaining > 0:
-            sizes.append(min(8, remaining))
-            remaining -= 8
+            sizes.append(min(NEXT_BLOCK, remaining))
+            remaining -= NEXT_BLOCK
         plan = BlockPlan(tuple(sizes))
     tc = TrainConfig(
         total_steps=args.steps,
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--blocks", type=int, default=6)
     p.add_argument("--steps", type=int, default=3)
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_zeroshot)
     return parser

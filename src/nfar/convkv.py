@@ -310,7 +310,7 @@ def bounded_view(plan: BlockPlan, lam: int) -> np.ndarray:
     short-term chunks [N - s, N) with s = min(SHORT_TERM_CAPACITY, n), and the
     newest min(W_b, LONG_TERM_CAPACITY) of the W_b = (N - s) // lam windows
     formed; pending and dropped chunks are hidden. The reference, which every
-    block sees, is left to `model.expand_mask_with_ref`.
+    block sees, is left to `model.chunk_forward`.
     """
 
     def first_short_term(b: int) -> int:

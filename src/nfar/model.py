@@ -55,6 +55,10 @@ class DenoiserConfig:
     compress_ratio: int = 5
 
     def __post_init__(self):
+        if self.n_layers < 1:
+            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        if not (math.isfinite(self.rope_base) and self.rope_base > 0):
+            raise ValueError(f"rope_base must be finite and positive, got {self.rope_base}")
         if self.n_heads < 1:
             raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
@@ -353,13 +357,6 @@ class InlineMemorySpec:
         return slice(self.start, self.start + self.n_mem * self.ratio)
 
 
-def token_view(chunk_mask: np.ndarray, n_ref: int, ratio: int) -> tuple[np.ndarray, InlineMemorySpec | None]:
-    """The token-level mask of a chunk-level (F, F + W) mask, whose last W columns are memory windows of
-    `ratio` chunks from chunk 0, and the inline memory that computes them (None when W is 0)."""
-    n_mem = chunk_mask.shape[1] - chunk_mask.shape[0]
-    return expand_mask_with_ref(chunk_mask, n_ref), InlineMemorySpec(n_ref, n_mem, ratio) if n_mem else None
-
-
 class StepTagError(ValueError):
     """Cached context was produced at a different diffusion step."""
 
@@ -527,3 +524,25 @@ def denoiser_forward(
     if not np.isfinite(data_of(vel)).all():
         raise FloatingPointError("denoiser produced non-finite velocities")
     return vel, BlockKV(np.stack(keys), np.stack(rotated), np.stack(vals))
+
+
+def chunk_forward(ptensors: dict, config: DenoiserConfig, x_ref, chunks, first: int, chunk_mask: np.ndarray, t,
+                  cond, conditioning: StepConditioning | None = None) -> Tensor | np.ndarray:
+    """The velocity rows of `chunks`, the n chunks from chunk `first`, run after the reference as tokens.
+
+    The one reference-then-chunks layout of training and of the recompute
+    oracles: the reference at positions -n_ref..-1, attending only to
+    itself, then the chunks at first..first + n - 1 under `chunk_mask`, a
+    chunk-level (n, n + W) mask whose last W columns are memory windows of
+    `compress_ratio` chunks from the first chunk, convolved inline. `x_ref`
+    and `chunks` are (n_ref | n, d_latent), or batches of them as
+    `denoiser_forward` takes.
+    """
+    n_ref, n = x_ref.shape[-2], chunks.shape[-2]
+    n_mem = chunk_mask.shape[1] - n
+    vel, _ = denoiser_forward(ptensors, config, np.concatenate([x_ref, chunks], axis=-2),
+                              np.concatenate([np.arange(-n_ref, 0), np.arange(first, first + n)]), t, cond,
+                              expand_mask_with_ref(chunk_mask, n_ref),
+                              memory=InlineMemorySpec(n_ref, n_mem, config.compress_ratio) if n_mem else None,
+                              conditioning=conditioning)
+    return slice2d(vel, rows=slice(n_ref, None))

@@ -42,6 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 FLOAT_DTYPES = frozenset({np.dtype(np.float64), np.dtype(np.float32)})
+LAYER_NORM_EPS = 1e-6  # added to each row's variance
+FD_STEP = 1e-5  # finite_difference_grad's central-difference step
 
 
 class ShapeError(ValueError):
@@ -353,7 +355,7 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def layer_norm(x, gain, bias, scale, shift, eps: float = 1e-6) -> Tensor | np.ndarray:
+def layer_norm(x, gain, bias, scale, shift) -> Tensor | np.ndarray:
     """Layer norm over the last axis of (..., n, d) rows, then adaLN modulation: (x̂·gain + bias)·scale + shift.
 
     scale and shift broadcast against x, e.g. one (..., 1, d) row per leading index. One tape node.
@@ -363,7 +365,7 @@ def layer_norm(x, gain, bias, scale, shift, eps: float = 1e-6) -> Tensor | np.nd
         raise ShapeError(f"layer_norm expects a matrix or a stack of them, got shape {a.shape}")
     centered = a - _row_mean(a)
     var = _row_mean(np.square(centered))  # the ufunc calls of a.var(axis=-1), mean reused
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     y = xhat * g_ + b_
     sc, sh = _array(scale), _array(shift)
@@ -577,18 +579,18 @@ def grad_of(loss: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
     return GradientTape(loss).gradients(leaves)
 
 
-def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle, one coordinate at a time."""
+def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient oracle, one coordinate at a time, with step FD_STEP."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = float(f(x))
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = float(f(x))
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return grad

@@ -61,18 +61,18 @@ class SamplerConfig:
             raise ValueError("grid must end at t = 0")
 
     @classmethod
-    def uniform(cls, n_steps: int, t_max: float = 1.0) -> "SamplerConfig":
+    def uniform(cls, n_steps: int) -> "SamplerConfig":
         if n_steps < 1:
             raise ValueError("n_steps must be positive")
-        return cls(tuple(t_max * k / n_steps for k in range(n_steps, -1, -1)))
+        return cls(tuple(k / n_steps for k in range(n_steps, -1, -1)))
 
     @property
     def n_steps(self) -> int:
         return len(self.grid) - 1
 
 
-def noise_forward(x0: np.ndarray, t, eps: np.ndarray, schedule=None) -> np.ndarray:
-    """Forward noising: alpha_t * x0 + sigma_t * eps (flow schedule by default).
+def noise_forward(x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
+    """Forward noising on the flow schedule: alpha_t * x0 + sigma_t * eps.
 
     `t` may be an array that broadcasts against `x0`, e.g. one step per sequence.
     """
@@ -80,7 +80,7 @@ def noise_forward(x0: np.ndarray, t, eps: np.ndarray, schedule=None) -> np.ndarr
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ShapeError(f"x0 shape {x0.shape} != eps shape {eps.shape}")
-    alpha, sigma = (schedule or FlowSchedule()).coeffs(t)
+    alpha, sigma = FlowSchedule().coeffs(t)
     return alpha * x0 + sigma * eps
 
 

@@ -30,10 +30,9 @@ from .model import (
     DenoiserParams,
     StepConditioning,
     block_causal_mask,
+    chunk_forward,
     denoiser_forward,
-    expand_mask_with_ref,
     step_conditioning,
-    token_view,
 )
 from .rng import STREAM_GENERATE, make_rng
 from .schedule import SamplerConfig, euler_integrate
@@ -163,31 +162,23 @@ def generate_full_recompute(
     seed: int = 0,
     use_convkv: bool = False,
 ) -> LatentSequence:
-    """Equivalence oracle: no cache; each block's forward recomputes the keys of every earlier block.
+    """Equivalence oracle: no cache; each block's forward recomputes the keys of the reference and of every
+    earlier block, the training forward run block by block.
 
     At block b, step t_k, the keys of every earlier block are recomputed
     from that block's own intermediate state at step t_k — the same values
-    the cached path stored. Unbounded, attention is full over the
-    uncompressed history. With `use_convkv`, every block sees what the
-    bounded cache (conv mode) shows it, `convkv.bounded_view`, its long-term
-    windows convolved inline: the stage-2 forward, with the reference run as
-    tokens, since a cached context and inline memory do not combine. Same
-    noise stream discipline and dtype as generate_stream.
+    the cached path stored. Each block is `model.chunk_forward` over the
+    chunks so far: unbounded under the block-causal mask (the stage-1
+    forward); with `use_convkv` under what the bounded cache (conv mode)
+    shows it, `convkv.bounded_view`, its long-term windows convolved inline
+    (the stage-2 forward). Same noise stream discipline and dtype as
+    generate_stream.
     """
     config, weights = params.config, params.values
     dtype = weights["input.w"].dtype
     grid = sampler.grid
-    batch, steps = _step_conditionings(params, cond, sampler)
+    _, steps = _step_conditionings(params, cond, sampler)
     x_ref = np.asarray(x_ref, dtype=dtype)
-    n_ref, lam = x_ref.shape[0], config.compress_ratio
-    if not use_convkv:
-        # Reference chunks are inputs, not generated history: process them the same way the streaming path
-        # does, once per step. The slabs have room for the longest forward, all plan.total_chunks tokens.
-        # Unbounded: only the reference is ever read, so no un-rotated keys or pending buffer are kept.
-        ref_cache = new_cache(config.n_layers, config.d_model, grid[:-1], batch.freqs, bounded=False,
-                              dtype=dtype, block_rows=plan.total_chunks)
-        _prefill_reference(weights, config, x_ref, cond, ref_cache, batch)
-
     rng = make_rng(seed, STREAM_GENERATE)
     out = np.zeros((plan.total_chunks, config.d_latent), dtype=dtype)
     # traj[b][k]: block b's state entering step k (what the cached path keyed).
@@ -198,20 +189,13 @@ def generate_full_recompute(
         x = rng.standard_normal((n, config.d_latent)).astype(dtype)
         states: list[np.ndarray] = []
         seen = BlockPlan(plan.sizes[:b + 1])
-        if use_convkv:
-            mask, memory = token_view(bounded_view(seen, lam), n_ref, lam)
-            head, positions = [x_ref], np.arange(-n_ref, e)
-        else:
-            mask, memory = np.concatenate([np.ones((e, n_ref)), block_causal_mask(seen)], axis=1), None
-            head, positions = [], np.arange(e)
+        chunk_mask = bounded_view(seen, config.compress_ratio) if use_convkv else block_causal_mask(seen)
 
         def velocity(x, k):
             states.append(x)
-            tokens = np.concatenate(head + [traj[a][k] for a in range(b)] + [x])
-            vel, _ = denoiser_forward(weights, config, tokens, positions, float(grid[k]), cond, mask,
-                                      ctx=None if use_convkv else cache_context_view(ref_cache, k), memory=memory,
-                                      conditioning=steps[k])
-            return vel[-n:]
+            chunks = np.concatenate([traj[a][k] for a in range(b)] + [x])
+            return chunk_forward(weights, config, x_ref, chunks, 0, chunk_mask, float(grid[k]), cond,
+                                 conditioning=steps[k])[-n:]
 
         out[s:e] = _integrate_block(b, velocity, x, sampler)
         traj.append(states)
@@ -239,7 +223,6 @@ def zero_shot_experiment(
     plan: BlockPlan,
     sampler: SamplerConfig,
     seed: int = 0,
-    variants: tuple[str, ...] = ZERO_SHOT_VARIANTS,
 ) -> dict[str, float]:
     """Chain a block-wise-trained bidirectional model without any retraining.
 
@@ -257,12 +240,9 @@ def zero_shot_experiment(
     config, weights = params.config, params.values
     grid = sampler.grid
     _, steps = _step_conditionings(params, cond, sampler)
-    n_ref = x_ref.shape[0]
     x_ref = np.asarray(x_ref, dtype=np.float64)
     scores: dict[str, float] = {}
-    for variant in variants:
-        if variant not in ZERO_SHOT_VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+    for variant in ZERO_SHOT_VARIANTS:
         rng = make_rng(seed, STREAM_GENERATE)  # identical noise across variants
         out = np.zeros((plan.total_chunks, config.d_latent))
         prev_states: list[np.ndarray] | None = None  # per-step intermediates
@@ -276,7 +256,7 @@ def zero_shot_experiment(
             eps_indep = rng.standard_normal((n, config.d_latent)) if b > 0 else None
             states: list[np.ndarray] = []
             sizes = tuple(m for m in (prev_range[1] - prev_range[0], n) if m)  # block b - 1, if any, and b
-            mask = expand_mask_with_ref(block_causal_mask(BlockPlan(sizes)), n_ref)
+            mask = block_causal_mask(BlockPlan(sizes))
 
             def velocity(x, k):
                 states.append(x)
@@ -289,11 +269,8 @@ def zero_shot_experiment(
                 else:
                     tp = float(t_indep[k])
                     prev = (1.0 - tp) * prev_clean + tp * eps_indep[: prev_clean.shape[0]]
-                tokens = np.concatenate([x_ref, prev, x])
-                positions = np.concatenate([np.arange(-n_ref, 0), np.arange(*prev_range), np.arange(s, e)])
-                vel, _ = denoiser_forward(weights, config, tokens, positions, float(grid[k]), cond, mask,
-                                          conditioning=steps[k])
-                return vel[-n:]
+                return chunk_forward(weights, config, x_ref, np.concatenate([prev, x]), prev_range[0], mask,
+                                     float(grid[k]), cond, conditioning=steps[k])[-n:]
 
             x = euler_integrate(velocity, x, sampler)
             out[s:e] = x

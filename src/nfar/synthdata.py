@@ -19,7 +19,6 @@ from .rng import STREAM_DATA, make_rng
 DEFAULT_STATE_DIM = 4
 DEFAULT_AMBIENT_DIM = 64
 DEFAULT_LATENT_DIM = 16
-DEFAULT_FRAMES = 120
 DEFAULT_DELTA_U = 0.1
 DEFAULT_RESIDUAL_BOUND = 0.01
 
@@ -78,18 +77,14 @@ class LatentDynamics:
     def create(
         cls,
         seed: int,
-        state_dim: int = DEFAULT_STATE_DIM,
-        ambient_dim: int = DEFAULT_AMBIENT_DIM,
         latent_dim: int = DEFAULT_LATENT_DIM,
         delta_u: float = DEFAULT_DELTA_U,
         residual_bound: float = DEFAULT_RESIDUAL_BOUND,
-        render_scale: float = 1.0,
-        encoder_norm: float = 4.0,
     ) -> "LatentDynamics":
         rng = make_rng(seed, STREAM_DATA)
-        A = rng.standard_normal((ambient_dim, state_dim)) * (render_scale / np.sqrt(state_dim))
-        E = rng.standard_normal((latent_dim, ambient_dim))
-        E = E * (encoder_norm / np.linalg.norm(E, 2))
+        A = rng.standard_normal((DEFAULT_AMBIENT_DIM, DEFAULT_STATE_DIM)) * (1.0 / np.sqrt(DEFAULT_STATE_DIM))
+        E = rng.standard_normal((latent_dim, DEFAULT_AMBIENT_DIM))
+        E = E * (4.0 / np.linalg.norm(E, 2))  # the encoder's spectral norm is 4
         return cls(render_weight=A, encoder=E, delta_u=delta_u, residual_bound=residual_bound)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blocks import BlockPlan
 from .convkv import bounded_view
-from .model import DenoiserParams, block_causal_mask, denoiser_forward, tape_leaves, token_view, wrap_params
+from .model import DenoiserParams, block_causal_mask, chunk_forward, denoiser_forward, tape_leaves, wrap_params
 from .numerics import ShapeError, add, grad_of, mean_all, mul, slice2d, sub
 from .rng import STREAM_TRAIN, make_rng
 from .schedule import noise_forward, velocity_target
@@ -30,6 +30,8 @@ from .synthdata import Dataset
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 T_RANGE = (0.02, 0.98)  # training steps t are drawn from this range, stratified over the batch
+EVAL_STEPS = (0.1, 0.3, 0.5, 0.7, 0.9)  # evaluate_loss's fixed step grid
+SMOOTHING_WINDOW = 50  # points in smoothed's trailing mean
 
 
 class TrainingDiverged(RuntimeError):
@@ -96,25 +98,25 @@ def neighbor_forcing_loss(
     n_ref = config.n_ref_chunks
     x_t = noise_forward(sequences, t_shared[:, None, None], eps)  # one step for every chunk of an element
     target = velocity_target(sequences, eps)
-    memory = None
     if mask_mode == "none":
         groups = [(block_choice == b, plan.chunk_range(b)) for b in np.unique(block_choice)]
     else:
         groups = [(slice(None), (0, plan.total_chunks))]
-        lam = config.compress_ratio
-        mask, memory = token_view(bounded_view(plan, lam) if bounded else block_causal_mask(plan), n_ref, lam)
+        chunk_mask = bounded_view(plan, config.compress_ratio) if bounded else block_causal_mask(plan)
     loss = None
     for rows, (s, e) in groups:
-        tokens = np.concatenate([sequences[rows, :n_ref], x_t[rows, s:e]], axis=1)
-        positions = np.concatenate([np.arange(-n_ref, 0), np.arange(s, e)])
-        if mask_mode == "none":
-            mask = np.ones((tokens.shape[1], tokens.shape[1]))
-        vel, _ = denoiser_forward(
-            ptensors, config, tokens, positions, t_shared[rows], conds[rows], mask, memory=memory
-        )
-        diff = sub(slice2d(vel, rows=slice(n_ref, None)), target[rows, s:e])
+        x_ref, chunks = sequences[rows, :n_ref], x_t[rows, s:e]
+        if mask_mode == "none":  # the reference attends to the block too, so not chunk_forward's layout
+            tokens = np.concatenate([x_ref, chunks], axis=1)
+            positions = np.concatenate([np.arange(-n_ref, 0), np.arange(s, e)])
+            vel, _ = denoiser_forward(ptensors, config, tokens, positions, t_shared[rows], conds[rows],
+                                      np.ones((tokens.shape[1], tokens.shape[1])))
+            vel = slice2d(vel, rows=slice(n_ref, None))
+        else:
+            vel = chunk_forward(ptensors, config, x_ref, chunks, 0, chunk_mask, t_shared, conds)
+        diff = sub(vel, target[rows, s:e])
         # Each element's mean counts once: the group's mean over its share of the batch.
-        term = mul(mean_all(mul(diff, diff)), tokens.shape[0] / batch)
+        term = mul(mean_all(mul(diff, diff)), chunks.shape[0] / batch)
         loss = term if loss is None else add(loss, term)
     return loss
 
@@ -276,14 +278,13 @@ def evaluate_loss(
     dataset: Dataset,
     plan: BlockPlan,
     seed: int,
-    t_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
     bounded: bool = False,
 ) -> float:
-    """Deterministic held-out loss averaged over a fixed step grid."""
+    """Deterministic held-out loss averaged over the steps EVAL_STEPS."""
     rng = make_rng(seed, STREAM_TRAIN)
     n_seq, F, d = dataset.sequences.shape
     total = 0.0
-    for t in t_values:
+    for t in EVAL_STEPS:
         eps = rng.standard_normal((n_seq, F, d))
         loss = neighbor_forcing_loss(
             params.values,
@@ -296,12 +297,12 @@ def evaluate_loss(
             bounded=bounded,
         )
         total += loss.item()
-    return total / len(t_values)
+    return total / len(EVAL_STEPS)
 
 
-def smoothed(series: list[float], window: int = 50) -> list[float]:
+def smoothed(series: list[float]) -> list[float]:
     out = []
     for i in range(len(series)):
-        lo = max(0, i - window + 1)
+        lo = max(0, i - SMOOTHING_WINDOW + 1)
         out.append(float(np.mean(series[lo:i + 1])))
     return out

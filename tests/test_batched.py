@@ -16,13 +16,14 @@ from nfar.blocks import BlockPlan
 from nfar.checks import TINY
 from nfar.convkv import bounded_view
 from nfar.model import (
+    InlineMemorySpec,
     RopeFrequencies,
     block_causal_mask,
     denoiser_forward,
+    expand_mask_with_ref,
     init_params,
     rope_apply,
     tape_leaves,
-    token_view,
     wrap_params,
 )
 from nfar.numerics import (
@@ -128,7 +129,10 @@ def serial_loss(ptensors, config, sequences, conds, t_shared, eps, plan, bounded
                 mask_mode="causal", block_choice=None):
     """The per-element oracle: one 2-D forward per sequence, with the flow-matching formulas inline."""
     n_ref, lam = config.n_ref_chunks, config.compress_ratio
-    causal_mask, memory = token_view(bounded_view(plan, lam) if bounded else block_causal_mask(plan), n_ref, lam)
+    chunk_mask = bounded_view(plan, lam) if bounded else block_causal_mask(plan)
+    n_mem = chunk_mask.shape[1] - chunk_mask.shape[0]  # memory windows of lam chunks from chunk 0
+    causal_mask = expand_mask_with_ref(chunk_mask, n_ref)
+    memory = InlineMemorySpec(n_ref, n_mem, lam) if n_mem else None
     loss = None
     for i in range(sequences.shape[0]):
         x0, t = sequences[i], float(t_shared[i])

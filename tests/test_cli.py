@@ -173,7 +173,7 @@ def test_a_megabyte_flag_value_is_echoed_clipped(tmp_path, capsys, where):
     assert not (tmp_path / "ds").exists()
 
 
-@pytest.mark.parametrize("damage", ["missing", "misshaped", "zero_heads"])
+@pytest.mark.parametrize("damage", ["missing", "misshaped", "zero_heads", "nan_rope_base"])
 def test_generate_rejects_a_damaged_checkpoint(tmp_path, capsys, damage):
     params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0)
     if damage == "missing":
@@ -184,8 +184,15 @@ def test_generate_rejects_a_damaged_checkpoint(tmp_path, capsys, damage):
     if damage == "zero_heads":
         blob = (tmp_path / "bad.ckpt").read_bytes()
         (tmp_path / "bad.ckpt").write_bytes(blob.replace(b"config.n_heads = 2", b"config.n_heads = 0", 1))
+    if damage == "nan_rope_base":  # a format error, not non-finite velocities (exit 3) at generation
+        blob = (tmp_path / "bad.ckpt").read_bytes()
+        (tmp_path / "bad.ckpt").write_bytes(blob.replace(b"config.rope_base = 10000.0", b"config.rope_base = nan", 1))
+    capsys.readouterr()
     assert run(["generate", "--ckpt", str(tmp_path / "bad.ckpt"), "--out", str(tmp_path / "gen"),
                 "--blocks", "1", "--steps", "1"]) == EXIT_USAGE
+    if damage == "nan_rope_base":
+        err = capsys.readouterr().err
+        assert "bad config" in err and "rope_base" in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["generate", "train_init"])
@@ -258,6 +265,16 @@ def test_zeroshot_refuses_causal_checkpoint(tmp_path, capsys):
     run(["train", "--data", str(ds), "--out", str(ck), "--stage", "1", "--steps", "1"])
     code = run(["zeroshot", "--ckpt", str(ck / "model.ckpt"), "--seeds", "1", "--blocks", "3"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_zeroshot_refuses_fewer_than_one_seed(tmp_path, capsys, seeds):
+    # With no seed to run, zeroshot printed only its CSV header and exited 0.
+    save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+    assert exit_code(["zeroshot", "--ckpt", str(tmp_path / "m.ckpt"), "--seeds", seeds]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"--seeds: must be at least 1, got {seeds}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_zeroshot_reports_three_variants(tmp_path, capsys):

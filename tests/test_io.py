@@ -163,7 +163,7 @@ def test_checkpoint_round_trips_over_drawn_configs(tmp_path_factory, n_layers, n
 
 
 @settings(max_examples=50, deadline=None)
-@given(n_layers=st.integers(0, 8), n_heads=st.sampled_from([1, 2, 4]), ratio=st.integers(1, 6))
+@given(n_layers=st.integers(1, 8), n_heads=st.sampled_from([1, 2, 4]), ratio=st.integers(1, 6))
 def test_tensor_count_has_a_closed_form(n_layers, n_heads, ratio):
     config = replace(TINY, n_layers=n_layers, n_heads=n_heads, compress_ratio=ratio)
     assert n_tensors(config) == len(param_layout(config)) == 8 + 14 * n_layers

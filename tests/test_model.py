@@ -286,3 +286,10 @@ def test_config_validation():
     for n_ref in (3, 1, 0, -1):  # the cache and the CLI stream exactly two reference chunks
         with pytest.raises(ValueError, match="n_ref_chunks"):
             DenoiserConfig(n_ref_chunks=n_ref)
+    for n_layers in (0, -1):
+        with pytest.raises(ValueError, match="n_layers"):
+            DenoiserConfig(n_layers=n_layers)
+    for base in (float("nan"), float("inf"), -float("inf"), 0.0, -2.0):
+        with pytest.raises(ValueError, match="rope_base"):
+            DenoiserConfig(rope_base=base)
+    DenoiserConfig(n_layers=1, rope_base=2.0)

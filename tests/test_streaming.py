@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nfar import streaming
 from nfar.blocks import BlockPlan
 from nfar.checks import TINY, randomized_params
-from nfar.convkv import cache_roll, new_cache
+from nfar.convkv import cache_roll, new_cache, set_reference
 from nfar.model import DenoiserConfig, denoiser_forward, init_params, step_conditioning
 from nfar.numerics import Tensor
 from nfar.schedule import SamplerConfig
@@ -128,20 +128,35 @@ def test_generation_builds_no_tape(monkeypatch):
     assert created == [1]
 
 
-def test_oracle_asks_only_for_unbounded_caches(monkeypatch):
-    # The oracle reads only each step's reference rows, so it needs no
-    # un-rotated key slab and no pending buffer, which a bounded cache carries.
+@pytest.mark.parametrize("use_convkv", [True, False])
+def test_the_oracle_uses_none_of_the_cache_code(monkeypatch, use_convkv):
+    # The oracle is the training forward run block by block, so a defect in
+    # the stream's own cache code cannot cancel out of the comparison.
     params, x_ref, cond = toy_setup()
-    asked = []
 
-    def spy(*args, **kwargs):
-        cache = new_cache(*args, **kwargs)
-        asked.append(cache.bounded)
-        return cache
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle called the stream's cache code")
 
-    monkeypatch.setattr(streaming, "new_cache", spy)
-    generate_full_recompute(params, x_ref, cond, BlockPlan.default(2), SAMPLER, seed=1)
-    assert asked == [False]
+    for name in ("new_cache", "_prefill_reference", "set_reference", "cache_context_view"):
+        monkeypatch.setattr(streaming, name, never)
+    generate_full_recompute(params, x_ref, cond, BlockPlan.default(3), SAMPLER, seed=1, use_convkv=use_convkv)
+
+
+def test_the_oracle_catches_a_reference_rotated_one_position_early(monkeypatch):
+    params, x_ref, cond = toy_setup()
+    plan = BlockPlan.default(3)
+
+    def early(weights, config, x_ref, cond, cache, steps):
+        n_steps, pos = steps.t.size, np.arange(-2, 0)
+        batch, conds = np.repeat(x_ref[None], n_steps, axis=0), np.broadcast_to(cond, (n_steps, np.size(cond)))
+        _, kv = denoiser_forward(weights, config, batch, pos - 1, steps.t, conds, np.ones((2, 2)),
+                                 conditioning=steps)
+        set_reference(cache, kv, pos)
+
+    monkeypatch.setattr(streaming, "_prefill_reference", early)
+    seq, _ = generate_stream(params, x_ref, cond, plan, SAMPLER, use_convkv=False, seed=5)
+    oracle = generate_full_recompute(params, x_ref, cond, plan, SAMPLER, seed=5)
+    assert np.abs(seq.values - oracle.values).max() > 1e-10
 
 
 @pytest.mark.parametrize("use_convkv", [True, False])
