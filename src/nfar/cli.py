@@ -112,6 +112,9 @@ def cmd_train(args) -> int:
             raise ValueError(f"--blocks {args.blocks} makes {plan.total_chunks} chunks, "
                              f"but the dataset has {n_frames} frames")
     else:
+        if n_frames < FIRST_BLOCK:
+            raise ValueError(f"{args.data} holds sequences of {n_frames} frames; an inferred plan needs at "
+                             f"least {FIRST_BLOCK}, the first block")
         sizes, remaining = [FIRST_BLOCK], n_frames - FIRST_BLOCK
         while remaining > 0:
             sizes.append(min(NEXT_BLOCK, remaining))
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeroshot", help="zero-shot chaining of a bidirectional model")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--blocks", type=int, default=6)
+    p.add_argument("--blocks", type=_at_least(2), default=6, help="at least 2: a block boundary to score")
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--seeds", type=_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)

@@ -4,7 +4,11 @@ One cache holds every sampler step's K/V under one ledger: step k reads
 only what step k produced, and nothing else differs between the steps. Its
 slabs are (n_layers, T, rows, d_kv), step k's rows at [:, k] as a `BlockKV`
 carries them: rotated keys, values and, bounded only, the un-rotated keys
-the compressor reads. One block of room follows the filled rows:
+the compressor reads. An unbounded cache stores its rotated keys
+transposed, allocated as (n_layers, T, d_kv, rows) and held as its
+swapaxes view, so attention's score product over the growing context
+reads each dimension's keys as one contiguous row. One block of room
+follows the filled rows:
 
 - bounded: fixed slots reference (2 chunks) | long_term (2 compressed) |
   short_term (2 raw) | current block, packed with no gaps and allocated
@@ -14,21 +18,24 @@ the compressor reads. One block of room follows the filled rows:
   whenever less than one block of room is left.
 
 A context view hands step k's forward its slabs and the context length;
-the forward writes its block's rotated keys and values into the room and
-attends over the slice, and `cache_append` records the block there, the
-steps in order. One roll per block then moves every step's rows. An
-unbounded roll only advances the fill mark, so an unbounded view is valid
-for as long as it is held (rows are written only past it; a doubling
-copies into new slabs); a bounded roll shifts at most four slot rows in
-place, so a bounded view is valid until the next roll.
+the forward writes its block's K/V into the room, once, attends over the
+slice and returns views of the rows it wrote, and `cache_append` records
+the block there without copying them again, the steps in order. One roll
+per block then moves every step's rows. An unbounded roll only advances
+the fill mark, so an unbounded view is valid for as long as it is held
+(rows are written only past it; a doubling copies into new slabs); a
+bounded roll shifts at most four slot rows in place, so a bounded view is
+valid until the next roll.
 
 Each key is rotated once, where it is computed, and keeps its position: a
 raw chunk its own, a compressed chunk the start of the window it
 summarizes (the positional reset, exactly). A roll compresses every full
 window of pending, all layers, steps and K/V at once, with
 numerics.window_products, the kernel stage-2 training's conv1d_strided
-runs, so a compressed chunk equals its training-time memory token bit for
-bit, and rotates the new long-term chunks at their window starts.
+runs: each kernel's windows of every step go through GEMMs of exactly
+WINDOW_ROWS rows, so a compressed chunk equals its training-time memory
+token bit for bit. The roll rotates the new long-term chunks at their
+window starts.
 
 Chunks move FIFO, so raw-chunk ids run dropped | long_term | pending |
 short_term | current (history | current unbounded), and `counts`,
@@ -44,7 +51,6 @@ training and the bounded full-recompute oracle attend under.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,18 +88,12 @@ class Segment:
     def n_chunks(self) -> int:
         return self.vals.shape[-2]
 
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for a in (self.keys, self.rotated, self.vals, self.positions):
-            h.update(b"-" if a is None else np.ascontiguousarray(a).tobytes())
-        h.update(repr(self.spans).encode())
-        return h.hexdigest()
-
 
 def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    """A copy of `a` with `rows` rows on its row axis (the next-to-last one, or the only one)."""
+    """A copy of `a` with `rows` rows on its row axis (the next-to-last one, or the only one), laid out in
+    memory as `a` is."""
     axis = max(a.ndim - 2, 0)
-    out = np.empty(a.shape[:axis] + (rows,) + a.shape[axis + 1:], dtype=a.dtype)
+    out = np.empty_like(a, shape=a.shape[:axis] + (rows,) + a.shape[axis + 1:])
     out[(slice(None),) * axis + (slice(0, a.shape[axis]),)] = a
     return out
 
@@ -118,8 +118,13 @@ class SegmentedKVCache:
         self.next_chunk_id = 0  # raw chunk i sits at position i
         self.appended = 0
         rows, n_steps = REF_CAPACITY + LONG_TERM_CAPACITY + SHORT_TERM_CAPACITY + block_rows, len(self.steps)
-        # One array per slab: stacked, the unbounded slabs raised perfbench's peak RSS by ~3 MB.
-        self.slabs = [np.empty((n_layers, n_steps, rows, d_kv), dtype=dtype) for _ in range(3 if bounded else 2)]
+        # One array per slab: stacked, the unbounded slabs raised perfbench's peak RSS by ~3 MB. Unbounded,
+        # the rotated keys are stored rows last, so the score product over the growing context reads each
+        # dimension's keys as one contiguous row. Bounded, the context stays at most 14 rows and every roll
+        # moves slot rows, which that layout makes 3-4x slower: there they stay rows first.
+        shape = (n_layers, n_steps, rows, d_kv)
+        rotated = np.empty(shape, dtype) if bounded else np.empty(shape[:2] + (d_kv, rows), dtype).swapaxes(-1, -2)
+        self.slabs = [rotated, *(np.empty(shape, dtype) for _ in range(2 if bounded else 1))]
         self.positions = np.empty(rows)
         # Room for lam - 1 leftovers and a whole slab.
         self.pending_kv = np.empty((2, n_layers, n_steps, rows + lam if bounded else 0, d_kv), dtype=dtype)
@@ -164,12 +169,6 @@ class SegmentedKVCache:
         spans = [(-1, -1) if name == "reference" else (int(p), int(p) + width) for p in positions]
         return Segment(keys[0] if keys else None, vals, positions, spans, rotated)
 
-    def non_current_digest(self) -> str:
-        h = hashlib.sha256()
-        for name in ("reference", "long_term", "short_term", "pending", "history"):
-            h.update(getattr(self, name).digest().encode())
-        return h.hexdigest()
-
     def _reserve(self, stop: int) -> None:
         """Slab rows up to `stop`: the capacity doubles, one slab at a time, until they fit, pending's with it."""
         rows = self.positions.size
@@ -184,7 +183,9 @@ class SegmentedKVCache:
 
     def _write(self, start: int, parts, positions, step=slice(None)) -> None:
         """Slab rows [start, start + len(positions)) of `step` (default: all) set to chunks of `parts`
-        (rotated keys, values, keys; an unbounded cache ignores the keys)."""
+        (rotated keys, values, keys; an unbounded cache ignores the keys). A part that is a view of its
+        own destination rows, as a forward given a context view returns them, is not copied: NumPy skips
+        assigning an array onto itself."""
         rows = slice(start, start + len(positions))
         for slab, part in zip(self.slabs, parts):
             slab[:, step, rows] = part
@@ -225,9 +226,10 @@ def cache_append(cache: SegmentedKVCache, kv: BlockKV, positions, k: int) -> Non
 
     Steps 0 to T - 1 append the same positions in order, then the cache
     rolls; step 0's append advances the ledger. A forward given step k's
-    context view has written the block's rotated keys and values there
-    already, so they are written onto themselves. Append-only: no row
-    before the block is written; if the block does not fit, the slabs double.
+    context view has written the block's K/V there already and returns
+    views of those rows, which are not copied again. Append-only: no row
+    before the block is written; if the block does not fit, the slabs double
+    (and copy the block's K/V from where they are).
     """
     if k != cache.appended or k >= len(cache.steps):
         raise CacheStepError(f"append at step {k} after {cache.appended} of {len(cache.steps)} steps appended")
@@ -279,7 +281,7 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
     used = q // lam * lam
     pending = cache.pending_kv[..., :q, :].reshape(2 * L, len(cache.steps), q, cache.d_kv)
     if mode == "conv":
-        # Each window is its own 1-row product, so a step's bits are those of a one-step cache.
+        # Each window is a row of a fixed-shape product, so a step's bits are those of a one-step cache.
         w, b = compressor
         m = window_products(pending, w[:, None], b[:, None]).astype(cache.dtype, copy=False)
     else:
@@ -340,7 +342,9 @@ def cache_context_view(cache: SegmentedKVCache, k: int) -> ContextKV:
         raise CacheStepError(f"step {k} of a cache of {len(cache.steps)} steps")
     positions = cache.positions[:cache.context_chunks]
     positions.setflags(write=False)
-    return ContextKV(cache.slabs[0][:, k], cache.slabs[1][:, k], positions, cache.steps[k])
+    slabs = cache.slabs
+    unrotated = slabs[2][:, k] if cache.bounded else None
+    return ContextKV(slabs[0][:, k], slabs[1][:, k], positions, cache.steps[k], unrotated)
 
 
 def coverage_accounting(cache: SegmentedKVCache) -> dict[str, list[int]]:
@@ -353,15 +357,3 @@ def coverage_accounting(cache: SegmentedKVCache) -> dict[str, list[int]]:
                 for name in ("short_term", "pending", "long_term", "current", "history")}
     return accounts | {"dropped": ids_of(cache.dropped_spans)}
 
-
-def snapshot(cache: SegmentedKVCache) -> str:
-    """Human-readable debug snapshot: shapes, position tags, stored copies, digests."""
-    lines = [f"steps={list(cache.steps)} lam={cache.lam} bounded={cache.bounded}"]
-    for name in ("reference", "long_term", "short_term", "pending", "current", "history"):
-        seg: Segment = getattr(cache, name)
-        copies = "+".join(c for c in ("keys", "rotated") if getattr(seg, c) is not None)
-        lines.append(
-            f"{name}: chunks={seg.n_chunks} positions={seg.positions.tolist()} "
-            f"spans={seg.spans} stores={copies} sha256={seg.digest()[:16]}"
-        )
-    return "\n".join(lines)

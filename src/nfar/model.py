@@ -312,16 +312,20 @@ class ContextKV:
     `slab_keys` (rotated) and `slab_vals` are (n_layers, rows, d_model); their
     first n_tokens = len(positions) rows are the context, each key rotated
     once, where it was computed, by its position. A forward writes its own
-    block's rotated keys and values into the rows after them and attends over
+    block's rotated keys and values into the rows after them, and its
+    un-rotated keys into the same rows of `slab_unrotated` when there is one
+    (a bounded cache's, for its compressor), and attends over
     `slab[l, :n_tokens + n]`, so the context is never copied. `keys` and
     `vals` are read-only views of the context rows; `step_tag` is the
-    sampler step that produced them, and a forward at another step is refused.
+    sampler step that produced them, and a forward at another step is
+    refused.
     """
 
     slab_keys: np.ndarray
     slab_vals: np.ndarray
     positions: np.ndarray  # (n_tokens,)
     step_tag: float
+    slab_unrotated: np.ndarray | None = None
 
     @property
     def n_tokens(self) -> int:
@@ -451,9 +455,10 @@ def denoiser_forward(
     [ctx || tokens] when a context is supplied, [tokens || memory] when an
     inline memory spec is supplied, and [tokens] otherwise. A context's keys
     come rotated; the forward rotates only the keys it computes, writes them
-    and its values into the context slabs' rows after the context (an
-    unbatched forward, in the slabs' dtype), and returns its tokens' keys,
-    un-rotated and rotated, in the BlockKV.
+    and its values (and un-rotated keys, given a slab for them) into the
+    context slabs' rows after the context (an unbatched forward, in the
+    slabs' dtype), and returns its tokens' keys, un-rotated and rotated, in
+    the BlockKV: views of those slab rows, where the forward wrote them.
     `conditioning`, from `step_conditioning` with the same weights, step
     and cond, saves recomputing it; it is built here when omitted.
     """
@@ -504,6 +509,8 @@ def denoiser_forward(
             w, b, lv = ptensors["compressor.w"], ptensors["compressor.b"], config.n_layers + l
             k = concat([k, conv1d_strided(slice2d(k, rows=memory.span), w[l], b[l])])
             v = concat([v, conv1d_strided(slice2d(v, rows=memory.span), w[lv], b[lv])])
+        if ctx is not None and ctx.slab_unrotated is not None:
+            ctx.slab_unrotated[l, ctx.n_tokens:n_keys] = data_of(k)
         k = rope_apply(k, key_pos, freqs, key_angles)
         rotated.append(data_of(k)[..., :n, :])
         if ctx is not None:
@@ -523,7 +530,11 @@ def denoiser_forward(
     vel = add(matmul(out, ptensors["output.w"]), ptensors["output.b"])
     if not np.isfinite(data_of(vel)).all():
         raise FloatingPointError("denoiser produced non-finite velocities")
-    return vel, BlockKV(np.stack(keys), np.stack(rotated), np.stack(vals))
+    if ctx is None:
+        return vel, BlockKV(np.stack(keys), np.stack(rotated), np.stack(vals))
+    rows = slice(ctx.n_tokens, n_keys)
+    keys = np.stack(keys) if ctx.slab_unrotated is None else ctx.slab_unrotated[:, rows]
+    return vel, BlockKV(keys, ctx.slab_keys[:, rows], ctx.slab_vals[:, rows])
 
 
 def chunk_forward(ptensors: dict, config: DenoiserConfig, x_ref, chunks, first: int, chunk_mask: np.ndarray, t,

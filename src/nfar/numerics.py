@@ -30,6 +30,12 @@ in its order, so the bits are that formula's; so are ``layer_norm``'s row
 means, which call ``np.add.reduce`` and divide in place as ``ndarray.mean``
 does, without its Python wrapper.
 
+``window_products``, the strided-conv kernel of both stage-2 training and
+the inference cache's roll, stacks the windows that share a kernel into
+zero-padded GEMMs of exactly ``WINDOW_ROWS`` rows. A product's bits depend
+on its shape, so with one shape a window's bits are its own, whatever
+windows share its call.
+
 Default precision is float64; float32 is an explicit opt-in for the
 streaming benchmarks.
 """
@@ -44,6 +50,7 @@ import numpy as np
 FLOAT_DTYPES = frozenset({np.dtype(np.float64), np.dtype(np.float32)})
 LAYER_NORM_EPS = 1e-6  # added to each row's variance
 FD_STEP = 1e-5  # finite_difference_grad's central-difference step
+WINDOW_ROWS = 4  # rows of every window_products GEMM: the bits of a product depend on its shape
 
 
 class ShapeError(ValueError):
@@ -247,18 +254,6 @@ def slice2d(a, rows: slice | None = None, cols: slice | None = None) -> Tensor |
     return _node(out, (a,), lambda g: ((index, g),))
 
 
-def sum_all(a) -> Tensor | np.ndarray:
-    x = _array(a)
-    out = np.asarray(x.sum())
-    if not isinstance(a, Tensor):
-        return out
-
-    def vjp(g):
-        return (np.full(x.shape, g, dtype=x.dtype),)
-
-    return _node(out, (a,), vjp)
-
-
 def mean_all(a) -> Tensor | np.ndarray:
     x = _array(a)
     out = np.asarray(x.mean())
@@ -458,15 +453,29 @@ def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
 def window_products(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """(..., n*k + r, c) -> (..., n, c): each k-row window times its (k, c, c) kernel, plus bias.
 
-    Leading axes broadcast against weights (..., k, c, c) and bias (..., c).
-    Each window is its own 1-row product, so its bits do not depend on how
-    many windows or kernels share the call. The r < k remainder is dropped.
+    Weights (..., k, c, c) and bias (..., c) broadcast against x's leading
+    axes. The windows that share a kernel (its n, and those of every trailing
+    leading axis the kernels broadcast over) are stacked, zero-padded, into
+    products of exactly WINDOW_ROWS rows, so a window's bits do not depend on
+    how many windows or kernels share the call, nor on its place among them.
+    The r < k remainder is dropped.
     """
     k, c = weights.shape[-3], weights.shape[-1]
-    n = x.shape[-2] // k
-    rows = x[..., :n * k, :].reshape(*x.shape[:-2], n, 1, k * c)
-    out = rows @ weights.reshape(*weights.shape[:-3], 1, k * c, c)
-    return out[..., 0, :] + bias[..., None, :]
+    lead, n = x.shape[:-2], x.shape[-2] // k
+    if weights.ndim - 3 > len(lead):
+        raise ShapeError(f"kernels {weights.shape} have more leading axes than the rows {x.shape}")
+    kernel_axes = weights.ndim - 3  # the kernels' own leading axes: all but their trailing extent-1 ones
+    while kernel_axes and weights.shape[kernel_axes - 1] == 1:
+        kernel_axes -= 1
+    split = len(lead) - (weights.ndim - 3) + kernel_axes if kernel_axes else 0  # lead[split:] share a kernel
+    kernels, per = lead[:split], math.prod(lead[split:]) * n  # per kernel: its windows
+    padded = -(-per // WINDOW_ROWS) * WINDOW_ROWS
+    rows = np.zeros(kernels + (padded, k * c), dtype=x.dtype)
+    # A view: slicing the row axis and splitting it copies nothing.
+    rows[..., :per, :].reshape(lead + (n, k * c))[...] = x[..., :n * k, :].reshape(lead + (n, k * c))
+    out = (rows.reshape(kernels + (padded // WINDOW_ROWS, WINDOW_ROWS, k * c))
+           @ weights.reshape(weights.shape[:kernel_axes] + (1, k * c, c)))
+    return out.reshape(kernels + (padded, c))[..., :per, :].reshape(lead + (n, c)) + bias[..., None, :]
 
 
 def conv1d_strided(x, weights, bias) -> Tensor | np.ndarray:

@@ -24,7 +24,7 @@ from nfar.model import (
     rope_apply,
     wrap_params,
 )
-from nfar.numerics import Tensor, grad_of, sum_all
+from nfar.numerics import Tensor, grad_of
 from nfar.schedule import SamplerConfig
 from nfar.streaming import bench_overhead, zero_shot_experiment
 from nfar.synthdata import (
@@ -36,6 +36,7 @@ from nfar.synthdata import (
     render_and_encode,
 )
 from nfar.training import TrainConfig, smoothed, train_stage1
+from testkit import sum_all
 
 
 def report(name: str, ok: bool, metric: str, budget: float, elapsed: float):

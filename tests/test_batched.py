@@ -41,10 +41,10 @@ from nfar.numerics import (
     mul,
     slice2d,
     sub,
-    sum_all,
 )
 from nfar.schedule import noise_forward
 from nfar.training import Adam, neighbor_forcing_loss
+from testkit import sum_all
 
 TOL = 1e-12
 STAGE2 = dataclasses.replace(TINY, compress_ratio=2)  # small plans form memory windows

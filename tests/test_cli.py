@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nfar import cli
+from nfar.blocks import FIRST_BLOCK
 from nfar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from nfar.io import load_checkpoint, load_dataset, read_latents, save_checkpoint, save_dataset
 from nfar.model import DenoiserConfig, init_params
@@ -77,6 +78,19 @@ def test_train_blocks_not_matching_the_frames_is_usage_error(tmp_path, capsys):
     run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", "22"])
     assert run(["train", "--data", str(ds), "--out", str(tmp_path / "x"), "--steps", "0",
                 "--blocks", "2"]) == EXIT_USAGE
+
+
+def test_train_refuses_a_dataset_shorter_than_the_first_block(tmp_path, capsys):
+    # With no --blocks, the inferred plan started with a full first block
+    # anyway and failed inside training on a plan the user never gave.
+    ds, out = tmp_path / "ds", tmp_path / "x"
+    run(["data", "--out", str(ds), "--seed", "1", "--sequences", "2", "--frames", str(FIRST_BLOCK - 2)])
+    capsys.readouterr()
+    assert run(["train", "--data", str(ds), "--out", str(out), "--steps", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"sequences of {FIRST_BLOCK - 2} frames" in err and f"at least {FIRST_BLOCK}" in err
+    assert "plan chunks" not in err and "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("damage", ["truncated_file", "manifest_sizes"])
@@ -274,6 +288,18 @@ def test_zeroshot_refuses_fewer_than_one_seed(tmp_path, capsys, seeds):
     assert exit_code(["zeroshot", "--ckpt", str(tmp_path / "m.ckpt"), "--seeds", seeds]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert f"--seeds: must be at least 1, got {seeds}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("blocks", ["1", "0"])
+def test_zeroshot_refuses_fewer_than_two_blocks(tmp_path, capsys, monkeypatch, blocks):
+    # With one block there is no boundary to score: zeroshot generated a
+    # whole variant and only then failed in discontinuity_score.
+    save_checkpoint(tmp_path / "m.ckpt", init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0))
+    monkeypatch.setattr(cli, "zero_shot_experiment", lambda *a, **k: pytest.fail("zeroshot ran the model"))
+    assert exit_code(["zeroshot", "--ckpt", str(tmp_path / "m.ckpt"), "--blocks", blocks]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"--blocks: must be at least 2, got {blocks}" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
 
 

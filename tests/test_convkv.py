@@ -22,7 +22,6 @@ from nfar.convkv import (
     coverage_accounting,
     new_cache,
     set_reference,
-    snapshot,
 )
 from nfar.model import (
     BlockKV,
@@ -39,6 +38,7 @@ from nfar.numerics import Tensor, window_products
 from nfar.schedule import SamplerConfig
 from nfar.synthdata import LatentDynamics, make_dataset
 from nfar.training import TrainConfig, train_stage2_convkv
+from testkit import non_current_digest, segment_digest, snapshot
 
 RNG = np.random.default_rng(99)
 N_LAYERS, D_KV = 2, 16
@@ -153,9 +153,9 @@ def test_append_is_append_only():
     cache = make_ready_cache()
     cache_append(cache, fake_kv(range(6)), list(range(6)), 0)
     cache_roll(cache, averaging_comp())
-    before = cache.non_current_digest()
+    before = non_current_digest(cache)
     cache_append(cache, fake_kv(range(6, 14)), list(range(6, 14)), 0)
-    assert cache.non_current_digest() == before
+    assert non_current_digest(cache) == before
 
 
 def test_roll_arithmetic_first_blocks():
@@ -504,7 +504,7 @@ def test_digests_cover_the_rotated_copies():
                 continue
             assert seg.rotated is not None
             tampered = Segment(seg.keys, seg.vals, seg.positions, seg.spans, seg.rotated + 1.0)
-            assert tampered.digest() != seg.digest(), name
+            assert segment_digest(tampered) != segment_digest(seg), name
         assert "rotated" in snapshot(cache)
 
 
@@ -709,3 +709,72 @@ def test_roll_after_an_in_place_edit_compresses_with_the_edited_weights():
     changed = [[not np.array_equal(e[l], o[l]) for l in range(N_LAYERS)]
                for e, o in ((edited.keys, old.keys), (edited.vals, old.vals))]
     assert changed == [[True, False], [False, True]]  # layer-0 keys and layer-1 values only
+
+
+
+# -- write-once K/V ------------------------------------------------------------
+
+def same_rows(a, b):
+    """Whether `a` and `b` view the same elements: the same memory, shape and strides."""
+    return (a.shape == b.shape and a.strides == b.strides
+            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_a_context_forward_writes_its_block_once_into_the_slabs(bounded):
+    # The forward writes step k's rotated keys, values and (bounded) un-rotated
+    # keys into the rows after the context and returns views of those rows;
+    # appending them leaves every slab byte as the forward wrote it.
+    config = TINY
+    params = randomized_params(config, seed=5)
+    rng = np.random.default_rng(5)
+    freqs = RopeFrequencies.create(config.head_dim, config.rope_base)
+    cache = new_cache(config.n_layers, config.d_model, STEPS, freqs, lam=config.compress_ratio, bounded=bounded,
+                      block_rows=4)
+    ref = rng.standard_normal((2, config.n_layers, len(STEPS), 2, config.d_model))
+    set_reference(cache, BlockKV(ref[0], rope_apply(ref[0], [-2, -1], freqs), ref[1]), [-2, -1])
+    cond = rng.standard_normal(config.d_cond)
+    for block in ([0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 10]):
+        positions, n = np.array(block), len(block)
+        for k, t in enumerate(STEPS):
+            ctx = cache_context_view(cache, k)
+            rows = slice(ctx.n_tokens, ctx.n_tokens + n)
+            _, kv = denoiser_forward(params.values, config, rng.standard_normal((n, config.d_latent)), positions, t,
+                                     cond, np.ones((n, ctx.n_tokens + n)), ctx=ctx)
+            assert same_rows(kv.rotated, cache.slabs[0][:, k, rows]) and same_rows(kv.vals, cache.slabs[1][:, k, rows])
+            if bounded:
+                assert same_rows(kv.keys, cache.slabs[2][:, k, rows])
+            else:  # no slab holds them: an array of the forward's own
+                assert type(kv.keys) is np.ndarray and kv.keys.base is None and kv.keys.shape == kv.rotated.shape
+            assert np.array_equal(kv.rotated, rope_apply(kv.keys, positions, freqs))
+            written = [slab.copy() for slab in cache.slabs]
+            cache_append(cache, kv, positions, k)
+            assert all(np.array_equal(a, b) for a, b in zip(cache.slabs, written, strict=True))
+        cache_roll(cache, None, mode="subsample")
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_a_block_that_doubles_the_slabs_is_stored(bounded):
+    # Explicit K/V of a block larger than the room left double the slabs at
+    # step 0's append; the reference, the earlier block and every step's new
+    # rows survive the copy, and the rotated keys keep their layout: unbounded,
+    # transposed, so a dimension's keys are contiguous.
+    cache = new_cache(N_LAYERS, D_KV, STEPS, FREQS, bounded=bounded, block_rows=2)
+    ref, first, big = (fake_kv(p, lead=(len(STEPS),)) for p in ([-2, -1], [0, 1], list(range(2, 9))))
+    set_reference(cache, ref, [-2, -1])
+    layout = np.argsort(cache.slabs[0].strides)
+    assert (cache.slabs[0].strides[-2] < cache.slabs[0].strides[-1]) == (not bounded)
+    for positions, kv in (([0, 1], first), (list(range(2, 9)), big)):
+        capacity, slab = cache.positions.size, cache.slabs[0]
+        for k in range(len(STEPS)):
+            cache_append(cache, BlockKV(*(a[:, k] for a in kv)), positions, k)
+        if kv is big:
+            assert cache.positions.size > capacity and not np.shares_memory(cache.slabs[0], slab)
+            assert np.array_equal(np.argsort(cache.slabs[0].strides), layout)
+            current = cache.current
+            assert np.array_equal(current.rotated, kv.rotated) and np.array_equal(current.vals, kv.vals)
+            assert not bounded or np.array_equal(current.keys, kv.keys)
+            assert np.array_equal(cache.reference.rotated, ref.rotated)
+            earlier = cache.short_term if bounded else cache.history
+            assert np.array_equal(earlier.rotated, first.rotated) and np.array_equal(earlier.vals, first.vals)
+        cache_roll(cache, None, mode="subsample")

@@ -17,7 +17,8 @@ from nfar.model import (
     time_embed,
     wrap_params,
 )
-from nfar.numerics import Tensor, grad_of, sum_all
+from nfar.numerics import Tensor, grad_of
+from testkit import sum_all
 
 RNG = np.random.default_rng(42)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfar.numerics import (
+    WINDOW_ROWS,
     GradientTape,
     MaskError,
     ShapeError,
@@ -25,9 +26,9 @@ from nfar.numerics import (
     mul,
     slice2d,
     sub,
-    sum_all,
     window_products,
 )
+from testkit import sum_all
 
 RNG = np.random.default_rng(1234)
 
@@ -356,9 +357,10 @@ def test_conv1d_strided_gradient_and_remainder():
 
 
 def test_window_products_rows_do_not_depend_on_batching():
-    # Each window must equal its own 1-row product, however many windows and
-    # kernels share the call, and with a leading sampler-step axis the
-    # kernels broadcast over: the inference cache's one roll relies on it.
+    # Each window must equal its own product, alone in the first row of a
+    # zero-padded WINDOW_ROWS-row GEMM, however many windows and kernels
+    # share the call, and with a leading sampler-step axis the kernels
+    # broadcast over: the inference cache's one roll relies on it.
     k, c, steps = 5, 8, 3
     for dtype in (np.float64, np.float32):
         W = RNG.standard_normal((4, k, c, c)).astype(dtype)
@@ -372,9 +374,37 @@ def test_window_products_rows_do_not_depend_on_batching():
             for j in range(4):
                 for s in range(steps):
                     for p in range(n):
-                        row = x[j, s, p * k:(p + 1) * k].reshape(1, k * c) @ W[j].reshape(k * c, c) + b[j]
+                        alone = np.zeros((WINDOW_ROWS, k * c), dtype=dtype)
+                        alone[0] = x[j, s, p * k:(p + 1) * k].reshape(k * c)
+                        row = alone @ W[j].reshape(k * c, c) + b[j]
                         assert np.array_equal(stepped[j, s, p], row[0])
                         assert s > 0 or np.array_equal(out[j, p], row[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 6), c=st.integers(1, 24), kernels=st.integers(1, 3), steps=st.integers(1, 3),
+       n=st.integers(1, 9), remainder=st.integers(0, 5), dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_a_windows_bits_do_not_depend_on_its_group(k, c, kernels, steps, n, remainder, dtype, seed, data):
+    # Under the WINDOW_ROWS policy a window's output is a function of the
+    # window and its kernel alone: not of how many windows share the call
+    # (the group's size), its place among them, nor its neighbours' values.
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((kernels, k, c, c)).astype(dtype)
+    b = rng.standard_normal((kernels, c)).astype(dtype)
+    x = rng.standard_normal((kernels, steps, n * k + remainder % k, c)).astype(dtype)
+    together = window_products(x, W[:, None], b[:, None])
+    assert together.shape == (kernels, steps, n, c) and together.dtype == dtype
+    s, p = data.draw(st.integers(0, steps - 1)), data.draw(st.integers(0, n - 1))
+    window = x[:, s, p * k:(p + 1) * k]
+    alone = window_products(window, W, b)[:, 0]
+    assert np.array_equal(together[:, s, p], alone)
+    # The same window among m - 1 fresh neighbours, at a drawn place, under one kernel for the whole call.
+    m = data.draw(st.integers(1, 3 * WINDOW_ROWS))
+    place = data.draw(st.integers(0, m - 1))
+    crowd = rng.standard_normal((m, k, c)).astype(dtype)
+    crowd[place] = window[0]
+    assert np.array_equal(window_products(crowd.reshape(m * k, c), W[0], b[0])[place], alone[0])
 
 
 def test_conv1d_rejects_bad_weights_and_short_input():
