@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockPlan
-from .model import REF_CAPACITY, BlockKV, ContextKV, RopeFrequencies, rope_apply
-from .numerics import window_products
+from .model import REF_CAPACITY, BlockKV, ContextKV, RopeFrequencies, rope_angles
+from .numerics import rotate_pairs, window_products
 
 LONG_TERM_CAPACITY = 2
 SHORT_TERM_CAPACITY = 2
@@ -191,15 +191,6 @@ class SegmentedKVCache:
             slab[:, step, rows] = part
         self.positions[rows] = positions
 
-    def _move(self, dst: int, src: int, n: int) -> None:
-        """Slab rows [src, src + n) to rows [dst, dst + n), every step's."""
-        if n == 0 or dst == src:
-            return
-        to, rows = slice(dst, dst + n), slice(src, src + n)
-        for slab in self.slabs:
-            slab[..., to, :] = slab[..., rows, :]
-        self.positions[to] = self.positions[rows]
-
 
 def new_cache(n_layers: int, d_kv: int, steps, freqs: RopeFrequencies, lam: int = 5,
               bounded: bool = True, dtype=np.float64, block_rows: int = 8) -> SegmentedKVCache:
@@ -288,15 +279,22 @@ def cache_roll(cache: SegmentedKVCache, compressor=None, mode: str = "conv") -> 
         # Free summarizer used by the overhead benchmark: the first chunk of
         # each window stands in for the whole window.
         m = pending[..., :used:lam, :]
-    # Long-term keeps the newest LONG_TERM_CAPACITY windows of old || new; the rest are dropped.
+    # Long-term keeps the newest LONG_TERM_CAPACITY windows of old || new; the rest are dropped. In every slab,
+    # and in positions, the kept old windows shift down, the new ones follow them, then the kept chunks.
     evicted = max(0, n_long + used // lam - LONG_TERM_CAPACITY)
     old = min(evicted, n_long)
-    cache._move(ref, ref + old, n_long - old)
     new = slice(evicted - old, None)
     m_k, m_v, starts = m[:L, :, new], m[L:, :, new], np.arange(first + (evicted - old) * lam, first + used, lam)
-    cache._write(ref + n_long - old, (rope_apply(m_k, starts, cache.freqs), m_v, m_k), starts)
+    kept, top = slice(ref + old, ref + n_long), ref + n_long - old  # top: the first new window's row
     n_long = n_long - old + starts.size
-    cache._move(ref + n_long, stop, keep)
+    rows, short = slice(top, ref + n_long), slice(ref + n_long, ref + n_long + keep)
+    parts = rotate_pairs(m_k, *rope_angles(starts, cache.freqs, cache.dtype)), m_v, m_k
+    for slab, part in zip(cache.slabs, parts):
+        slab[..., ref:top, :] = slab[..., kept, :]
+        slab[..., rows, :] = part
+        slab[..., short, :] = slab[..., stop:stop + keep, :]
+    p = cache.positions
+    p[ref:top], p[rows], p[short] = p[kept], starts, p[stop:stop + keep]
     counts.update(long_term=n_long, short_term=keep, current=0, pending=q - used)
     cache.appended = 0
     if used:

@@ -8,7 +8,10 @@ sinusoids), so step-dependent rescalings of the velocity field are
 inside the linear span of the heads. Everything a forward computes from
 (t, cond, weights) alone is folded into one StepConditioning per step.
 A forward runs one sequence, or a batch of sequences that share their
-positions and mask, each with its own step and condition.
+positions and mask, each with its own step and condition. It checks its
+inputs, the mask and the step tags once, builds the RoPE tables once, and
+runs each layer as one `numerics.transformer_layer` call: plain NumPy on
+bare weights, one tape node on Tensor weights.
 """
 
 from __future__ import annotations
@@ -20,26 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import BlockPlan
-from .numerics import (
-    ShapeError,
-    Tensor,
-    add,
-    attention,
-    concat,
-    conv1d_strided,
-    data_of,
-    gated_residual,
-    layer_norm,
-    linear_tanh,
-    matmul,
-    mul,
-    slice2d,
-    write_rows,
-)
+from .numerics import ShapeError, Tensor, add, data_of, key_mask, matmul, mul, rotate_pairs, slice2d, transformer_layer
 from .rng import STREAM_INIT, make_rng
 
 T_FLOOR = 0.02  # clamp for the reciprocal time feature
 REF_CAPACITY = 2  # reference chunks: training, the cache and the CLI all take exactly this many
+# Each layer's weights, after "layers.{l}.", in the order numerics.transformer_layer takes them.
+_LAYER_WEIGHTS = ("ln1.g", "ln1.b", "attn.qkv.w", "attn.o.w", "attn.o.b", "ln3.g", "ln3.b",
+                  "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
 @dataclass(frozen=True)
@@ -101,13 +92,13 @@ def rope_angles(positions, freqs: RopeFrequencies, dtype) -> tuple[np.ndarray, n
     return np.cos(angles).astype(dtype, copy=False), (np.sin(angles) * _PAIR_SIGN).astype(dtype, copy=False)
 
 
-def rope_apply(x, positions, freqs: RopeFrequencies, angles: tuple | None = None) -> Tensor | np.ndarray:
+def rope_apply(x, positions, freqs: RopeFrequencies) -> Tensor | np.ndarray:
     """Rotate the dimension pairs of each head_dim column group of (..., n, H*head_dim) rows.
 
     Row i of every leading index turns by positions[i] * frequency in every
-    head's group. `angles`, from `rope_angles` with the same positions, saves
-    recomputing them. Like the `numerics` ops, a bare array in gives a bare
-    array out; a Tensor goes on the tape.
+    head's group, by `numerics.rotate_pairs` over the `rope_angles` tables.
+    Like the `numerics` ops, a bare array in gives a bare array out; a Tensor
+    goes on the tape.
     """
     a = data_of(x)
     half = freqs.freqs.size
@@ -115,20 +106,11 @@ def rope_apply(x, positions, freqs: RopeFrequencies, angles: tuple | None = None
         raise ShapeError(f"rope input shape {a.shape} does not split into groups of {half} pairs")
     if np.shape(positions) != (a.shape[-2],):
         raise ShapeError(f"positions shape {np.shape(positions)} != ({a.shape[-2]},)")
-    c, s = rope_angles(positions, freqs, a.dtype) if angles is None else angles
-    pairs = a.shape[:-1] + (a.shape[-1] // (2 * half), 2, half)  # each group: [first half | second half]
-
-    # Each group [r1 | r2] becomes [r1 c - r2 sin | r2 c + r1 sin] = r c + [r2 | r1] [-sin | sin].
-    def rotate(r, signed_sin):
-        r = r.reshape(pairs)
-        out = r * c
-        out += r[..., ::-1, :] * signed_sin
-        return out.reshape(a.shape)
-
-    out = rotate(a, s)
+    c, s = rope_angles(positions, freqs, a.dtype)
+    out = rotate_pairs(a, c, s)
     if not isinstance(x, Tensor):
         return out
-    return Tensor(out, (x,), lambda g: (rotate(g, -s),))
+    return Tensor(out, (x,), lambda g: (rotate_pairs(g, c, -s),))
 
 
 def time_embed(t, d: int) -> np.ndarray:
@@ -470,60 +452,45 @@ def denoiser_forward(
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (n,):
         raise ShapeError(f"positions shape {pos.shape} != ({n},)")
-    key_pos = pos  # positions of the keys this forward computes: its tokens, then any memory
     n_keys = n
     if ctx is not None:
-        if ctx.step_tag != t:
-            raise StepTagError(f"cache step tag {ctx.step_tag} != forward step {t}")
         n_keys += ctx.n_tokens
         if ctx.slab_keys.dtype != dtype or x.ndim != 2 or ctx.slab_keys.shape[-2] < n_keys:
             raise ShapeError(f"context slabs {ctx.slab_keys.shape} of {ctx.slab_keys.dtype} have no room for "
                              f"{x.shape[:-1]} {dtype} tokens after {ctx.n_tokens} context rows")
+        if not _same_step(ctx.step_tag, t):
+            raise StepTagError(f"cache step tag {ctx.step_tag} != forward step {t}")
     elif memory is not None:
         n_keys += memory.n_mem
-        key_pos = np.concatenate([pos, pos[memory.span][::memory.ratio]])
-    if mask.shape != (n, n_keys):
-        raise ShapeError(f"mask shape {mask.shape} != ({n}, {n_keys})")
+    masked = key_mask(mask, n, n_keys)
     if conditioning is None:
         conditioning = step_conditioning(ptensors, config, t, cond)
-    elif conditioning.t != t if isinstance(t, float) else not np.array_equal(conditioning.t, t):
+    elif not _same_step(conditioning.t, t):
         raise StepTagError(f"conditioning step {conditioning.t} != forward step {t}")
     freqs = conditioning.freqs
     angles = rope_angles(pos, freqs, dtype)  # every layer's queries, and its keys unless memory joins them
-    key_angles = angles if memory is None else rope_angles(key_pos, freqs, dtype)
-    dm = config.d_model
+    key_angles = None if memory is None else rope_angles(
+        np.concatenate([pos, pos[memory.span][::memory.ratio]]), freqs, dtype)
+    L = config.n_layers
 
     h = add(matmul(x, ptensors["input.w"]), ptensors["input.b"])
     keys, rotated, vals = [], [], []
-
-    for l in range(config.n_layers):
-        p = f"layers.{l}"
-        step = conditioning.layers[l]
-        u = layer_norm(h, ptensors[f"{p}.ln1.g"], ptensors[f"{p}.ln1.b"], *step["mod1"])
-        qkv = matmul(u, ptensors[f"{p}.attn.qkv.w"])
-        q, k, v = (slice2d(qkv, cols=slice(i * dm, (i + 1) * dm)) for i in range(3))
-        keys.append(data_of(k))
-        vals.append(data_of(v))
-
-        if memory is not None:
-            w, b, lv = ptensors["compressor.w"], ptensors["compressor.b"], config.n_layers + l
-            k = concat([k, conv1d_strided(slice2d(k, rows=memory.span), w[l], b[l])])
-            v = concat([v, conv1d_strided(slice2d(v, rows=memory.span), w[lv], b[lv])])
-        if ctx is not None and ctx.slab_unrotated is not None:
-            ctx.slab_unrotated[l, ctx.n_tokens:n_keys] = data_of(k)
-        k = rope_apply(k, key_pos, freqs, key_angles)
-        rotated.append(data_of(k)[..., :n, :])
+    for l in range(L):
+        p, s = f"layers.{l}.", conditioning.layers[l]
+        slabs = memory_rows = None
         if ctx is not None:
-            k = write_rows(ctx.slab_keys[l], ctx.n_tokens, k)
-            v = write_rows(ctx.slab_vals[l], ctx.n_tokens, v)
-
-        heads = attention(rope_apply(q, pos, freqs, angles), k, v, mask, config.n_heads)
-        h = gated_residual(h, heads, ptensors[f"{p}.attn.o.w"], ptensors[f"{p}.attn.o.b"], step["gate1"])
-        h = add(h, step["cond"])
-
-        u3 = layer_norm(h, ptensors[f"{p}.ln3.g"], ptensors[f"{p}.ln3.b"], *step["mod3"])
-        f1 = linear_tanh(u3, ptensors[f"{p}.ffn.w1"], ptensors[f"{p}.ffn.b1"])
-        h = gated_residual(h, f1, ptensors[f"{p}.ffn.w2"], ptensors[f"{p}.ffn.b2"], step["gate3"])
+            slabs = (ctx.slab_keys[l], ctx.slab_vals[l],
+                     None if ctx.slab_unrotated is None else ctx.slab_unrotated[l], ctx.n_tokens)
+        elif memory is not None:  # layer l's key kernels and bias, then its value kernels and bias
+            w, b = ptensors["compressor.w"], ptensors["compressor.b"]
+            memory_rows = (memory.span, w[l], b[l], w[L + l], b[L + l])
+        h, k, k_rot, v = transformer_layer(
+            h, [ptensors[p + name] for name in _LAYER_WEIGHTS],
+            (*s["mod1"], s["gate1"], s["cond"], *s["mod3"], s["gate3"]), angles, masked, config.n_heads,
+            key_angles, slabs, memory_rows)
+        keys.append(k)
+        rotated.append(k_rot)
+        vals.append(v)
 
     scale, shift = conditioning.final
     out = add(mul(h, scale), shift)
@@ -535,6 +502,11 @@ def denoiser_forward(
     rows = slice(ctx.n_tokens, n_keys)
     keys = np.stack(keys) if ctx.slab_unrotated is None else ctx.slab_unrotated[:, rows]
     return vel, BlockKV(keys, ctx.slab_keys[:, rows], ctx.slab_vals[:, rows])
+
+
+def _same_step(a, b) -> bool:
+    """The one rule for step tags: one step or a batch of them, equal in shape and values."""
+    return a == b if isinstance(a, float) and isinstance(b, float) else np.array_equal(a, b)
 
 
 def chunk_forward(ptensors: dict, config: DenoiserConfig, x_ref, chunks, first: int, chunk_mask: np.ndarray, t,

@@ -17,10 +17,16 @@ shares the weights, and a matrix is the case with none. Each slice of a
 batched forward has the bits of its own 2-D call; a weight's gradient is
 one product over the rows of every slice.
 
-A transformer sublayer is one tape node: ``layer_norm`` (with adaLN
-modulation), ``gated_residual`` and ``linear_tanh`` compute the NumPy
-expressions of the elementary-op chain they stand for, in its order, so
-their bits, forward and backward, are that chain's.
+A transformer layer is one tape node. Each formula is written once, as
+array-level halves: a forward (``_layer_norm_fwd``, ``_attention_fwd``,
+``_gated_residual_fwd``, ``_linear_tanh_fwd``, ``rotate_pairs``,
+``window_products``) that returns its result and what its VJP reads, and a
+VJP (``*_vjp``) that returns one gradient per operand, skipping those not
+needed. The public ops wrap one pair each as one node and compute the NumPy
+expressions of the elementary-op chain they stand for, in its order.
+``transformer_layer`` calls the halves in the order of the layer's chain of
+public ops, so its bits, forward and backward, are that chain's; on bare
+operands it is plain NumPy calls, and with a Tensor operand one node.
 
 ``attention`` runs its softmax in the one buffer that the score product
 returns: scaling, masking, max-shift, ``exp`` and normalisation each write
@@ -142,6 +148,15 @@ def _node(out: np.ndarray, operands: tuple, vjp: Callable) -> Tensor:
     return Tensor(out, parents, lambda g: [pg for pg, k in zip(vjp(g), keep) if k])
 
 
+def _taped(out: np.ndarray, operands: tuple, vjp: Callable, saved: tuple) -> Tensor | np.ndarray:
+    """`out` as is when no operand is a Tensor, else a node whose VJP is vjp(g, saved, need), `need` saying
+    which operands are Tensors."""
+    need = tuple(isinstance(o, Tensor) for o in operands)
+    if not any(need):
+        return out
+    return _node(out, operands, lambda g: vjp(g, saved, need))
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     """(..., d) -> (rows, d): every leading axis flattened into one row axis."""
     return a.reshape(-1, a.shape[-1])
@@ -223,21 +238,6 @@ def concat(tensors: Sequence, axis: int = -2) -> Tensor | np.ndarray:
     return _node(out, tuple(tensors), vjp)
 
 
-def write_rows(buffer: np.ndarray, start: int, a) -> Tensor | np.ndarray:
-    """Write (n, d) rows `a` into `buffer` at row `start`; return buffer's rows [:start + n] as a view.
-
-    The rows before `start` are not copied, and the view changes when they
-    do. On the tape only `a` gets a gradient: the view's last n rows.
-    """
-    x = _array(a)
-    stop = start + x.shape[-2]
-    buffer[start:stop] = x
-    out = buffer[:stop]
-    if not isinstance(a, Tensor):
-        return out
-    return _node(out, (a,), lambda g: (g[start:],))
-
-
 def slice2d(a, rows: slice | None = None, cols: slice | None = None) -> Tensor | np.ndarray:
     """Rows and columns of the last two axes of a (..., n, d) operand."""
     x = _array(a)
@@ -297,20 +297,45 @@ def matmul(a, b) -> Tensor | np.ndarray:
     return _node(out, (a, b), lambda g: _matmul_grads(g, x, y, ta, tb))
 
 
+def _linear_tanh_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """tanh(x @ w + b), and what its VJP reads."""
+    z = x @ w + b
+    out = np.tanh(z, out=z)
+    return out, (x, w, b, out)
+
+
+def _linear_tanh_vjp(g: np.ndarray, saved: tuple, need) -> tuple:
+    x, w, b, out = saved
+    tx, tw, tb = need
+    gz = g * (1.0 - out * out)
+    return (*_matmul_grads(gz, x, w, tx, tw), _unbroadcast(gz, b.shape) if tb else None)
+
+
 def linear_tanh(x, w, b) -> Tensor | np.ndarray:
     """tanh(x @ w + b) for (..., n, d) rows x, a (d, e) matrix w and an (e,) bias: one tape node."""
     xa, wa, ba = _array(x), _array(w), _array(b)
     _check_matmul(xa, wa)
-    out = np.tanh(xa @ wa + ba)
-    tx, tw, tb = isinstance(x, Tensor), isinstance(w, Tensor), isinstance(b, Tensor)
-    if not (tx or tw or tb):
-        return out
+    out, saved = _linear_tanh_fwd(xa, wa, ba)
+    return _taped(out, (x, w, b), _linear_tanh_vjp, saved)
 
-    def vjp(g):
-        gz = g * (1.0 - out * out)
-        return (*_matmul_grads(gz, xa, wa, tx, tw), _unbroadcast(gz, ba.shape) if tb else None)
 
-    return _node(out, (x, w, b), vjp)
+def _gated_residual_fwd(h: np.ndarray, x: np.ndarray, w: np.ndarray, b: np.ndarray, gate: np.ndarray
+                       ) -> tuple[np.ndarray, tuple]:
+    """h + (x @ w + b)·gate, and what its VJP reads."""
+    z = x @ w + b
+    r = z * gate
+    return h + r, (x, w, b, gate, z, r.shape)
+
+
+def _gated_residual_vjp(g: np.ndarray, saved: tuple, need) -> tuple:
+    x, w, b, gate, z, r_shape = saved
+    th, tx, tw, tb, tg = need
+    gz = gg = None
+    if tx or tw or tb or tg:
+        gr = _unbroadcast(g, r_shape)
+        gz = _unbroadcast(gr * gate, z.shape) if tx or tw or tb else None
+        gg = _unbroadcast(gr * z, gate.shape) if tg else None
+    return g if th else None, *_matmul_grads(gz, x, w, tx, tw), _unbroadcast(gz, b.shape) if tb else None, gg
 
 
 def gated_residual(h, x, w, b, gate) -> Tensor | np.ndarray:
@@ -319,28 +344,12 @@ def gated_residual(h, x, w, b, gate) -> Tensor | np.ndarray:
     The projection and the gate broadcast against h, e.g. one (..., 1, e)
     row per leading index; the result has h's shape.
     """
-    ha, xa, wa, ba, ga = _array(h), _array(x), _array(w), _array(b), _array(gate)
+    ha, xa, wa = _array(h), _array(x), _array(w)
     _check_matmul(xa, wa)
-    z = xa @ wa + ba
-    r = z * ga
-    out = ha + r
+    out, saved = _gated_residual_fwd(ha, xa, wa, _array(b), _array(gate))
     if out.shape != ha.shape:
-        raise ShapeError(f"gated projection {r.shape} does not broadcast to the stream's shape {ha.shape}")
-    th, tx, tw = isinstance(h, Tensor), isinstance(x, Tensor), isinstance(w, Tensor)
-    tb, tg = isinstance(b, Tensor), isinstance(gate, Tensor)
-    if not (th or tx or tw or tb or tg):
-        return out
-
-    def vjp(g):
-        gz = gg = None
-        if tx or tw or tb or tg:
-            gr = _unbroadcast(g, r.shape)
-            gz = _unbroadcast(gr * ga, z.shape) if tx or tw or tb else None
-            gg = _unbroadcast(gr * z, ga.shape) if tg else None
-        return (g if th else None, *_matmul_grads(gz, xa, wa, tx, tw), _unbroadcast(gz, ba.shape) if tb else None,
-                gg)
-
-    return _node(out, (h, x, w, b, gate), vjp)
+        raise ShapeError(f"gated projection {saved[-1]} does not broadcast to the stream's shape {ha.shape}")
+    return _taped(out, (h, x, w, b, gate), _gated_residual_vjp, saved)
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -350,40 +359,104 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return m
 
 
+def _layer_norm_fwd(a: np.ndarray, gain: np.ndarray, bias: np.ndarray, scale: np.ndarray, shift: np.ndarray
+                   ) -> tuple[np.ndarray, tuple]:
+    """(x̂·gain + bias)·scale + shift of (..., n, d) rows a, and what its VJP reads."""
+    xhat = a - _row_mean(a)  # centred, then scaled in place
+    var = _row_mean(np.square(xhat))  # the ufunc calls of a.var(axis=-1), mean reused
+    var += LAYER_NORM_EPS
+    inv = 1.0 / np.sqrt(var, out=var)
+    xhat *= inv
+    y = xhat * gain + bias
+    return y * scale + shift, (xhat, inv, y, gain, scale, shift)
+
+
+def _layer_norm_vjp(g: np.ndarray, saved: tuple, need) -> tuple:
+    xhat, inv, y, gain, scale, shift = saved
+    tx, tg, tb, ts, tt = need
+    gs = _unbroadcast(g * y, scale.shape) if ts else None
+    gt = _unbroadcast(g, shift.shape) if tt else None
+    g = g * scale  # the gradient of y
+    gx = None
+    if tx:
+        gxhat = g * gain
+        gx = inv * (gxhat - _row_mean(gxhat) - xhat * _row_mean(gxhat * xhat))
+        gx = gx.astype(xhat.dtype, copy=False)
+    return gx, _rows(g * xhat).sum(axis=0) if tg else None, _rows(g).sum(axis=0) if tb else None, gs, gt
+
+
 def layer_norm(x, gain, bias, scale, shift) -> Tensor | np.ndarray:
     """Layer norm over the last axis of (..., n, d) rows, then adaLN modulation: (x̂·gain + bias)·scale + shift.
 
     scale and shift broadcast against x, e.g. one (..., 1, d) row per leading index. One tape node.
     """
-    a, g_, b_ = _array(x), _array(gain), _array(bias)
+    a = _array(x)
     if a.ndim < 2:
         raise ShapeError(f"layer_norm expects a matrix or a stack of them, got shape {a.shape}")
-    centered = a - _row_mean(a)
-    var = _row_mean(np.square(centered))  # the ufunc calls of a.var(axis=-1), mean reused
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    y = xhat * g_ + b_
     sc, sh = _array(scale), _array(shift)
-    out = y * sc + sh
-    if out.shape != y.shape:
-        raise ShapeError(f"scale {sc.shape} and shift {sh.shape} do not broadcast to the rows' shape {y.shape}")
-    tx, tg, tb = isinstance(x, Tensor), isinstance(gain, Tensor), isinstance(bias, Tensor)
-    ts, tt = isinstance(scale, Tensor), isinstance(shift, Tensor)
-    if not (tx or tg or tb or ts or tt):
-        return out
+    out, saved = _layer_norm_fwd(a, _array(gain), _array(bias), sc, sh)
+    if out.shape != saved[2].shape:
+        raise ShapeError(f"scale {sc.shape} and shift {sh.shape} do not broadcast to the rows' shape "
+                         f"{saved[2].shape}")
+    return _taped(out, (x, gain, bias, scale, shift), _layer_norm_vjp, saved)
 
-    def vjp(g):
-        gs = _unbroadcast(g * y, sc.shape) if ts else None
-        gt = _unbroadcast(g, sh.shape) if tt else None
-        g = g * sc  # the gradient of y
-        gx = None
-        if tx:
-            gxhat = g * g_
-            gx = inv * (gxhat - _row_mean(gxhat) - xhat * _row_mean(gxhat * xhat))
-            gx = gx.astype(a.dtype, copy=False)
-        return (gx, _rows(g * xhat).sum(axis=0) if tg else None, _rows(g).sum(axis=0) if tb else None, gs, gt)
 
-    return _node(out, (x, gain, bias, scale, shift), vjp)
+def key_mask(mask, n: int, m: int) -> np.ndarray | None:
+    """The masked entries of an (n, m) attention mask (nonzero is on), or None when every key is on.
+
+    Checked once: a mask of the wrong shape, or one that leaves a row with no
+    key, is refused here.
+    """
+    on = np.asarray(mask) != 0
+    if on.shape != (n, m):
+        raise ShapeError(f"mask shape {on.shape} != scores shape ({n}, {m})")
+    if on.all():  # no key masked: no masking pass, and no row can be empty
+        return None
+    if not on.any(axis=1).all():
+        bad = int(np.flatnonzero(~on.any(axis=1))[0])
+        raise MaskError(f"row {bad} of the attention mask has no unmasked entry")
+    return ~on
+
+
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., rows, H*hd) -> (..., H, rows, hd), a view."""
+    return a.reshape(*a.shape[:-1], n_heads, a.shape[-1] // n_heads).swapaxes(-2, -3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., H, rows, hd) -> (..., rows, H*hd)."""
+    a = a.swapaxes(-2, -3)
+    return a.reshape(*a.shape[:-2], -1)
+
+
+def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, masked: np.ndarray | None, n_heads: int
+                  ) -> tuple[np.ndarray, tuple]:
+    """Softmax attention of q over k, v with the `key_mask` entries `masked` off, and what its VJP reads."""
+    qh, kh, vh = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)  # a Python float: a NumPy scalar would promote float32
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    if masked is not None:
+        np.copyto(p, -np.inf, where=masked)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)  # exp(-inf) = 0 exactly on masked entries
+    p /= p.sum(axis=-1, keepdims=True)
+    return _merge_heads(p @ vh), (qh, kh, vh, p, scale, n_heads)
+
+
+def _attention_vjp(g: np.ndarray, saved: tuple, need) -> tuple:
+    qh, kh, vh, p, scale, n_heads = saved
+    tq, tk, tv = need
+    gh = _heads(g, n_heads)
+    gq = gk = None
+    if tq or tk:
+        ds = gh @ vh.swapaxes(-1, -2)  # dp, then (dp - sum(dp * p)) * p * scale in place
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        gq = _merge_heads(ds @ kh) if tq else None
+        gk = _merge_heads(ds.swapaxes(-1, -2) @ qh) if tk else None
+    return gq, gk, _merge_heads(p.swapaxes(-1, -2) @ gh) if tv else None
 
 
 def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
@@ -404,50 +477,22 @@ def attention(q, k, v, mask, n_heads: int) -> Tensor | np.ndarray:
             or ka.shape[-1] != qa.shape[-1] or qa.shape[-1] % n_heads:
         raise ShapeError(f"attention operands q {qa.shape}, k {ka.shape}, v {va.shape} "
                          f"do not split into {n_heads} heads")
-    n, m = qa.shape[-2], ka.shape[-2]
-    on = np.asarray(mask) != 0
-    if on.shape != (n, m):
-        raise ShapeError(f"mask shape {on.shape} != scores shape ({n}, {m})")
-    visible = bool(on.all())  # no key masked: no masking pass, and no row can be empty
-    if not visible and not on.any(axis=1).all():
-        bad = int(np.flatnonzero(~on.any(axis=1))[0])
-        raise MaskError(f"row {bad} of the attention mask has no unmasked entry")
-    hd = qa.shape[-1] // n_heads
-    scale = 1.0 / math.sqrt(hd)  # a Python float: a NumPy scalar would promote float32 to float64
+    out, saved = _attention_fwd(qa, ka, va, key_mask(mask, qa.shape[-2], ka.shape[-2]), n_heads)
+    return _taped(out, (q, k, v), _attention_vjp, saved)
 
-    def heads(a):  # (..., rows, H*hd) -> (..., H, rows, hd)
-        return a.reshape(*a.shape[:-1], n_heads, hd).swapaxes(-2, -3)
 
-    def rows(a):  # (..., H, rows, hd) -> (..., rows, H*hd)
-        a = a.swapaxes(-2, -3)
-        return a.reshape(*a.shape[:-2], -1)
+def rotate_pairs(a: np.ndarray, cos: np.ndarray, signed_sin: np.ndarray) -> np.ndarray:
+    """Each group [r1 | r2] of 2 * half columns of (..., n, d) rows turned: [r1 c - r2 sin | r2 c + r1 sin].
 
-    qh, kh, vh = heads(qa), heads(ka), heads(va)
-    p = qh @ kh.swapaxes(-1, -2)
-    p *= scale
-    if not visible:
-        np.copyto(p, -np.inf, where=~on)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)  # exp(-inf) = 0 exactly on masked entries
-    p /= p.sum(axis=-1, keepdims=True)
-    out = rows(p @ vh)
-    tq, tk, tv = isinstance(q, Tensor), isinstance(k, Tensor), isinstance(v, Tensor)
-    if not (tq or tk or tv):
-        return out
-
-    def vjp(g):
-        gh = heads(g)
-        gq = gk = None
-        if tq or tk:
-            ds = gh @ vh.swapaxes(-1, -2)  # dp, then (dp - sum(dp * p)) * p * scale in place
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= scale
-            gq = rows(ds @ kh) if tq else None
-            gk = rows(ds.swapaxes(-1, -2) @ qh) if tk else None
-        return gq, gk, rows(p.swapaxes(-1, -2) @ gh) if tv else None
-
-    return _node(out, (q, k, v), vjp)
+    `cos` and `signed_sin` broadcast against (..., n, d // (2 * half), 2, half)
+    pairs, half = cos.shape[-1]: cos, and [-sin | sin] on the pair axis, so the
+    result is r c + [r2 | r1] [-sin | sin]. Rotating by -sin inverts it (the VJP).
+    """
+    half = cos.shape[-1]
+    r = a.reshape(*a.shape[:-1], a.shape[-1] // (2 * half), 2, half)
+    out = r * cos
+    out += r[..., ::-1, :] * signed_sin
+    return out.reshape(a.shape)
 
 
 def window_products(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -494,24 +539,152 @@ def conv1d_strided(x, weights, bias) -> Tensor | np.ndarray:
         raise ShapeError(f"weights shape {w.shape} != ({k}, {c}, {c})")
     if L < k:
         raise ShapeError(f"input length {L} is shorter than the kernel {k}")
-    n = L // k
-    out = window_products(a, w, b)
-    tx, tw, tb = isinstance(x, Tensor), isinstance(weights, Tensor), isinstance(bias, Tensor)
-    if not (tx or tw or tb):
-        return out
+    return _taped(window_products(a, w, b), (x, weights, bias), _conv1d_strided_vjp, (a, w))
+
+
+def _conv1d_strided_vjp(g: np.ndarray, saved: tuple, need) -> tuple:
+    """Gradients of window_products(x, weights, bias), saved = (x, weights), for (..., n, c) g and (k, c, c)
+    weights."""
+    x, weights = saved
+    tx, tw, tb = need
+    k, c, n = weights.shape[0], weights.shape[-1], g.shape[-2]
+    gx = None
+    if tx:
+        gx = np.zeros_like(x)
+        gx[..., :n * k, :] = (g @ weights.reshape(k * c, c).T).reshape(*x.shape[:-2], n * k, c)
+    gw = None
+    if tw:
+        windows = x[..., :n * k, :].reshape(-1, k * c)  # one row per window
+        gw = (windows.T @ _rows(g)).reshape(k, c, c)
+    return gx, gw, _rows(g).sum(axis=0) if tb else None
+
+
+# -- the transformer layer ------------------------------------------------
+
+def transformer_layer(h, weights: Sequence, step: Sequence, angles: tuple, masked: np.ndarray | None,
+                      n_heads: int, key_angles: tuple | None = None, slabs: tuple | None = None,
+                      memory: tuple | None = None) -> tuple:
+    """One adaLN transformer layer over the (..., n, d) stream h, in one call and one tape node.
+
+    It runs the chain of ops in their order: layer norm under mod1, QKV, RoPE,
+    memory or slab writes, attention, the out-projection gated by gate1, the
+    condition row, layer norm under mod3, the tanh FFN and its gated residual.
+    Each step is the array-level half that the chain's public op calls, so the
+    result and every gradient have that chain's bits. On bare operands it
+    records nothing; with any Tensor operand it is one node whose VJP runs the
+    chain's VJPs backwards.
+
+    - weights: ln1 gain, ln1 bias, qkv (d, 3d) as [q | k | v], out-projection
+      w and b, ln3 gain, ln3 bias, ffn w1, b1, w2 and b2.
+    - step: mod1 scale, mod1 shift, gate1, condition row, mod3 scale, mod3
+      shift and gate3, rows that broadcast against h.
+    - angles: the (cos, signed sin) tables of the tokens' positions, which
+      turn the queries, and the keys unless `key_angles` gives the keys' own;
+      queries and keys that share them turn in one pass.
+    - masked: `key_mask` of the (n, keys) attention mask.
+    - slabs: (rotated-key slab, value slab, un-rotated-key slab or None,
+      start), for unbatched h without memory. The layer writes its keys and
+      values into rows [start, start + n) of those (rows, d) slabs and attends
+      over rows [:start + n], the rows before start being the context.
+    - memory: (span, key kernels, key bias, value kernels, value bias). The
+      keys and values of the rows `span`, convolved by window_products, join
+      the keys as memory, turned by `key_angles`' last rows.
+
+    Returns the new stream and the tokens' un-rotated keys, rotated keys and
+    values, as arrays.
+    """
+    span, *kernels = (None,) if memory is None else memory
+    operands = (h, *weights, *step, *kernels)
+    need = [isinstance(o, Tensor) for o in operands]
+    taped = any(need)
+    ha, g1, b1, wqkv, wo, bo, g3, b3, w1, c1, w2, c2, s1, t1, gate1, cond, s3, t3, gate3, *kernels = \
+        [o.data if t else o for o, t in zip(operands, need)] if taped else operands
+    u, ln1 = _layer_norm_fwd(ha, g1, b1, s1, t1)
+    qkv = u @ wqkv
+    n, d = qkv.shape[-2], qkv.shape[-1] // 3
+    q, k_rows, v_rows = qkv[..., :d], qkv[..., d:2 * d], qkv[..., 2 * d:]
+    k, v = k_rows, v_rows
+    if span is not None:
+        k = np.concatenate([k, window_products(k[..., span, :], *kernels[:2])], axis=-2)
+        v = np.concatenate([v, window_products(v[..., span, :], *kernels[2:])], axis=-2)
+    if key_angles is None:
+        qk = rotate_pairs(qkv[..., :2 * d], *angles)
+        q_rot, k_rot = qk[..., :d], qk[..., d:]
+    else:
+        q_rot, k_rot = rotate_pairs(q, *angles), rotate_pairs(k, *key_angles)
+    k_att, v_att = k_rot, v
+    if slabs is not None:
+        key_slab, val_slab, unrotated_slab, start = slabs
+        stop = start + n
+        if unrotated_slab is not None:
+            unrotated_slab[start:stop] = k
+        key_slab[start:stop] = k_rot
+        val_slab[start:stop] = v
+        k_att, v_att = key_slab[:stop], val_slab[:stop]
+    heads, att = _attention_fwd(q_rot, k_att, v_att, masked, n_heads)
+    h1, res1 = _gated_residual_fwd(ha, heads, wo, bo, gate1)
+    h2 = h1 + cond
+    u3, ln3 = _layer_norm_fwd(h2, g3, b3, s3, t3)
+    f1, ffn = _linear_tanh_fwd(u3, w1, c1)
+    out, res3 = _gated_residual_fwd(h2, f1, w2, c2, gate3)
+    block = k_rows, k_rot[..., :n, :], v_rows
+    if not taped:
+        return (out, *block)
+
+    # Which intermediates are on the tape: those downstream of a Tensor operand.
+    th, tg1, tb1, twqkv, two, tbo, tg3, tb3, tw1, tc1, tw2, tc2, ts1, tt1, tgate1, tcond, ts3, tt3, tgate3, \
+        *tkernels = need
+    tu = th or tg1 or tb1 or ts1 or tt1
+    tqkv = tu or twqkv
+    tk = tqkv or any(tkernels[:2])
+    tv = tqkv or any(tkernels[2:])
+    th1 = th or tk or tv or two or tbo or tgate1
+    th2 = th1 or tcond
+    tu3 = th2 or tg3 or tb3 or ts3 or tt3
+    tf1 = tu3 or tw1 or tc1
+    kc, ks = angles if key_angles is None else key_angles
+
+    def through_memory(g, rows, kernels, need_kernels):
+        """The gradients of k's or v's token rows and of its kernels and bias, from that of [rows || memory]."""
+        g_rows = g[..., :n, :]
+        gx, gw, gb = _conv1d_strided_vjp(g[..., n:, :], (rows[..., span, :], kernels[0]), (tqkv, *need_kernels))
+        if tqkv:
+            g_rows = g_rows.copy()
+            g_rows[..., span, :] += gx
+        return g_rows, gw, gb
 
     def vjp(g):
-        gx = None
-        if tx:
-            gx = np.zeros_like(a)
-            gx[..., :n * k, :] = (g @ w.reshape(k * c, c).T).reshape(*a.shape[:-2], n * k, c)
-        gw = None
-        if tw:
-            windows = a[..., :n * k, :].reshape(-1, k * c)  # one row per window
-            gw = (windows.T @ _rows(g)).reshape(k, c, c)
-        return gx, gw, _rows(g).sum(axis=0) if tb else None
+        gh2, gf1, gw2, gc2, ggate3 = _gated_residual_vjp(g, res3, (th2, tf1, tw2, tc2, tgate3))
+        gu3, gw1, gc1 = _linear_tanh_vjp(gf1, ffn, (tu3, tw1, tc1)) if tf1 else (None,) * 3
+        g_ln3 = _layer_norm_vjp(gu3, ln3, (th2, tg3, tb3, ts3, tt3)) if tu3 else (None,) * 5
+        if th2:  # both halves of the layer read the stream after the condition row
+            gh2 = gh2 + g_ln3[0]
+        gcond = _unbroadcast(gh2, cond.shape) if tcond else None
+        gh, gheads, gwo, gbo, ggate1 = \
+            _gated_residual_vjp(gh2, res1, (th, tk or tv, two, tbo, tgate1)) if th1 else (None,) * 5
+        gq = gk = gv = None
+        gkernels = [None] * len(kernels)
+        if tk or tv:
+            gq, gk, gv = _attention_vjp(gheads, att, (tqkv, tk, tv))
+            if slabs is not None:  # the context rows before `start` are not on the tape
+                gk, gv = gk[start:], gv[start:]
+            if tqkv:
+                gq = rotate_pairs(gq, angles[0], -angles[1])
+            if tk:
+                gk = rotate_pairs(gk, kc, -ks)
+            if span is not None:
+                if tk:
+                    gk, gkernels[0], gkernels[1] = through_memory(gk, k_rows, kernels[:2], tkernels[:2])
+                if tv:
+                    gv, gkernels[2], gkernels[3] = through_memory(gv, v_rows, kernels[2:], tkernels[2:])
+        gu, gwqkv = _matmul_grads(np.concatenate([gq, gk, gv], axis=-1), u, wqkv, tu, twqkv) if tqkv else (None,) * 2
+        g_ln1 = _layer_norm_vjp(gu, ln1, (th, tg1, tb1, ts1, tt1)) if tu else (None,) * 5
+        if th:  # the layer's input feeds both the first layer norm and the residual
+            gh = gh + g_ln1[0]
+        return (gh, *g_ln1[1:3], gwqkv, gwo, gbo, *g_ln3[1:3], gw1, gc1, gw2, gc2, *g_ln1[3:], ggate1, gcond,
+                *g_ln3[3:], ggate3, *gkernels)
 
-    return _node(out, (x, weights, bias), vjp)
+    return (_node(out, operands, vjp), *block)
 
 
 # -- gradients ------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfar import model, streaming
+from nfar import numerics, streaming
 from nfar.blocks import BlockPlan
 from nfar.checks import TINY, randomized_params
 from nfar.convkv import (
@@ -317,13 +317,13 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
     x = rng.standard_normal((n, config.d_latent))
     cond = rng.standard_normal(config.d_cond)
 
-    conv, trained = model.conv1d_strided, []
+    conv, trained = numerics.window_products, []
 
-    def recording_conv(*args):
+    def recording_conv(*args):  # the layer's memory convolutions; the cache's roll calls its own import
         trained.append(conv(*args))
         return trained[-1]
 
-    monkeypatch.setattr(model, "conv1d_strided", recording_conv)
+    monkeypatch.setattr(numerics, "window_products", recording_conv)
     for n_win in (1, 2, 3):
         trained.clear()
         memory = InlineMemorySpec(0, n_win, lam)
@@ -342,8 +342,8 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
         for w in range(n_win):
             keys, vals = rolled[(w * lam, (w + 1) * lam)]
             for l in range(config.n_layers):
-                assert np.array_equal(trained[2 * l].data[w], keys[l])
-                assert np.array_equal(trained[2 * l + 1].data[w], vals[l])
+                assert np.array_equal(trained[2 * l][w], keys[l])
+                assert np.array_equal(trained[2 * l + 1][w], vals[l])
 
 
 def roll_and_check(sizes, mode, dtype, lam=5):

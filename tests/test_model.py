@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfar.blocks import BlockPlan
 from nfar.model import (
@@ -12,12 +14,30 @@ from nfar.model import (
     denoiser_forward,
     expand_mask_with_ref,
     init_params,
+    rope_angles,
     rope_apply,
     step_conditioning,
     time_embed,
     wrap_params,
 )
-from nfar.numerics import Tensor, grad_of
+from nfar.numerics import (
+    ShapeError,
+    Tensor,
+    add,
+    attention,
+    concat,
+    conv1d_strided,
+    data_of,
+    gated_residual,
+    grad_of,
+    key_mask,
+    layer_norm,
+    linear_tanh,
+    matmul,
+    mul,
+    slice2d,
+    transformer_layer,
+)
 from testkit import sum_all
 
 RNG = np.random.default_rng(42)
@@ -294,3 +314,150 @@ def test_config_validation():
         with pytest.raises(ValueError, match="rope_base"):
             DenoiserConfig(rope_base=base)
     DenoiserConfig(n_layers=1, rope_base=2.0)
+
+
+def test_a_batched_step_is_refused_by_a_one_step_forward():
+    config = small_config()
+    params = randomized_params(config, seed=8)
+    tokens, pos, cond = _forward_inputs(config, n=2)
+    steps = step_conditioning(params.values, config, np.array([0.5, 0.7]), np.stack([cond, cond]))
+    with pytest.raises(StepTagError):
+        denoiser_forward(params.values, config, tokens, pos, 0.5, cond, np.ones((2, 2)), conditioning=steps)
+    one = step_conditioning(params.values, config, 0.5, cond)
+    with pytest.raises(StepTagError):  # and the other way round
+        denoiser_forward(params.values, config, np.stack([tokens, tokens]), pos, np.array([0.5, 0.5]),
+                         np.stack([cond, cond]), np.ones((2, 2)), conditioning=one)
+
+
+def test_a_batched_forward_has_no_room_in_a_context():
+    config = small_config()
+    params = randomized_params(config, seed=9)
+    tokens, pos, cond = _forward_inputs(config, n=2)
+    ctx_k, ctx_v = RNG.standard_normal((2, config.n_layers, 3, config.d_model))
+    ctx = slab_context(ctx_k, ctx_v, np.arange(-3, 0), 0.5, room=4)
+    with pytest.raises(ShapeError, match="no room"):
+        denoiser_forward(params.values, config, np.stack([tokens, tokens]), pos, np.array([0.5, 0.5]),
+                         np.stack([cond, cond]), np.ones((2, 5)), ctx=ctx)
+
+
+# -- one transformer layer against the chain of public ops ---------------------
+
+def slab_rows(slab, start, a):
+    """Write rows `a` into `slab` at row `start` and return the slab's rows up to them, a view: on the tape,
+    only `a` gets a gradient, the view's last rows'."""
+    stop = start + data_of(a).shape[-2]
+    slab[start:stop] = data_of(a)
+    return Tensor(slab[:stop], (a,), lambda g: (g[start:],)) if isinstance(a, Tensor) else slab[:stop]
+
+
+def chain_layer(h, weights, step, pos, key_pos, freqs, mask, n_heads, slabs=None, memory=None):
+    """The layer as the chain of public ops it stands for, on the tape of its Tensor operands."""
+    g1, b1, wqkv, wo, bo, g3, b3, w1, c1, w2, c2 = weights
+    s1, t1, gate1, cond, s3, t3, gate3 = step
+    d = data_of(wqkv).shape[0]
+    n = data_of(h).shape[-2]
+    u = layer_norm(h, g1, b1, s1, t1)
+    qkv = matmul(u, wqkv)
+    q, k, v = (slice2d(qkv, cols=slice(i * d, (i + 1) * d)) for i in range(3))
+    keys, vals = data_of(k), data_of(v)
+    if memory is not None:
+        span, wk, bk, wv, bv = memory
+        k = concat([k, conv1d_strided(slice2d(k, rows=span), wk, bk)])
+        v = concat([v, conv1d_strided(slice2d(v, rows=span), wv, bv)])
+    k = rope_apply(k, key_pos, freqs)
+    rotated = data_of(k)[..., :n, :]
+    if slabs is not None:
+        key_slab, val_slab, unrotated_slab, start = slabs
+        if unrotated_slab is not None:
+            unrotated_slab[start:start + n] = keys
+        k, v = slab_rows(key_slab, start, k), slab_rows(val_slab, start, v)
+    heads = attention(rope_apply(q, pos, freqs), k, v, mask, n_heads)
+    h = add(gated_residual(h, heads, wo, bo, gate1), cond)
+    f1 = linear_tanh(layer_norm(h, g3, b3, s3, t3), w1, c1)
+    return gated_residual(h, f1, w2, c2, gate3), keys, rotated, vals
+
+
+@st.composite
+def layer_cases(draw):
+    n_heads, hd = draw(st.integers(1, 2)), draw(st.sampled_from([2, 4]))
+    d, dff, n = n_heads * hd, draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    context = draw(st.sampled_from(["none", "bounded", "unbounded", "memory"]))
+    lead = () if context in ("bounded", "unbounded") else draw(st.sampled_from([(), (2,), (3,)]))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+    def a(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    weights = [a(d), a(d), a(d, 3 * d), a(d, d), a(d), a(d), a(d), a(d, dff), a(dff), a(dff, d), a(d)]
+    step = [a(*lead, 1, d) for _ in range(7)]
+    pos = rng.integers(-2, 30, size=n).astype(float)
+    m, n_ctx, memory, ratio = n, 0, [], draw(st.integers(1, 3))
+    if context == "memory":
+        n_mem = draw(st.integers(1, n // ratio)) if n >= ratio else 0
+        start = draw(st.integers(0, n - n_mem * ratio))
+        memory = [slice(start, start + n_mem * ratio), a(ratio, d, d), a(d), a(ratio, d, d), a(d)] if n_mem else []
+        m += n_mem
+    elif context != "none":
+        n_ctx = draw(st.integers(0, 5))
+        m += n_ctx
+    mask = np.ones((n, m))
+    if draw(st.booleans()):  # a partial mask that leaves every row a key
+        mask = (rng.random((n, m)) < 0.5).astype(float)
+        mask[np.arange(n), rng.integers(0, m, size=n)] = 1.0
+    operands = [a(*lead, n, d), *weights, *step, *memory[1:]]
+    taped = draw(st.lists(st.booleans(), min_size=len(operands), max_size=len(operands)))
+    return dict(operands=operands, taped=taped, pos=pos, mask=mask, n_heads=n_heads, context=context, n_ctx=n_ctx,
+                span=memory[0] if memory else None, ratio=ratio, rng=rng, dtype=dtype)
+
+
+def _slabs(case, d):
+    """Two identical sets of slabs, each (rows, d) with random context rows: the layer's and the chain's."""
+    n_ctx, n, rng, dtype = case["n_ctx"], case["operands"][0].shape[-2], case["rng"], case["dtype"]
+    rows = n_ctx + n + 2
+    filled = [rng.standard_normal((rows, d)).astype(dtype) for _ in range(3)]
+    out = []
+    for _ in range(2):
+        if case["context"] == "bounded":
+            slabs = [f.copy() for f in filled]
+        else:  # the unbounded cache's keys are stored rows last; it keeps no un-rotated keys
+            key_slab = np.empty((d, rows), dtype).swapaxes(0, 1)
+            key_slab[...] = filled[0]
+            slabs = [key_slab, filled[1].copy(), None]
+        out.append((*slabs, n_ctx))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=layer_cases())
+def test_the_layer_is_the_chain_of_ops_bit_for_bit(case):
+    ops, taped, pos, mask, n_heads = case["operands"], case["taped"], case["pos"], case["mask"], case["n_heads"]
+    d = ops[1].shape[0]
+    freqs = RopeFrequencies.create(d // n_heads, 100.0)
+    n, span = ops[0].shape[-2], case["span"]
+    key_pos = pos if span is None else np.concatenate([pos, pos[span][::case["ratio"]]])
+    layer_slabs, chain_slabs = _slabs(case, d) if case["context"] in ("bounded", "unbounded") else (None, None)
+    results = []
+    for run in ("layer", "chain"):
+        leaves = [Tensor(o) if t else o for o, t in zip(ops, taped)]
+        h, weights, step, kernels = leaves[0], leaves[1:12], leaves[12:19], leaves[19:]
+        memory = None if span is None else (span, *kernels)
+        if run == "layer":
+            angles = rope_angles(pos, freqs, case["dtype"])
+            key_angles = None if span is None else rope_angles(key_pos, freqs, case["dtype"])
+            out, *kv = transformer_layer(h, weights, step, angles, key_mask(mask, n, mask.shape[1]), n_heads,
+                                         key_angles, layer_slabs, memory)
+        else:
+            out, *kv = chain_layer(h, weights, step, pos, key_pos, freqs, mask, n_heads, chain_slabs, memory)
+        grads = []
+        if any(taped):
+            proj = np.random.default_rng(0).standard_normal(out.shape).astype(case["dtype"])
+            grads = grad_of(sum_all(mul(out, proj)), [leaf for leaf in leaves if isinstance(leaf, Tensor)])
+        else:
+            assert type(out) is np.ndarray
+        results.append([data_of(out), *kv, *grads])
+    for got, want in zip(*results, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    if layer_slabs is not None:  # the K/V the layer wrote, and every row it left alone
+        for got, want in zip(layer_slabs[:3], chain_slabs[:3]):
+            assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))

@@ -282,12 +282,12 @@ def test_stage2_tape_holds_only_the_compressor():
 
 
 def test_default_stage1_loss_tape_size():
-    # The fused sublayer ops keep a stage-1 loss at 64 non-leaf tape nodes
-    # (92 when each sublayer was a chain of elementwise nodes): a regression
-    # to composed ops shows here first.
+    # One node per transformer layer keeps a stage-1 loss at 40 non-leaf tape
+    # nodes (64 with one node per sublayer op, 92 with elementwise chains): a
+    # regression to composed ops shows here first.
     ds = tiny_dataset(n=4)
     params = init_params(DenoiserConfig(), seed=3)
     loss = neighbor_forcing_loss(wrap_params(params), params.config, ds.sequences, ds.conditions,
                                  np.array([0.1, 0.3, 0.5, 0.7]), RNG.standard_normal(ds.sequences.shape), PLAN3)
     nodes, leaves = _tape_nodes(loss)
-    assert len(nodes - leaves) == 64
+    assert len(nodes - leaves) == 40
