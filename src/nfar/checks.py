@@ -174,10 +174,7 @@ def coverage_ledger(seed: int = 0) -> tuple[bool, str]:
 def gradient_integrity(seed: int = 0) -> tuple[bool, str]:
     """Tape gradients of every parameter vs central differences, 3 batches, both stages' losses."""
     config = TINY
-    params = init_params(config, seed=9 + seed)
-    rng = np.random.default_rng(9 + seed)
-    for name in params.values:
-        params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
+    params = randomized_params(config, 9 + seed, compressor=True)
     plan_s1 = BlockPlan((2, 2))
     plan_s2 = BlockPlan.default(3)  # (6, 8, 8): its bounded view holds two memory windows
     worst = 0.0

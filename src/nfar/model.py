@@ -144,12 +144,11 @@ def block_causal_mask(plan: BlockPlan) -> np.ndarray:
     return (blk[None, :] <= blk[:, None]).astype(np.float64)
 
 
-def expand_mask_with_ref(mask: np.ndarray, n_ref: int) -> np.ndarray:
-    """Prepend reference rows/cols: refs attend to refs; all chunks see refs."""
-    n = mask.shape[0]
-    out = np.zeros((n_ref + n, n_ref + mask.shape[1]))
-    out[:n_ref, :n_ref] = 1.0
-    out[n_ref:, :n_ref] = 1.0
+def expand_mask_with_ref(mask: np.ndarray) -> np.ndarray:
+    """Prepend the REF_CAPACITY reference rows/cols: refs attend to refs; all chunks see refs."""
+    n_ref = REF_CAPACITY
+    out = np.zeros((n_ref + mask.shape[0], n_ref + mask.shape[1]))
+    out[:, :n_ref] = 1.0
     out[n_ref:, n_ref:] = mask
     return out
 
@@ -328,21 +327,6 @@ def _read_only_rows(slab: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class InlineMemorySpec:
-    """Training-time compressed memory (stage 2): the token rows [start, start + n_mem * ratio), convolved
-    down by `ratio` into n_mem memory tokens, appended after all raw tokens on the key axis, each at the
-    position of its window's first token."""
-
-    start: int
-    n_mem: int
-    ratio: int
-
-    @property
-    def span(self) -> slice:
-        return slice(self.start, self.start + self.n_mem * self.ratio)
-
-
 class StepTagError(ValueError):
     """Cached context was produced at a different diffusion step."""
 
@@ -423,7 +407,7 @@ def denoiser_forward(
     cond,
     mask: np.ndarray,
     ctx: ContextKV | None = None,
-    memory: InlineMemorySpec | None = None,
+    memory: int = 0,
     conditioning: StepConditioning | None = None,
 ) -> tuple[Tensor | np.ndarray, BlockKV]:
     """Predict per-token velocity; also return the new tokens' K/V as one BlockKV.
@@ -434,8 +418,11 @@ def denoiser_forward(
     or a (B, n, d_latent) batch that shares positions and mask, with one
     step in `t` and one row of `cond` per element.
     `mask` must cover (n_tokens, n_keys) where the key axis is
-    [ctx || tokens] when a context is supplied, [tokens || memory] when an
-    inline memory spec is supplied, and [tokens] otherwise. A context's keys
+    [ctx || tokens] when a context is supplied, [tokens || memory] when
+    `memory` windows are, and [tokens] otherwise. The windows (stage 2's
+    compressed memory, convolved inline) span `compress_ratio` token rows
+    each, back to back from row `n_ref_chunks`, just after the reference;
+    each becomes one memory key at the position of its first row. A context's keys
     come rotated; the forward rotates only the keys it computes, writes them
     and its values (and un-rotated keys, given a slab for them) into the
     context slabs' rows after the context (an unbatched forward, in the
@@ -444,7 +431,7 @@ def denoiser_forward(
     `conditioning`, from `step_conditioning` with the same weights, step
     and cond, saves recomputing it; it is built here when omitted.
     """
-    if ctx is not None and memory is not None:
+    if ctx is not None and memory:
         raise ValueError("cached context and inline memory cannot be combined")
     dtype = ptensors["input.w"].dtype
     x = x_tokens if isinstance(x_tokens, Tensor) else np.asarray(x_tokens).astype(dtype, copy=False)
@@ -460,8 +447,12 @@ def denoiser_forward(
                              f"{x.shape[:-1]} {dtype} tokens after {ctx.n_tokens} context rows")
         if not _same_step(ctx.step_tag, t):
             raise StepTagError(f"cache step tag {ctx.step_tag} != forward step {t}")
-    elif memory is not None:
-        n_keys += memory.n_mem
+    elif memory:
+        span = slice(config.n_ref_chunks, config.n_ref_chunks + memory * config.compress_ratio)
+        if memory < 0 or span.stop > n:
+            raise ShapeError(f"{memory} memory windows of {config.compress_ratio} rows after "
+                             f"{config.n_ref_chunks} reference rows do not fit in {n} tokens")
+        n_keys += memory
     masked = key_mask(mask, n, n_keys)
     if conditioning is None:
         conditioning = step_conditioning(ptensors, config, t, cond)
@@ -469,8 +460,8 @@ def denoiser_forward(
         raise StepTagError(f"conditioning step {conditioning.t} != forward step {t}")
     freqs = conditioning.freqs
     angles = rope_angles(pos, freqs, dtype)  # every layer's queries, and its keys unless memory joins them
-    key_angles = None if memory is None else rope_angles(
-        np.concatenate([pos, pos[memory.span][::memory.ratio]]), freqs, dtype)
+    key_angles = None if not memory else rope_angles(
+        np.concatenate([pos, pos[span][::config.compress_ratio]]), freqs, dtype)
     L = config.n_layers
 
     h = add(matmul(x, ptensors["input.w"]), ptensors["input.b"])
@@ -481,9 +472,9 @@ def denoiser_forward(
         if ctx is not None:
             slabs = (ctx.slab_keys[l], ctx.slab_vals[l],
                      None if ctx.slab_unrotated is None else ctx.slab_unrotated[l], ctx.n_tokens)
-        elif memory is not None:  # layer l's key kernels and bias, then its value kernels and bias
+        elif memory:  # layer l's key kernels and bias, then its value kernels and bias
             w, b = ptensors["compressor.w"], ptensors["compressor.b"]
-            memory_rows = (memory.span, w[l], b[l], w[L + l], b[L + l])
+            memory_rows = (span, w[l], b[l], w[L + l], b[L + l])
         h, k, k_rot, v = transformer_layer(
             h, [ptensors[p + name] for name in _LAYER_WEIGHTS],
             (*s["mod1"], s["gate1"], s["cond"], *s["mod3"], s["gate3"]), angles, masked, config.n_heads,
@@ -513,19 +504,20 @@ def chunk_forward(ptensors: dict, config: DenoiserConfig, x_ref, chunks, first: 
                   cond, conditioning: StepConditioning | None = None) -> Tensor | np.ndarray:
     """The velocity rows of `chunks`, the n chunks from chunk `first`, run after the reference as tokens.
 
-    The one reference-then-chunks layout of training and of the recompute
-    oracles: the reference at positions -n_ref..-1, attending only to
-    itself, then the chunks at first..first + n - 1 under `chunk_mask`, a
+    The one reference-then-chunks layout of training (both mask modes), of
+    the recompute oracles and of the zero-shot chain: the config's n_ref
+    reference chunks at positions -n_ref..-1, attending only to themselves,
+    then the chunks at first..first + n - 1 under `chunk_mask`, a
     chunk-level (n, n + W) mask whose last W columns are memory windows of
     `compress_ratio` chunks from the first chunk, convolved inline. `x_ref`
     and `chunks` are (n_ref | n, d_latent), or batches of them as
-    `denoiser_forward` takes.
+    `denoiser_forward` takes; an `x_ref` of another size is refused.
     """
-    n_ref, n = x_ref.shape[-2], chunks.shape[-2]
-    n_mem = chunk_mask.shape[1] - n
+    n_ref, n = config.n_ref_chunks, chunks.shape[-2]
+    if np.shape(x_ref)[-2:-1] != (n_ref,):
+        raise ShapeError(f"x_ref shape {np.shape(x_ref)} does not hold the config's {n_ref} reference chunks")
     vel, _ = denoiser_forward(ptensors, config, np.concatenate([x_ref, chunks], axis=-2),
                               np.concatenate([np.arange(-n_ref, 0), np.arange(first, first + n)]), t, cond,
-                              expand_mask_with_ref(chunk_mask, n_ref),
-                              memory=InlineMemorySpec(n_ref, n_mem, config.compress_ratio) if n_mem else None,
+                              expand_mask_with_ref(chunk_mask), memory=chunk_mask.shape[1] - n,
                               conditioning=conditioning)
     return slice2d(vel, rows=slice(n_ref, None))

@@ -272,7 +272,7 @@ def zero_shot_experiment(
                 return chunk_forward(weights, config, x_ref, np.concatenate([prev, x]), prev_range[0], mask,
                                      float(grid[k]), cond, conditioning=steps[k])[-n:]
 
-            x = euler_integrate(velocity, x, sampler)
+            x = _integrate_block(b, velocity, x, sampler)
             out[s:e] = x
             prev_states, prev_clean, prev_range = states, x, (s, e)
         scores[variant] = discontinuity_score(out, plan)

@@ -5,7 +5,10 @@ shared diffusion step (the step-aligned regime). Stage 2 freezes the
 denoiser and trains the KV compressor under the bounded view: every block
 attends to what the bounded cache shows it at inference
 (`convkv.bounded_view`), its long-term memory computed inline from the
-raw chunks it summarizes.
+raw chunks it summarizes. With ``mask_mode="none"`` stage 1 trains the
+non-AR backbone instead: each sequence one block alone, the block attending
+to the reference and to itself, the reference only to itself, as the
+zero-shot experiment chains it.
 
 A training step runs its whole batch through one forward, keeps the
 frozen weights bare (off the tape) and updates every trainable weight with
@@ -21,8 +24,8 @@ import numpy as np
 
 from .blocks import BlockPlan
 from .convkv import bounded_view
-from .model import DenoiserParams, block_causal_mask, chunk_forward, denoiser_forward, tape_leaves, wrap_params
-from .numerics import ShapeError, add, grad_of, mean_all, mul, slice2d, sub
+from .model import DenoiserParams, block_causal_mask, chunk_forward, tape_leaves, wrap_params
+from .numerics import ShapeError, add, grad_of, mean_all, mul, sub
 from .rng import STREAM_TRAIN, make_rng
 from .schedule import noise_forward, velocity_target
 from .synthdata import Dataset
@@ -87,8 +90,10 @@ def neighbor_forcing_loss(
 
     With ``mask_mode="none"`` each element trains a single block (picked by
     ``block_choice``) under full bidirectional attention — the non-AR
-    backbone used by the zero-shot experiment. Elements that picked the
-    same block share one forward.
+    backbone used by the zero-shot experiment, in the layout that chains it:
+    the block attends to the reference and to itself, and the reference
+    attends only to itself. Elements that picked the same block share one
+    forward. Every forward is `model.chunk_forward`.
     """
     batch = sequences.shape[0]
     t_shared = np.asarray(t_shared)
@@ -98,22 +103,18 @@ def neighbor_forcing_loss(
     n_ref = config.n_ref_chunks
     x_t = noise_forward(sequences, t_shared[:, None, None], eps)  # one step for every chunk of an element
     target = velocity_target(sequences, eps)
-    if mask_mode == "none":
-        groups = [(block_choice == b, plan.chunk_range(b)) for b in np.unique(block_choice)]
+    # One forward per group: (batch rows, first chunk, end chunk, chunk-level mask).
+    if mask_mode == "none":  # each chosen block alone after the reference, under a full mask
+        groups = [(block_choice == b, *plan.chunk_range(b), np.ones((plan.sizes[b],) * 2))
+                  for b in np.unique(block_choice)]
     else:
-        groups = [(slice(None), (0, plan.total_chunks))]
         chunk_mask = bounded_view(plan, config.compress_ratio) if bounded else block_causal_mask(plan)
+        groups = [(slice(None), 0, plan.total_chunks, chunk_mask)]
     loss = None
-    for rows, (s, e) in groups:
-        x_ref, chunks = sequences[rows, :n_ref], x_t[rows, s:e]
-        if mask_mode == "none":  # the reference attends to the block too, so not chunk_forward's layout
-            tokens = np.concatenate([x_ref, chunks], axis=1)
-            positions = np.concatenate([np.arange(-n_ref, 0), np.arange(s, e)])
-            vel, _ = denoiser_forward(ptensors, config, tokens, positions, t_shared[rows], conds[rows],
-                                      np.ones((tokens.shape[1], tokens.shape[1])))
-            vel = slice2d(vel, rows=slice(n_ref, None))
-        else:
-            vel = chunk_forward(ptensors, config, x_ref, chunks, 0, chunk_mask, t_shared, conds)
+    for rows, s, e, chunk_mask in groups:
+        chunks = x_t[rows, s:e]
+        vel = chunk_forward(ptensors, config, sequences[rows, :n_ref], chunks, s, chunk_mask, t_shared[rows],
+                            conds[rows])
         diff = sub(vel, target[rows, s:e])
         # Each element's mean counts once: the group's mean over its share of the batch.
         term = mul(mean_all(mul(diff, diff)), chunks.shape[0] / batch)

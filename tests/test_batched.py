@@ -16,7 +16,6 @@ from nfar.blocks import BlockPlan
 from nfar.checks import TINY
 from nfar.convkv import bounded_view
 from nfar.model import (
-    InlineMemorySpec,
     RopeFrequencies,
     block_causal_mask,
     denoiser_forward,
@@ -131,22 +130,21 @@ def serial_loss(ptensors, config, sequences, conds, t_shared, eps, plan, bounded
     n_ref, lam = config.n_ref_chunks, config.compress_ratio
     chunk_mask = bounded_view(plan, lam) if bounded else block_causal_mask(plan)
     n_mem = chunk_mask.shape[1] - chunk_mask.shape[0]  # memory windows of lam chunks from chunk 0
-    causal_mask = expand_mask_with_ref(chunk_mask, n_ref)
-    memory = InlineMemorySpec(n_ref, n_mem, lam) if n_mem else None
+    causal_mask = expand_mask_with_ref(chunk_mask)
     loss = None
     for i in range(sequences.shape[0]):
         x0, t = sequences[i], float(t_shared[i])
         x_t = (1.0 - t) * x0 + t * eps[i]
         target = eps[i] - x0
-        if mask_mode == "none":
+        if mask_mode == "none":  # the block attends to the reference and to itself; the reference to itself
             s, e = plan.chunk_range(int(block_choice[i]))
-            mask = np.ones((n_ref + e - s, n_ref + e - s))
+            mask = expand_mask_with_ref(np.ones((e - s, e - s)))
         else:
             s, e = 0, plan.total_chunks
             mask = causal_mask
         tokens = np.concatenate([x0[:n_ref], x_t[s:e]])
         positions = np.concatenate([np.arange(-n_ref, 0), np.arange(s, e)])
-        vel, _ = denoiser_forward(ptensors, config, tokens, positions, t, conds[i], mask, memory=memory)
+        vel, _ = denoiser_forward(ptensors, config, tokens, positions, t, conds[i], mask, memory=n_mem)
         diff = sub(slice2d(vel, rows=slice(n_ref, None)), target[s:e])
         term = mean_all(mul(diff, diff))
         loss = term if loss is None else add(loss, term)

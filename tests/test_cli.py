@@ -466,6 +466,18 @@ def test_aborted_generate_leaves_no_output_directory(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_zeroshot_with_non_finite_weights_aborts_naming_the_block(tmp_path, capsys):
+    # It ended in a bare "denoiser produced non-finite velocities" that named no block.
+    params = init_params(DenoiserConfig(d_model=16, d_ff=16), seed=0, meta={"mask_mode": "none"})
+    params.values["output.w"][:] = np.inf
+    save_checkpoint(tmp_path / "m.ckpt", params)
+    argv = ["zeroshot", "--ckpt", str(tmp_path / "m.ckpt"), "--seeds", "1", "--blocks", "2", "--steps", "1"]
+    assert run(argv) == cli.EXIT_ABORTED
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: generation aborted at block 0") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_data_with_no_sequences_is_usage_error(tmp_path, capsys):
     out = tmp_path / "ds"
     assert exit_code(["data", "--out", str(out), "--sequences", "0"]) == EXIT_USAGE

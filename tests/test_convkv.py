@@ -26,7 +26,6 @@ from nfar.convkv import (
 from nfar.model import (
     BlockKV,
     DenoiserConfig,
-    InlineMemorySpec,
     RopeFrequencies,
     denoiser_forward,
     init_params,
@@ -302,9 +301,10 @@ def test_float32_cache_stays_float32():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
-    # Stage-2 training convolves a span inline in denoiser_forward; the cache
-    # compresses the same K/V window by window as rolls fill them. Both must
-    # give the same bits for 1-, 2- (the default stage-2 span) and 3-window spans.
+    # Stage-2 training convolves a span inline in denoiser_forward, from the
+    # first row after the two reference rows; the cache compresses the same
+    # K/V window by window as rolls fill them. Both must give the same bits
+    # for 1-, 2- (the default stage-2 span) and 3-window spans.
     config = DenoiserConfig()
     params = randomized_params(config, seed=4)
     rng = np.random.default_rng(4)
@@ -313,8 +313,8 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
             params.values[name] = params.values[name] + 0.05 * rng.standard_normal(params.values[name].shape)
     params = params.astype(dtype)
     ptensors = wrap_params(params)
-    lam, n = config.compress_ratio, 22
-    x = rng.standard_normal((n, config.d_latent))
+    lam, n_ref, n = config.compress_ratio, config.n_ref_chunks, 22
+    x = rng.standard_normal((n_ref + n, config.d_latent))
     cond = rng.standard_normal(config.d_cond)
 
     conv, trained = numerics.window_products, []
@@ -326,16 +326,15 @@ def test_rolled_memory_equals_training_memory_bit_for_bit(dtype, monkeypatch):
     monkeypatch.setattr(numerics, "window_products", recording_conv)
     for n_win in (1, 2, 3):
         trained.clear()
-        memory = InlineMemorySpec(0, n_win, lam)
-        _, kv = denoiser_forward(ptensors, config, x, np.arange(n), 0.5, cond, np.ones((n, n + n_win)),
-                                 memory=memory)
+        _, kv = denoiser_forward(ptensors, config, x, np.arange(-n_ref, n), 0.5, cond,
+                                 np.ones((n_ref + n, n_ref + n + n_win)), memory=n_win)
         assert len(trained) == 2 * config.n_layers  # per layer: keys, then values
 
         cache = new_cache(config.n_layers, config.d_model, [0.5], lam=lam, dtype=dtype,
                           freqs=RopeFrequencies.create(config.head_dim, config.rope_base))
         rolled = {}
         for a, e in ((0, 6), (6, 14), (14, 22)):
-            cache_append(cache, BlockKV(*(arr[:, a:e] for arr in kv)), list(range(a, e)), 0)
+            cache_append(cache, BlockKV(*(arr[:, n_ref + a:n_ref + e] for arr in kv)), list(range(a, e)), 0)
             cache_roll(cache, (params.values["compressor.w"], params.values["compressor.b"]))
             for i, span in enumerate(cache.long_term.spans):
                 rolled[span] = (cache.long_term.keys[:, 0, i], cache.long_term.vals[:, 0, i])

@@ -7,7 +7,6 @@ from nfar.blocks import BlockPlan
 from nfar.model import (
     ContextKV,
     DenoiserConfig,
-    InlineMemorySpec,
     RopeFrequencies,
     StepTagError,
     block_causal_mask,
@@ -107,7 +106,7 @@ def test_mask_first_block_boundary():
 
 
 def test_expand_mask_with_ref_layout():
-    mask = expand_mask_with_ref(block_causal_mask(BlockPlan((2, 2))), 2)
+    mask = expand_mask_with_ref(block_causal_mask(BlockPlan((2, 2))))
     assert mask.shape == (6, 6)
     assert (mask[:2, :2] == 1.0).all() and (mask[:2, 2:] == 0.0).all()
     assert (mask[2:, :2] == 1.0).all()
@@ -243,11 +242,10 @@ def test_bare_weights_give_the_taped_forward_bit_for_bit(dtype):
     params = params.astype(dtype)
     tokens, pos, cond = _forward_inputs(config, n=12)
     ctx_k, ctx_v = rng.standard_normal((2, config.n_layers, 3, config.d_model)).astype(dtype)
-    lam = config.compress_ratio
     cases = {
         "none": dict(mask=block_causal_mask(BlockPlan((6, 6)))),
         "ctx": dict(mask=np.ones((12, 15)), ctx=slab_context(ctx_k, ctx_v, np.arange(-3, 0), 0.3, room=12)),
-        "memory": dict(mask=np.ones((12, 14)), memory=InlineMemorySpec(0, 2, lam)),
+        "memory": dict(mask=np.ones((12, 14)), memory=2),  # windows over rows 2..11, after two reference rows
     }
     for case, kw in cases.items():
         bare, bare_kv = denoiser_forward(params.values, config, tokens, pos, 0.3, cond, **kw)
@@ -287,6 +285,17 @@ def test_mask_key_count_mismatch_rejected():
     with pytest.raises(ValueError):
         _single_pass(params, RNG.standard_normal((3, 4)), np.arange(3), 0.5,
                      np.zeros(8), np.ones((3, 5)))
+
+
+@pytest.mark.parametrize("memory", [2, 1, -1])
+def test_memory_windows_that_overrun_the_tokens_rejected(memory):
+    # Windows of 5 rows after 2 reference rows: two need 12 tokens, one needs 7, and 6 hold neither.
+    config = small_config()
+    params = init_params(config, seed=4)
+    n = 6
+    tokens, pos, cond = _forward_inputs(config, n=n)
+    with pytest.raises(ShapeError, match="memory windows"):
+        denoiser_forward(params.values, config, tokens, pos, 0.5, cond, np.ones((n, n + memory)), memory=memory)
 
 
 def test_finite_inputs_finite_outputs():

@@ -10,7 +10,7 @@ from nfar.blocks import BlockPlan
 from nfar.checks import TINY, randomized_params
 from nfar.convkv import cache_roll, new_cache, set_reference
 from nfar.model import DenoiserConfig, denoiser_forward, init_params, step_conditioning
-from nfar.numerics import Tensor
+from nfar.numerics import ShapeError, Tensor
 from nfar.schedule import SamplerConfig
 from nfar.streaming import (
     discontinuity_score,
@@ -238,6 +238,32 @@ def test_zero_shot_returns_all_variants_deterministically():
     b = zero_shot_experiment(params, x_ref, cond, plan, SAMPLER, seed=4)
     assert set(a) == {"same-step", "clean-history", "independent-noise"}
     assert a == b
+
+
+@pytest.mark.parametrize("rollout", [generate_full_recompute, zero_shot_experiment])
+def test_a_rollout_aborts_on_non_finite_weights_naming_the_block(rollout):
+    # The zero-shot chain ended in a bare FloatingPointError that named no block.
+    params, x_ref, cond = toy_setup()
+    params.meta["mask_mode"] = "none"
+    params.values["output.w"] = np.full_like(params.values["output.w"], np.inf)
+    with pytest.raises(streaming.GenerationAborted, match="block 0: denoiser produced non-finite") as err:
+        rollout(params, x_ref, cond, BlockPlan.default(3), SAMPLER)
+    assert err.value.block == 0
+
+
+@pytest.mark.parametrize("use_convkv", [True, False])
+def test_a_reference_of_another_size_is_refused(use_convkv):
+    # The stream refused a 3-row reference; the oracle ran it silently.
+    params, x_ref, cond = toy_setup()
+    params.meta["mask_mode"] = "none"
+    x_ref = np.concatenate([x_ref, x_ref[:1]])
+    plan = BlockPlan.default(3)
+    with pytest.raises(ShapeError, match="2 reference chunks"):
+        generate_full_recompute(params, x_ref, cond, plan, SAMPLER, seed=1, use_convkv=use_convkv)
+    with pytest.raises(ValueError, match="is not 2 chunks"):
+        generate_stream(params, x_ref, cond, plan, SAMPLER, use_convkv=use_convkv, seed=1)
+    with pytest.raises(ShapeError, match="2 reference chunks"):
+        zero_shot_experiment(params, x_ref, cond, plan, SAMPLER, seed=1)
 
 
 def conditioning_arrays(step):

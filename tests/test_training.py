@@ -6,7 +6,7 @@ from nfar.checks import randomized_params
 from nfar.cli import EXIT_ABORTED, EXIT_USAGE, main
 from nfar.convkv import bounded_view
 from nfar.io import save_dataset
-from nfar.model import DenoiserConfig, block_causal_mask, init_params, tape_leaves, wrap_params
+from nfar.model import DenoiserConfig, block_causal_mask, chunk_forward, init_params, tape_leaves, wrap_params
 from nfar.numerics import ShapeError, Tensor, finite_difference_grad, grad_of
 from nfar.synthdata import Dataset, LatentDynamics, condition_vector, make_dataset
 from nfar.training import (
@@ -180,6 +180,22 @@ def test_nonar_mask_mode_trains_and_is_tagged():
     tc = TrainConfig(total_steps=3, plan=PLAN3, seed=4, batch_size=2, mask_mode="none")
     params, _ = train_stage1(tc, ds, init)
     assert params.meta["mask_mode"] == "none"
+
+
+@pytest.mark.parametrize("block", [0, 2])
+def test_nonar_loss_is_the_zero_shot_layout_bit_for_bit(block):
+    # The non-AR backbone trains in the layout the zero-shot chain runs it in:
+    # its block alone after the reference, which attends only to itself.
+    config = tiny_config()
+    params = randomized_params(config, seed=5)
+    ds = tiny_dataset(n=1)
+    t, eps = 0.4, RNG.standard_normal(ds.sequences.shape)
+    loss = neighbor_forcing_loss(params.values, config, ds.sequences, ds.conditions, np.array([t]), eps, PLAN3,
+                                 mask_mode="none", block_choice=np.array([block]))
+    x0, s, e = ds.sequences[0], *PLAN3.chunk_range(block)
+    x_t = (1.0 - t) * x0 + t * eps[0]
+    vel = chunk_forward(params.values, config, x0[:2], x_t[s:e], s, np.ones((e - s, e - s)), t, ds.conditions[0])
+    assert loss.item() == np.mean((vel - (eps[0] - x0)[s:e]) ** 2)
 
 
 def test_evaluate_loss_deterministic():
